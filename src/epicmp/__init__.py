@@ -7,7 +7,8 @@ from .kripke import (FrameClass, FrameReport, KripkeModel, Relation,
                      classify_frame, common_relation, joint_relation,
                      load_model, save_model)
 from .search import (Countermodel, NoCountermodelUpTo, SearchBounds,
-                     check_schema, check_validity, enumerate_models)
+                     check_formulas, check_schema, check_validity,
+                     enumerate_models)
 from .semantics import extension, satisfies, valid_in_model
 from .syntax import Formula, expand_sugar, parse, render
 
@@ -20,6 +21,6 @@ __all__ = [
     "joint_relation", "common_relation", "cdk_relation", "canonicalize",
     "satisfies", "valid_in_model", "extension",
     "SearchBounds", "NoCountermodelUpTo", "Countermodel",
-    "enumerate_models", "check_validity", "check_schema",
+    "enumerate_models", "check_validity", "check_formulas", "check_schema",
     "__version__",
 ]

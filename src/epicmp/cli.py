@@ -2,7 +2,8 @@
 
 Subcommands: eval, valid, classify, search, corpus, close.  Exit codes:
 0 for true / valid / no countermodel / all claims pass, 1 for the negative
-answer, 2 for any usage, parse, model or bounds error.  `search` output is
+answer, 2 for any usage, parse, model or bounds error, for a formula nested
+too deeply to evaluate, and for any internal error.  `search` output is
 deterministic regardless of --jobs.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -218,10 +220,22 @@ def run_command(argv: Sequence[str], out: TextIO | None = None,
             CorpusError) as exc:
         print(f"error: {exc}", file=err)
         return 2
+    except RecursionError:
+        # the parser takes long flat input, but hashing and evaluating a
+        # formula recurse once per nesting level
+        print("error: formula nested too deeply to evaluate", file=err)
+        return 2
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+    except Exception:
+        # an internal fault must not exit 0 or 1, which are answers
+        traceback.print_exc()
+        print("error: internal error", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ from typing import Callable, Mapping
 
 from .kripke import FrameClass, KripkeModel
 from .search import (Countermodel, DEFAULT_FORMULA_POOL, NoCountermodelUpTo,
-                     SearchBounds, SearchOutcome, check_schema,
-                     check_validity)
+                     SearchBounds, SearchOutcome, check_formulas,
+                     check_schema, check_validity)
 from .semantics import satisfies
 from .syntax import (And, CK, Formula, Group, Imp, IndK, parse, render)
 
@@ -368,12 +368,9 @@ def _instance_outcomes(claim: CorpusClaim, jobs: int) \
         -> list[tuple[Formula, SearchOutcome]]:
     """(formula, outcome) per unique instantiated formula."""
     if claim.build_formulas is not None:
-        formulas = claim.build_formulas()
-        seen: dict[Formula, SearchOutcome] = {}
-        for f in formulas:
-            if f not in seen:
-                seen[f] = check_validity(f, claim.bounds, jobs=jobs)
-        return list(seen.items())
+        unique = list(dict.fromkeys(claim.build_formulas()))
+        return list(zip(unique, check_formulas(unique, claim.bounds,
+                                               jobs=jobs)))
     if claim.schema is not None:
         kw = {}
         if claim.formula_pool is not None:

@@ -9,20 +9,28 @@ the per-agent relation pool:
     S4  every reflexive transitive relation
     S5  every equivalence (one per set partition of the worlds)
 
-`check_validity` sweeps the whole space with numpy: one axis enumerates
-frames (tuples of per-agent relations), one enumerates valuations, and all
-connectives become uint32 bitmask arithmetic on world-row masks.  The first
-countermodel it reports is the first in enumeration order, with the lowest
-falsifying world as witness, so results are reproducible and independent of
---jobs chunking.  `mod_iso` switches to the (slow) object-path enumeration
-that skips isomorphic duplicates; the first countermodel is unchanged
-because the first-seen representative of a class is its enumeration-minimal
-member.
+`check_formulas` sweeps the whole space with numpy for a list of formulas
+at once: one axis enumerates frames (tuples of per-agent relations), one
+enumerates valuations, and all connectives become bitmask arithmetic on
+world-row masks.  The sweep runs world count outer, then frame span, then
+the formulas not yet refuted: each span's block of frame rows, its
+joint / common / cdk relations and its comparison masks are built once and
+shared by every formula, and a formula leaves the sweep at its first
+failing span.  `check_validity` is the one-formula case and `check_schema`
+sweeps all unique instances of a schema together.  The first countermodel
+reported for each formula is the first in enumeration order, with the
+lowest falsifying world as witness, so results are reproducible and
+independent of --jobs chunking.  `mod_iso` switches to the (slow)
+object-path enumeration that skips isomorphic duplicates, one formula at a
+time; the first countermodel is unchanged because the first-seen
+representative of a class is its enumeration-minimal member.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,14 +49,19 @@ MAX_SEARCH_WORLDS = 5
 MAX_SEARCH_AGENTS = len(AGENT_POOL)
 MAX_SEARCH_ATOMS = 3
 
-# ~1M uint32 cells per evaluated block keeps peak memory in the tens of MB
-_CHUNK_CELLS = 1 << 18
+# Frames x valuations per block: 2^17 cells.  One (F, V) uint32 extension
+# is then 512 KiB, a cached comparison mask (F uint8) at most 128 KiB and a
+# cached relation (F x n uint32: gathered rows, joint, common, cdk) at most
+# 2.5 MiB.  A block shared by every instance of a schema holds dozens of
+# these; at 2^18 cells the registry's peak RSS rose instead of falling.
+_CHUNK_CELLS = 1 << 17
 
 __all__ = [
     "AGENT_POOL", "MAX_SEARCH_WORLDS", "MAX_SEARCH_AGENTS",
     "MAX_SEARCH_ATOMS", "BoundsError", "SearchBounds", "NoCountermodelUpTo",
     "Countermodel", "SearchOutcome", "enumerate_models", "count_models",
-    "check_validity", "check_schema", "instantiate_schema", "SchemaInstance",
+    "check_validity", "check_formulas", "check_schema", "instantiate_schema",
+    "SchemaInstance",
     "GROUP_PLACEHOLDERS", "FORMULA_PLACEHOLDERS", "DEFAULT_FORMULA_POOL",
 ]
 
@@ -128,7 +141,8 @@ def _rows_key(rows: Sequence[int], n: int) -> int:
 @lru_cache(maxsize=None)
 def frame_relations(frame: FrameClass, n: int) -> np.ndarray:
     """All per-agent relations for the frame class over n worlds, as a
-    (count, n) uint32 array of row masks, ascending in encoding order."""
+    (count, n) uint32 array of row masks, ascending in encoding order.
+    The array is cached and shared, so it is read-only."""
     if frame is FrameClass.S5:
         rels = []
         for assign in _set_partitions(n):
@@ -137,7 +151,9 @@ def frame_relations(frame: FrameClass, n: int) -> np.ndarray:
                 blocks[b] = blocks.get(b, 0) | (1 << i)
             rels.append(tuple(blocks[b] for b in assign))
         rels.sort(key=lambda rows: _rows_key(rows, n))
-        return np.array(rels, dtype=np.uint32)
+        rows = np.array(rels, dtype=np.uint32)
+        rows.setflags(write=False)
+        return rows
 
     free = n * n - n
     count = 1 << free
@@ -158,6 +174,7 @@ def frame_relations(frame: FrameClass, n: int) -> np.ndarray:
                 via = ((rows[:, i] >> kk) & 1).astype(bool)
                 ok &= ~(via & ((rows[:, i] | rows[:, kk]) != rows[:, i]))
         rows = rows[ok]
+    rows.setflags(write=False)
     return rows
 
 
@@ -196,23 +213,47 @@ def enumerate_models(bounds: SearchBounds) -> Iterator[KripkeModel]:
 
 # --- vectorized evaluation -----------------------------------------------
 
-class _VecEval:
-    """Evaluate one formula over a block of frames x all valuations.
+class _Block:
+    """Frames [lo, hi) of one world count x all valuations, shared by every
+    formula a sweep checks against it.
 
-    Every extension is a uint32 array of world bitmasks, shaped (F, V),
-    (F, 1) or (1, V) and broadcast on demand; F indexes frames in the
-    block, V valuations.
+    Every extension is an array of world bitmasks (uint32, or uint8 for a
+    comparison), shaped (F, V), (F, 1) or (1, V) and broadcast on demand;
+    F indexes frames in the block, V valuations.  The gathered per-agent rows, the joint / common /
+    cdk relations and the comparison masks live as long as the block; the
+    memo of one formula's subterm extensions is dropped after that formula,
+    so memory does not grow with the number of formulas.
     """
 
-    def __init__(self, rows_by_agent: Mapping[str, np.ndarray], n: int,
-                 atom_ext: Mapping[str, np.ndarray]):
-        self.rows_by_agent = rows_by_agent
+    def __init__(self, rel_rows: np.ndarray, bounds: SearchBounds, n: int,
+                 atom_ext: Mapping[str, np.ndarray], lo: int, hi: int):
+        n_rels = len(rel_rows)
+        idx = np.arange(lo, hi, dtype=np.int64)
+        self.rows_by_agent: dict[str, np.ndarray] = {}
+        for j, agent in enumerate(bounds.agents):
+            stride = n_rels ** (bounds.n_agents - 1 - j)
+            self.rows_by_agent[agent] = rel_rows[(idx // stride) % n_rels]
+        self.lo = lo
+        self.shape = (hi - lo, 1 << (n * len(bounds.atoms)))
         self.n = n
         self.full = np.uint32((1 << n) - 1)
         self.atom_ext = atom_ext
         self._joint: dict[Group, np.ndarray] = {}
         self._reach: dict[object, np.ndarray] = {}
+        # n <= MAX_SEARCH_WORLDS worlds fit a uint8 mask
+        self._leqs: dict[tuple[Group, Group], np.ndarray] = {}
         self._memo: dict[Formula, np.ndarray] = {}
+
+    def first_failure(self, f: Formula) -> tuple[int, int, int] | None:
+        """(frame, valuation, extension mask) of f's first failure in the
+        block, frame-major, or None if f holds everywhere in it."""
+        ext = np.broadcast_to(self.ext(f), self.shape)
+        self._memo.clear()
+        ok = ext == self.full
+        if ok.all():
+            return None
+        local_f, val = divmod(int(np.argmin(ok.ravel())), self.shape[1])
+        return self.lo + local_f, val, int(ext[local_f, val])
 
     def joint(self, group: Group) -> np.ndarray:
         out = self._joint.get(group)
@@ -253,19 +294,30 @@ class _VecEval:
 
     def _box(self, rows: np.ndarray, ext: np.ndarray) -> np.ndarray:
         not_ext = ext ^ self.full
-        out = None
+        shape = np.broadcast_shapes((rows.shape[0], 1), not_ext.shape)
+        # two scratch arrays reused across worlds: every fresh block-sized
+        # temporary costs page faults, since freed blocks of this size go
+        # back to the OS
+        out = np.zeros(shape, dtype=np.uint32)
+        sub = np.empty(shape, dtype=np.uint32)
+        hit = np.empty(shape, dtype=bool)
         for w in range(self.n):
-            bit = ((rows[:, w:w + 1] & not_ext) == 0).astype(np.uint32) << w
-            out = bit if out is None else out | bit
+            np.bitwise_and(rows[:, w:w + 1], not_ext, out=sub)
+            np.equal(sub, 0, out=hit)
+            np.left_shift(hit, w, out=sub, dtype=np.uint32)
+            out |= sub
         return out
 
     def _leq(self, left: Group, right: Group) -> np.ndarray:
-        a, b = self.joint(left), self.joint(right)
-        out = np.zeros(a.shape[0], dtype=np.uint32)
-        for w in range(self.n):
-            out |= ((a[:, w] & (b[:, w] ^ self.full)) == 0) \
-                .astype(np.uint32) << w
-        return out[:, None]
+        out = self._leqs.get((left, right))
+        if out is None:
+            a, b = self.joint(left), self.joint(right)
+            out = np.zeros((a.shape[0], 1), dtype=np.uint8)
+            for w in range(self.n):
+                out[:, 0] |= ((a[:, w] & (b[:, w] ^ self.full)) == 0) \
+                    .astype(np.uint8) << w
+            self._leqs[(left, right)] = out
+        return out
 
     def ext(self, f: Formula) -> np.ndarray:
         out = self._memo.get(f)
@@ -321,28 +373,6 @@ def _validate_within(f: Formula, bounds: SearchBounds) -> None:
                           f"not declared in bounds {bounds.atoms}")
 
 
-def _scan_block(f: Formula, rel_rows: np.ndarray, bounds: SearchBounds,
-                n: int, atom_ext: dict[str, np.ndarray],
-                lo: int, hi: int) -> tuple[int, int, int] | None:
-    """Check frames [lo, hi); returns (frame, valuation, extension-mask) of
-    the first failure, or None."""
-    n_rels = len(rel_rows)
-    idx = np.arange(lo, hi, dtype=np.int64)
-    rows_by_agent = {}
-    for j, agent in enumerate(bounds.agents):
-        stride = n_rels ** (bounds.n_agents - 1 - j)
-        rows_by_agent[agent] = rel_rows[(idx // stride) % n_rels]
-    ev = _VecEval(rows_by_agent, n, atom_ext)
-    n_vals = 1 << (n * len(bounds.atoms))
-    ext = np.broadcast_to(ev.ext(f), (hi - lo, n_vals))
-    ok = ext == ev.full
-    if ok.all():
-        return None
-    flat = int(np.argmin(ok.ravel()))
-    local_f, val = divmod(flat, n_vals)
-    return lo + local_f, val, int(ext[local_f, val])
-
-
 def _model_at(bounds: SearchBounds, n: int, frame_idx: int,
               val_idx: int) -> KripkeModel:
     """Rebuild the model at a (frame, valuation) index pair."""
@@ -361,53 +391,67 @@ def _model_at(bounds: SearchBounds, n: int, frame_idx: int,
                        atoms=bounds.atoms, valuation=masks)
 
 
-def _check_vectorized(f: Formula, bounds: SearchBounds,
-                      jobs: int) -> SearchOutcome:
-    checked = 0
-    for n in range(1, bounds.max_worlds + 1):
-        rel_rows = frame_relations(bounds.frame, n)
-        n_frames = len(rel_rows) ** bounds.n_agents
-        n_vals = 1 << (n * len(bounds.atoms))
-        full = (1 << n) - 1
-        atom_ext = {}
-        if bounds.atoms:
-            vv = np.arange(n_vals, dtype=np.uint32)
-            for t, atom in enumerate(bounds.atoms):
-                shift = n * (len(bounds.atoms) - 1 - t)
-                atom_ext[atom] = ((vv >> np.uint32(shift))
-                                  & np.uint32(full))[None, :]
-        step = max(1, _CHUNK_CELLS // n_vals)
-        spans = [(lo, min(lo + step, n_frames))
-                 for lo in range(0, n_frames, step)]
+def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
+                    bounds: SearchBounds, n: int,
+                    jobs: int) -> dict[int, tuple[int, int, int]]:
+    """First failure (frame, valuation, extension mask) over the n-world
+    models of each formula in todo that has one.
 
-        def scan(span: tuple[int, int]):
-            return _scan_block(f, rel_rows, bounds, n, atom_ext, *span)
+    Frames are cut into spans; each span's block is built once and checked
+    against every formula not yet refuted at a lower span.  With threads a
+    formula may fail in several spans, and the lowest span's failure is
+    kept, so the answer never depends on `jobs`.
+    """
+    rel_rows = frame_relations(bounds.frame, n)
+    n_frames = len(rel_rows) ** bounds.n_agents
+    n_vals = 1 << (n * len(bounds.atoms))
+    atom_ext = {}
+    if bounds.atoms:
+        vv = np.arange(n_vals, dtype=np.uint32)
+        for t, atom in enumerate(bounds.atoms):
+            shift = n * (len(bounds.atoms) - 1 - t)
+            atom_ext[atom] = ((vv >> np.uint32(shift))
+                              & np.uint32((1 << n) - 1))[None, :]
+    step = max(1, _CHUNK_CELLS // n_vals)
+    spans = [(lo, min(lo + step, n_frames))
+             for lo in range(0, n_frames, step)]
+    first: dict[int, tuple[int, tuple[int, int, int]]] = {}
+    lock = threading.Lock()
 
-        hit: tuple[int, int, int] | None = None
-        if jobs > 1 and len(spans) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as tpe:
-                futures = [tpe.submit(scan, span) for span in spans]
-                for fut in futures:
-                    res = fut.result()
-                    if res is not None:
-                        hit = res
-                        for other in futures:
-                            other.cancel()
-                        break
-        else:
-            for span in spans:
-                res = scan(span)
-                if res is not None:
-                    hit = res
-                    break
-        if hit is not None:
-            frame_idx, val_idx, ext_mask = hit
-            m = _model_at(bounds, n, frame_idx, val_idx)
-            missing = ~ext_mask & full
-            witness = m.worlds[(missing & -missing).bit_length() - 1]
-            return Countermodel(model=m, witness=witness)
-        checked += n_frames * n_vals
-    return NoCountermodelUpTo(bounds=bounds, models_checked=checked)
+    def scan(s: int) -> None:
+        with lock:
+            live = [i for i in todo if i not in first or first[i][0] > s]
+        if not live:
+            return
+        block = _Block(rel_rows, bounds, n, atom_ext, *spans[s])
+        for i in live:
+            hit = block.first_failure(formulas[i])
+            if hit is not None:
+                with lock:
+                    if i not in first or first[i][0] > s:
+                        first[i] = (s, hit)
+
+    def settled(s: int) -> bool:
+        """Every formula in todo failed at span s or below."""
+        with lock:
+            return all(i in first and first[i][0] <= s for i in todo)
+
+    workers = min(jobs, os.cpu_count() or 1, len(spans))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as tpe:
+            futures = [tpe.submit(scan, s) for s in range(len(spans))]
+            done = False
+            for s, fut in enumerate(futures):
+                if done and fut.cancel():
+                    continue
+                fut.result()
+                done = done or settled(s)
+    else:
+        for s in range(len(spans)):
+            scan(s)
+            if settled(s):
+                break
+    return {i: hit for i, (_, hit) in first.items()}
 
 
 def _check_object_path(f: Formula, bounds: SearchBounds) -> SearchOutcome:
@@ -421,6 +465,38 @@ def _check_object_path(f: Formula, bounds: SearchBounds) -> SearchOutcome:
     return NoCountermodelUpTo(bounds=bounds, models_checked=checked)
 
 
+def check_formulas(formulas: Sequence[Formula], bounds: SearchBounds, *,
+                   jobs: int = 1) -> list[SearchOutcome]:
+    """`check_validity` for each formula, in one shared sweep.
+
+    Every formula is validated against the bounds first, in order.  The
+    sweep then runs world count outer, then frame span, then the formulas
+    not yet refuted: it builds each frame block once and checks every such
+    formula against it.  Each formula keeps its own first countermodel and
+    witness, exactly as a search of its own would report them.
+    """
+    for f in formulas:
+        _validate_within(f, bounds)
+    if bounds.mod_iso:
+        return [_check_object_path(f, bounds) for f in formulas]
+    found: dict[int, Countermodel] = {}
+    checked = 0
+    for n in range(1, bounds.max_worlds + 1):
+        todo = [i for i in range(len(formulas)) if i not in found]
+        if not todo:
+            break
+        hits = _first_failures(formulas, todo, bounds, n, jobs)
+        for i, (frame_idx, val_idx, ext_mask) in hits.items():
+            m = _model_at(bounds, n, frame_idx, val_idx)
+            missing = ~ext_mask & ((1 << n) - 1)
+            witness = m.worlds[(missing & -missing).bit_length() - 1]
+            found[i] = Countermodel(model=m, witness=witness)
+        checked += (len(frame_relations(bounds.frame, n)) ** bounds.n_agents
+                    << (n * len(bounds.atoms)))
+    none = NoCountermodelUpTo(bounds=bounds, models_checked=checked)
+    return [found.get(i, none) for i in range(len(formulas))]
+
+
 def check_validity(f: Formula, bounds: SearchBounds, *,
                    jobs: int = 1) -> SearchOutcome:
     """First countermodel to f within bounds, or proof of none.
@@ -430,10 +506,7 @@ def check_validity(f: Formula, bounds: SearchBounds, *,
     never changes the answer.  `bounds.mod_iso` uses the object path and
     counts isomorphism-class representatives instead of all models.
     """
-    _validate_within(f, bounds)
-    if bounds.mod_iso:
-        return _check_object_path(f, bounds)
-    return _check_vectorized(f, bounds, jobs)
+    return check_formulas([f], bounds, jobs=jobs)[0]
 
 
 # --- schema instantiation ------------------------------------------------
@@ -519,27 +592,28 @@ def check_schema(schema: Formula, bounds: SearchBounds, pool: Sequence[str],
     Group placeholders (A/B/C/E) range over all non-empty subsets of pool;
     formula placeholders (phi/psi/chi) over formula_pool.  `constraint`
     filters group assignments.  Instantiations that produce the same
-    formula share one search.
+    formula share one outcome.  The unique instances are validated against
+    the bounds in order and then checked in one `check_formulas` sweep, so
+    each frame block is built once for the whole schema rather than once
+    per instance; every instance still gets its own first countermodel.
     """
     if formula_pool is None:
         formula_pool = DEFAULT_FORMULA_POOL
     gp, fp = _placeholders_in(schema)
     subsets = _subsets(pool)
-    results: dict[Formula, SearchOutcome] = {}
-    out: list[SchemaInstance] = []
+    assigned: list[tuple[dict[str, Group], dict[str, Formula], Formula]] = []
     for groups in itertools.product(subsets, repeat=len(gp)):
         group_map = dict(zip(gp, groups))
         if constraint is not None and not constraint(group_map):
             continue
         for formulas in itertools.product(formula_pool, repeat=len(fp)):
             formula_map = dict(zip(fp, formulas))
-            inst = instantiate_schema(schema, group_map, formula_map)
-            outcome = results.get(inst)
-            if outcome is None:
-                outcome = check_validity(inst, bounds, jobs=jobs)
-                results[inst] = outcome
-            out.append(SchemaInstance(
-                group_map=tuple(sorted(group_map.items())),
-                formula_map=tuple(sorted(formula_map.items())),
-                formula=inst, outcome=outcome))
-    return out
+            assigned.append((group_map, formula_map,
+                             instantiate_schema(schema, group_map,
+                                                formula_map)))
+    unique = list(dict.fromkeys(inst for _, _, inst in assigned))
+    results = dict(zip(unique, check_formulas(unique, bounds, jobs=jobs)))
+    return [SchemaInstance(group_map=tuple(sorted(group_map.items())),
+                           formula_map=tuple(sorted(formula_map.items())),
+                           formula=inst, outcome=results[inst])
+            for group_map, formula_map, inst in assigned]

@@ -1,5 +1,6 @@
 """Command-line tests driven through run_command with captured streams,
-plus one end-to-end console-script check.
+plus end-to-end checks in separate processes: the exit code for formulas
+nested too deeply to evaluate, and the console script.
 
 The console-script check reads the `epicmp` entry point declared in
 pyproject.toml, writes the wrapper an installer would generate for it, and
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import epicmp.cli as cli
 from epicmp.cli import run_command
 from epicmp.kripke import load_model_witness, save_model
 from epicmp.semantics import satisfies
@@ -203,6 +205,50 @@ def test_close_produces_the_requested_frame(tmp_path):
     code, out3, _ = run("eval", "-m", str(closed), "-w", "w0",
                         "-f", "~D{a} p")
     assert (code, out3) == (0, "true\n")
+
+
+# --- exit code 2 for every failure ----------------------------------------
+
+_TOO_DEEP = {
+    "600-nested-not": "~" * 600 + "p",
+    "5000-conjuncts": " & ".join(["p"] * 5000),
+}
+_DEEP_COMMANDS = {
+    "eval": ["eval", "-m", FIG3, "-w", "s"],
+    "search": ["search", "--frame", "s5", "--agents", "1",
+               "--max-worlds", "2"],
+}
+
+
+@pytest.mark.parametrize("formula", sorted(_TOO_DEEP))
+@pytest.mark.parametrize("command", sorted(_DEEP_COMMANDS))
+def test_formula_too_deep_to_evaluate_exits_2(command, formula):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "epicmp.cli", *_DEEP_COMMANDS[command],
+         "-f", _TOO_DEEP[formula]],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_main_exits_2_on_an_internal_error(monkeypatch, capsys):
+    def broken(argv):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "run_command", broken)
+    monkeypatch.setattr(sys, "argv", ["epicmp", "eval"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "ValueError: boom" in err
+    assert err.rstrip().endswith("error: internal error")
 
 
 # --- usage errors and packaging ------------------------------------------

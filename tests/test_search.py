@@ -1,12 +1,17 @@
 """Bounded-search tests: enumeration sizes against closed forms, ordering,
 dedup-by-isomorphism, agreement between the array scanner and a plain
-per-model sweep, and schema instantiation."""
+per-model sweep, the thread pool, and schema instantiation (whose instances
+share one scan, checked against the per-model sweep too)."""
 
 import itertools
+import os
+import sys
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
 
+import epicmp.search as search
 from conftest import formulas_over
 from epicmp.kripke import FrameClass, canonicalize, classify_frame, \
     encode_model
@@ -231,6 +236,53 @@ def test_jobs_do_not_change_the_answer():
     assert isinstance(outs[0], NoCountermodelUpTo)
 
 
+def test_jobs_thread_pool_is_clamped(monkeypatch):
+    """The pool never asks for more workers than CPUs or spans."""
+    requested = []
+
+    class InlinePool:
+        """Records max_workers and runs each task at once, in this thread."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(search, "ThreadPoolExecutor", InlinePool)
+    # one frame per span: 1 span at 1 world, 2 at 2 worlds, 64 at 3 worlds
+    monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
+    bounds = SearchBounds(FrameClass.KT, 1, 3, atoms=("p",))
+    f = parse("D{a} p -> p")
+    serial = check_validity(f, bounds)
+    assert requested == []
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert check_validity(f, bounds, jobs=10**6) == serial
+    assert requested == [2, 4]
+
+    requested.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert check_validity(f, bounds, jobs=10**6) == serial
+    assert requested == []
+
+
+def test_frame_relations_arrays_are_read_only():
+    for frame in (FrameClass.KT, FrameClass.S4, FrameClass.S5):
+        rows = frame_relations(frame, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0
+        assert frame_relations(frame, 3) is rows
+
+
 # --- bounds validation ----------------------------------------------------
 
 def test_bounds_rejects_out_of_range_parameters():
@@ -309,6 +361,72 @@ def test_schema_identical_instances_share_one_outcome():
     assert any(len(v) > 1 for v in by_formula.values())
     for outcomes in by_formula.values():
         assert all(o is outcomes[0] for o in outcomes)
+
+
+def _first_falsifiers(formulas, bounds):
+    """First falsifying model and its lowest falsifying world per formula,
+    by one plain sweep over enumerate_models and the int evaluator."""
+    first = {}
+    for m in enumerate_models(bounds):
+        for f in formulas:
+            if f not in first:
+                holds = extension(m, f)
+                missing = [w for w in m.worlds if w not in holds]
+                if missing:
+                    first[f] = (m, missing[0])
+        if len(first) == len(formulas):
+            break
+    return first
+
+
+def test_schema_sweep_matches_per_model_oracle_for_every_jobs(monkeypatch):
+    schema = parse("D{A} D{B} phi -> D{B} D{A} psi")
+    bounds = SearchBounds(FrameClass.S5, 2, 3, atoms=("p",))
+    pool = [parse("p"), parse("~p"), parse("D{a} p")]
+    # one frame per span: 2 spans at 2 worlds and 25 at 3, so threads
+    # split those world counts; a short switch interval makes them
+    # interleave often
+    monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = [check_schema(schema, bounds, pool=("a", "b"),
+                             formula_pool=pool, jobs=jobs)
+                for jobs in (1, 2, 8)]
+    finally:
+        sys.setswitchinterval(interval)
+    first = _first_falsifiers(list(dict.fromkeys(i.formula
+                                                 for i in runs[0])),
+                              bounds)
+    valid_count = sum(_bell(n) ** 2 << n for n in range(1, 4))
+    refuted_at = set()
+    for inst in runs[0]:
+        if inst.formula in first:
+            m, w = first[inst.formula]
+            assert isinstance(inst.outcome, Countermodel)
+            assert encode_model(inst.outcome.model, bounds.atoms) \
+                == encode_model(m, bounds.atoms)
+            assert inst.outcome.witness == w
+            refuted_at.add(m.n_worlds)
+        else:
+            assert inst.outcome == NoCountermodelUpTo(
+                bounds=bounds, models_checked=valid_count)
+    # the schema mixes valid instances with ones refuted at 1, 2 and 3
+    # worlds, so instances leave the sweep at different world counts
+    assert refuted_at == {1, 2, 3}
+    assert len(first) < len(runs[0])
+    for other in runs[1:]:
+        assert [(i.group_map, i.formula_map, i.formula) for i in other] \
+            == [(i.group_map, i.formula_map, i.formula) for i in runs[0]]
+        for a, b in zip(runs[0], other):
+            if isinstance(a.outcome, Countermodel):
+                assert isinstance(b.outcome, Countermodel)
+                assert encode_model(a.outcome.model, bounds.atoms) \
+                    == encode_model(b.outcome.model, bounds.atoms)
+                assert a.outcome.witness == b.outcome.witness
+            else:
+                assert b.outcome == a.outcome
 
 
 def test_instantiate_schema_unions_group_placeholders():
