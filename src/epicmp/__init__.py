@@ -3,9 +3,8 @@ epistemic logic with pooled (distributed) knowledge, common knowledge,
 group-as-agent common knowledge and group-strength comparison operators."""
 
 from .kripke import (FrameClass, FrameReport, KripkeModel, Relation,
-                     apply_closure, canonicalize, cdk_relation,
-                     classify_frame, common_relation, joint_relation,
-                     load_model, save_model)
+                     apply_closure, canonicalize, classify_frame, load_model,
+                     save_model)
 from .search import (Countermodel, NoCountermodelUpTo, SearchBounds,
                      check_formulas, check_schema, check_validity,
                      enumerate_models)
@@ -18,7 +17,7 @@ __all__ = [
     "Formula", "parse", "render", "expand_sugar",
     "KripkeModel", "Relation", "FrameClass", "FrameReport",
     "load_model", "save_model", "classify_frame", "apply_closure",
-    "joint_relation", "common_relation", "cdk_relation", "canonicalize",
+    "canonicalize",
     "satisfies", "valid_in_model", "extension",
     "SearchBounds", "NoCountermodelUpTo", "Countermodel",
     "enumerate_models", "check_validity", "check_formulas", "check_schema",

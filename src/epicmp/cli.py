@@ -19,7 +19,7 @@ from .corpus import CorpusError, REGISTRY, Verdict, run_all, run_claim
 from .kripke import (FrameClass, KripkeModel, ModelError, apply_closure,
                      classify_frame, load_model, save_model)
 from .search import (BoundsError, NoCountermodelUpTo, SearchBounds,
-                     check_validity)
+                     check_validity, count_models)
 from .semantics import extension, satisfies, valid_in_model
 from .syntax import Formula, FormulaError, atom_names, parse
 
@@ -96,13 +96,13 @@ def _cmd_search(args, out: TextIO, err: TextIO) -> int:
     max_worlds = args.max_worlds
     if max_worlds is None:
         max_worlds = _FRAME_DEFAULT_WORLDS[frame]
-    if frame in (FrameClass.KT, FrameClass.S4) and max_worlds >= 4:
-        print(f"note: {frame} enumeration at {max_worlds} worlds is large; "
-              f"this may take a while", file=err)
     bounds = SearchBounds(frame=frame, n_agents=args.agents,
                           max_worlds=max_worlds,
                           atoms=tuple(sorted(atom_names(f))),
                           mod_iso=args.mod_iso)
+    if frame in (FrameClass.KT, FrameClass.S4) and max_worlds >= 4:
+        print(f"note: {frame} enumeration at {max_worlds} worlds is large: "
+              f"up to {count_models(bounds)} models", file=err)
     outcome = check_validity(f, bounds, jobs=args.jobs)
     if isinstance(outcome, NoCountermodelUpTo):
         print(f"NO COUNTERMODEL up to bound "

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .syntax import Group, Supergroup
-
 MAX_WORLDS = 16
 MAX_AGENTS = 8
 
@@ -40,9 +38,8 @@ __all__ = [
     "MAX_WORLDS", "MAX_AGENTS", "CLOSURE_PROPS",
     "Relation", "KripkeModel", "FrameClass", "RelationFlags", "FrameReport",
     "ModelError", "ModelFormatError", "UnknownAgentError", "UnknownWorldError",
-    "classify_frame", "joint_relation", "common_relation", "cdk_relation",
-    "apply_closure", "load_model", "load_model_witness", "save_model",
-    "canonicalize", "encode_model",
+    "classify_frame", "apply_closure", "load_model", "load_model_witness",
+    "save_model", "canonicalize", "encode_model",
 ]
 
 
@@ -106,19 +103,6 @@ class Relation:
     def total(cls, n: int) -> Relation:
         full = (1 << n) - 1
         return cls((full,) * n)
-
-    def __and__(self, other: Relation) -> Relation:
-        return Relation(tuple(a & b for a, b in zip(self.rows, other.rows,
-                                                    strict=True)))
-
-    def __or__(self, other: Relation) -> Relation:
-        return Relation(tuple(a | b for a, b in zip(self.rows, other.rows,
-                                                    strict=True)))
-
-    def __le__(self, other: Relation) -> bool:
-        """Subset as a set of pairs."""
-        return all(a & ~b == 0 for a, b in zip(self.rows, other.rows,
-                                               strict=True))
 
     def reflexive_closure(self) -> Relation:
         return Relation(tuple(row | (1 << i)
@@ -330,33 +314,6 @@ def apply_closure(m: KripkeModel, props: Iterable[str]) -> KripkeModel:
         worlds=m.worlds, agents=m.agents,
         relations=tuple(_closed(rel, props) for rel in m.relations),
         atoms=m.atoms, valuation=m.valuation)
-
-
-def joint_relation(m: KripkeModel, group: Group) -> Relation:
-    """Intersection of the members' relations (pooled information)."""
-    rels = [m.relation(a) for a in group.agents]
-    out = rels[0]
-    for rel in rels[1:]:
-        out = out & rel
-    return out
-
-
-def common_relation(m: KripkeModel, group: Group) -> Relation:
-    """Reflexive-transitive closure of the members' union (reachability)."""
-    rels = [m.relation(a) for a in group.agents]
-    out = rels[0]
-    for rel in rels[1:]:
-        out = out | rel
-    return out.reflexive_closure().transitive_closure()
-
-
-def cdk_relation(m: KripkeModel, groups: Supergroup) -> Relation:
-    """Common-knowledge relation treating each member group as one agent."""
-    rels = [joint_relation(m, g) for g in groups.groups]
-    out = rels[0]
-    for rel in rels[1:]:
-        out = out | rel
-    return out.reflexive_closure().transitive_closure()
 
 
 # --- text format ---------------------------------------------------------

@@ -11,24 +11,30 @@ the per-agent relation pool:
 
 `check_formulas` sweeps the whole space with numpy for a list of formulas
 at once: one axis enumerates frames (tuples of per-agent relations), one
-enumerates valuations, and all connectives become bitmask arithmetic on
-world-row masks.  The sweep runs world count outer, then frame span, then
-the formulas not yet refuted: each span's block of frame rows, its
-joint / common / cdk relations and its comparison masks are built once and
-shared by every formula, and a formula leaves the sweep at its first
-failing span.  `check_validity` is the one-formula case and `check_schema`
-sweeps all unique instances of a schema together.  The first countermodel
-reported for each formula is the first in enumeration order, with the
-lowest falsifying world as witness, so results are reproducible and
-independent of --jobs chunking.  `mod_iso` switches to the (slow)
-object-path enumeration that skips isomorphic duplicates, one formula at a
-time; the first countermodel is unchanged because the first-seen
-representative of a class is its enumeration-minimal member.
+enumerates valuations, and `semantics.Block` evaluates every connective as
+bitmask arithmetic on world-row masks.  The sweep runs world count outer,
+then frame span, then the formulas not yet refuted: each span's block of
+frame rows, its joint / common / cdk relations and its comparison masks
+are built once and shared by every formula, and a formula leaves the
+sweep at its first failing span.  `check_validity` is the one-formula case
+and `check_schema` sweeps all unique instances of a schema together.  The
+first countermodel reported for each formula is the first in enumeration
+order, with the lowest falsifying world as witness, so results are
+reproducible and independent of --jobs chunking.
+
+`mod_iso` runs the same sweep and counts isomorphism classes instead of
+models: the first falsifying model in enumeration order is always the
+first member of its class, so the countermodel and witness do not change,
+and `models_checked` is the class count from Burnside's lemma over the
+world relabelings.  `enumerate_models` with mod_iso yields those
+first members one by one; it is the slow reference the count is tested
+against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -39,8 +45,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .kripke import FrameClass, KripkeModel, Relation, canonicalize
-from .semantics import extension
-from .syntax import (And, Atom, CDK, CK, Cmp, CmpOp, DK, Formula, Group, Iff,
+from .semantics import Block
+from .syntax import (And, Atom, CDK, CK, Cmp, DK, Formula, Group, Iff,
                      Imp, IndK, Not, Or, Supergroup, agent_names, atom_names,
                      parse)
 
@@ -178,18 +184,48 @@ def frame_relations(frame: FrameClass, n: int) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=None)
+def _relabelings(frame: FrameClass, n: int) -> tuple[tuple[int, int], ...]:
+    """For each relabeling of n worlds: how many relations of the frame
+    class's pool, and how many sets of worlds, it maps onto themselves."""
+    rows = frame_relations(frame, n)
+    masks = np.arange(1 << n, dtype=np.uint32)
+    out = []
+    for perm in itertools.permutations(range(n)):
+        # image[mask] is the mask with each world j renamed perm[j]
+        image = np.zeros(1 << n, dtype=np.uint32)
+        for j, pj in enumerate(perm):
+            image |= ((masks >> np.uint32(j)) & 1) << np.uint32(pj)
+        fixed = rows
+        for i, pi in enumerate(perm):
+            fixed = fixed[image[fixed[:, i]] == fixed[:, pi]]
+        out.append((len(fixed), int(np.count_nonzero(image == masks))))
+    return tuple(out)
+
+
+def _models_at(bounds: SearchBounds, n: int) -> int:
+    """Models with n worlds within bounds; under mod_iso, their
+    isomorphism classes, counted by Burnside's lemma as the mean over
+    world relabelings of the models each relabeling fixes."""
+    k = len(bounds.atoms)
+    if not bounds.mod_iso:
+        return len(frame_relations(bounds.frame, n)) ** bounds.n_agents \
+            << (n * k)
+    fixed = sum(rels ** bounds.n_agents * sets ** k
+                for rels, sets in _relabelings(bounds.frame, n))
+    return fixed // math.factorial(n)
+
+
 def count_models(bounds: SearchBounds) -> int:
-    """Size of the full (non-deduplicated) enumeration."""
-    total = 0
-    for n in range(1, bounds.max_worlds + 1):
-        frames = len(frame_relations(bounds.frame, n)) ** bounds.n_agents
-        total += frames << (n * len(bounds.atoms))
-    return total
+    """Number of models `enumerate_models(bounds)` yields: the full
+    enumeration, or one model per isomorphism class under mod_iso."""
+    return sum(_models_at(bounds, n) for n in range(1, bounds.max_worlds + 1))
 
 
 def enumerate_models(bounds: SearchBounds) -> Iterator[KripkeModel]:
-    """Yield every model within bounds in the documented order.  With
-    mod_iso, only the first member of each isomorphism class is yielded."""
+    """Yield every model within bounds in the documented order, one
+    `KripkeModel` at a time.  With mod_iso, only the first member of each
+    isomorphism class is yielded, found by `canonicalize`."""
     agents = bounds.agents
     k = len(bounds.atoms)
     for n in range(1, bounds.max_worlds + 1):
@@ -213,152 +249,31 @@ def enumerate_models(bounds: SearchBounds) -> Iterator[KripkeModel]:
 
 # --- vectorized evaluation -----------------------------------------------
 
-class _Block:
-    """Frames [lo, hi) of one world count x all valuations, shared by every
-    formula a sweep checks against it.
+def _block(rel_rows: np.ndarray, bounds: SearchBounds, n: int,
+           atom_ext: Mapping[str, np.ndarray], lo: int, hi: int) -> Block:
+    """Frames [lo, hi) of one world count x all valuations: each agent's
+    rows gathered from the relation pool by its digit of the frame index."""
+    n_rels = len(rel_rows)
+    idx = np.arange(lo, hi, dtype=np.int64)
+    rows_by_agent = {}
+    for j, agent in enumerate(bounds.agents):
+        stride = n_rels ** (bounds.n_agents - 1 - j)
+        rows_by_agent[agent] = rel_rows[(idx // stride) % n_rels]
+    return Block(rows_by_agent, atom_ext,
+                 (hi - lo, 1 << (n * len(bounds.atoms))))
 
-    Every extension is an array of world bitmasks (uint32, or uint8 for a
-    comparison), shaped (F, V), (F, 1) or (1, V) and broadcast on demand;
-    F indexes frames in the block, V valuations.  The gathered per-agent rows, the joint / common /
-    cdk relations and the comparison masks live as long as the block; the
-    memo of one formula's subterm extensions is dropped after that formula,
-    so memory does not grow with the number of formulas.
-    """
 
-    def __init__(self, rel_rows: np.ndarray, bounds: SearchBounds, n: int,
-                 atom_ext: Mapping[str, np.ndarray], lo: int, hi: int):
-        n_rels = len(rel_rows)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        self.rows_by_agent: dict[str, np.ndarray] = {}
-        for j, agent in enumerate(bounds.agents):
-            stride = n_rels ** (bounds.n_agents - 1 - j)
-            self.rows_by_agent[agent] = rel_rows[(idx // stride) % n_rels]
-        self.lo = lo
-        self.shape = (hi - lo, 1 << (n * len(bounds.atoms)))
-        self.n = n
-        self.full = np.uint32((1 << n) - 1)
-        self.atom_ext = atom_ext
-        self._joint: dict[Group, np.ndarray] = {}
-        self._reach: dict[object, np.ndarray] = {}
-        # n <= MAX_SEARCH_WORLDS worlds fit a uint8 mask
-        self._leqs: dict[tuple[Group, Group], np.ndarray] = {}
-        self._memo: dict[Formula, np.ndarray] = {}
-
-    def first_failure(self, f: Formula) -> tuple[int, int, int] | None:
-        """(frame, valuation, extension mask) of f's first failure in the
-        block, frame-major, or None if f holds everywhere in it."""
-        ext = np.broadcast_to(self.ext(f), self.shape)
-        self._memo.clear()
-        ok = ext == self.full
-        if ok.all():
-            return None
-        local_f, val = divmod(int(np.argmin(ok.ravel())), self.shape[1])
-        return self.lo + local_f, val, int(ext[local_f, val])
-
-    def joint(self, group: Group) -> np.ndarray:
-        out = self._joint.get(group)
-        if out is None:
-            out = self.rows_by_agent[group.agents[0]]
-            for agent in group.agents[1:]:
-                out = out & self.rows_by_agent[agent]
-            self._joint[group] = out
-        return out
-
-    def _closure(self, rows: np.ndarray) -> np.ndarray:
-        rows = rows | (np.uint32(1) << np.arange(self.n, dtype=np.uint32))
-        for k in range(self.n):
-            rows = rows | ((rows >> np.uint32(k)) & 1) * rows[:, k:k + 1]
-        return rows
-
-    def common(self, group: Group) -> np.ndarray:
-        key = ("common", group)
-        out = self._reach.get(key)
-        if out is None:
-            acc = self.rows_by_agent[group.agents[0]]
-            for agent in group.agents[1:]:
-                acc = acc | self.rows_by_agent[agent]
-            out = self._closure(acc)
-            self._reach[key] = out
-        return out
-
-    def cdk(self, groups: Supergroup) -> np.ndarray:
-        key = ("cdk", groups)
-        out = self._reach.get(key)
-        if out is None:
-            acc = self.joint(groups.groups[0])
-            for g in groups.groups[1:]:
-                acc = acc | self.joint(g)
-            out = self._closure(acc)
-            self._reach[key] = out
-        return out
-
-    def _box(self, rows: np.ndarray, ext: np.ndarray) -> np.ndarray:
-        not_ext = ext ^ self.full
-        shape = np.broadcast_shapes((rows.shape[0], 1), not_ext.shape)
-        # two scratch arrays reused across worlds: every fresh block-sized
-        # temporary costs page faults, since freed blocks of this size go
-        # back to the OS
-        out = np.zeros(shape, dtype=np.uint32)
-        sub = np.empty(shape, dtype=np.uint32)
-        hit = np.empty(shape, dtype=bool)
-        for w in range(self.n):
-            np.bitwise_and(rows[:, w:w + 1], not_ext, out=sub)
-            np.equal(sub, 0, out=hit)
-            np.left_shift(hit, w, out=sub, dtype=np.uint32)
-            out |= sub
-        return out
-
-    def _leq(self, left: Group, right: Group) -> np.ndarray:
-        out = self._leqs.get((left, right))
-        if out is None:
-            a, b = self.joint(left), self.joint(right)
-            out = np.zeros((a.shape[0], 1), dtype=np.uint8)
-            for w in range(self.n):
-                out[:, 0] |= ((a[:, w] & (b[:, w] ^ self.full)) == 0) \
-                    .astype(np.uint8) << w
-            self._leqs[(left, right)] = out
-        return out
-
-    def ext(self, f: Formula) -> np.ndarray:
-        out = self._memo.get(f)
-        if out is not None:
-            return out
-        if isinstance(f, Atom):
-            out = self.atom_ext[f.name]
-        elif isinstance(f, Not):
-            out = self.ext(f.sub) ^ self.full
-        elif isinstance(f, And):
-            out = self.ext(f.left) & self.ext(f.right)
-        elif isinstance(f, Or):
-            out = self.ext(f.left) | self.ext(f.right)
-        elif isinstance(f, Imp):
-            out = (self.ext(f.left) ^ self.full) | self.ext(f.right)
-        elif isinstance(f, Iff):
-            out = (self.ext(f.left) ^ self.ext(f.right)) ^ self.full
-        elif isinstance(f, DK):
-            out = self._box(self.joint(f.group), self.ext(f.sub))
-        elif isinstance(f, IndK):
-            out = self._box(self.rows_by_agent[f.agent], self.ext(f.sub))
-        elif isinstance(f, CK):
-            out = self._box(self.common(f.group), self.ext(f.sub))
-        elif isinstance(f, CDK):
-            out = self._box(self.cdk(f.groups), self.ext(f.sub))
-        elif isinstance(f, Cmp):
-            if f.op is CmpOp.LEQ:
-                out = self._leq(f.left, f.right)
-            else:
-                leq = self._leq(f.left, f.right)
-                geq = self._leq(f.right, f.left)
-                if f.op is CmpOp.LT:
-                    out = leq & (geq ^ self.full)
-                elif f.op is CmpOp.EQV:
-                    out = leq & geq
-                else:
-                    out = (leq ^ self.full) & (geq ^ self.full)
-        else:
-            raise TypeError(f"not a formula node: {f!r}")
-        self._memo[f] = out
-        return out
+def _first_failure(block: Block, f: Formula,
+                  lo: int) -> tuple[int, int, int] | None:
+    """(frame, valuation, extension mask) of f's first failure in a block
+    whose frames start at index lo, frame-major, or None if f holds
+    everywhere in it."""
+    ext = np.broadcast_to(block.evaluate(f), block.shape)
+    ok = ext == block.full
+    if ok.all():
+        return None
+    local_f, val = divmod(int(np.argmin(ok.ravel())), block.shape[1])
+    return lo + local_f, val, int(ext[local_f, val])
 
 
 def _validate_within(f: Formula, bounds: SearchBounds) -> None:
@@ -423,9 +338,10 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
             live = [i for i in todo if i not in first or first[i][0] > s]
         if not live:
             return
-        block = _Block(rel_rows, bounds, n, atom_ext, *spans[s])
+        lo, hi = spans[s]
+        block = _block(rel_rows, bounds, n, atom_ext, lo, hi)
         for i in live:
-            hit = block.first_failure(formulas[i])
+            hit = _first_failure(block, formulas[i], lo)
             if hit is not None:
                 with lock:
                     if i not in first or first[i][0] > s:
@@ -454,17 +370,6 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
     return {i: hit for i, (_, hit) in first.items()}
 
 
-def _check_object_path(f: Formula, bounds: SearchBounds) -> SearchOutcome:
-    checked = 0
-    for m in enumerate_models(bounds):
-        checked += 1
-        holds = extension(m, f)
-        if len(holds) != m.n_worlds:
-            witness = next(w for w in m.worlds if w not in holds)
-            return Countermodel(model=m, witness=witness)
-    return NoCountermodelUpTo(bounds=bounds, models_checked=checked)
-
-
 def check_formulas(formulas: Sequence[Formula], bounds: SearchBounds, *,
                    jobs: int = 1) -> list[SearchOutcome]:
     """`check_validity` for each formula, in one shared sweep.
@@ -477,8 +382,6 @@ def check_formulas(formulas: Sequence[Formula], bounds: SearchBounds, *,
     """
     for f in formulas:
         _validate_within(f, bounds)
-    if bounds.mod_iso:
-        return [_check_object_path(f, bounds) for f in formulas]
     found: dict[int, Countermodel] = {}
     checked = 0
     for n in range(1, bounds.max_worlds + 1):
@@ -491,8 +394,7 @@ def check_formulas(formulas: Sequence[Formula], bounds: SearchBounds, *,
             missing = ~ext_mask & ((1 << n) - 1)
             witness = m.worlds[(missing & -missing).bit_length() - 1]
             found[i] = Countermodel(model=m, witness=witness)
-        checked += (len(frame_relations(bounds.frame, n)) ** bounds.n_agents
-                    << (n * len(bounds.atoms)))
+        checked += _models_at(bounds, n)
     none = NoCountermodelUpTo(bounds=bounds, models_checked=checked)
     return [found.get(i, none) for i in range(len(formulas))]
 
@@ -503,8 +405,8 @@ def check_validity(f: Formula, bounds: SearchBounds, *,
 
     The countermodel is the enumeration-wise first falsifying model with
     its lowest falsifying world; `jobs` only parallelizes scanning and
-    never changes the answer.  `bounds.mod_iso` uses the object path and
-    counts isomorphism-class representatives instead of all models.
+    never changes the answer.  With `bounds.mod_iso`, `models_checked`
+    counts isomorphism classes instead of models.
     """
     return check_formulas([f], bounds, jobs=jobs)[0]
 

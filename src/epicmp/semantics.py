@@ -1,121 +1,196 @@
-"""Truth evaluation of formulas on models.
+"""Truth evaluation of formulas: the one evaluator.
 
-Everything is computed as whole-model extensions (bitmasks over worlds), so
-`satisfies`, `valid_in_model` and `extension` share one traversal.  Box-style
-operators hold at w when the operand's extension covers the relation's row at
-w.  The comparison `[A <= B]` holds at w when A's joint row at w is contained
-in B's: A's pooled information is at least as sharp, so anything B jointly
-knows at w transfers to A.  The strict/mutual/incomparable forms and `K{a}`
-are evaluated directly with the same row tests their desugarings produce.
+A `Block` holds models that share a world count: F frames, each a tuple of
+per-agent relations stored as (F, n) uint32 row masks, times V valuations.
+Every extension is an array of world bitmasks (uint32, or the smallest
+unsigned type that holds n bits for a comparison), shaped (F, V), (F, 1)
+or (1, V) and broadcast on demand.  Box-style operators hold at w when the
+operand's extension covers the relation's row at w.  The comparison
+`[A <= B]` holds at w when A's joint row at w is contained in B's: A's
+pooled information is at least as sharp, so anything B jointly knows at w
+transfers to A.  The strict/mutual/incomparable forms and `K{a}` are
+evaluated directly with the same row tests their desugarings produce.
 
-Atoms not declared by the model are false everywhere by default;
-`strict_atoms=True` turns that into an UnknownAtomError.
+The countermodel search evaluates whole frame spans this way; `satisfies`,
+`valid_in_model` and `extension` evaluate one `KripkeModel` as a (1, 1)
+block.  They first check the formula against the model: an agent the model
+does not declare is an UnknownAgentError, and an undeclared atom is false
+everywhere, or an UnknownAtomError with `strict_atoms=True`.
 """
 
 from __future__ import annotations
 
-from .kripke import (KripkeModel, ModelError, Relation, cdk_relation,
-                     common_relation, joint_relation)
-from .syntax import (Atom, CK, CDK, Cmp, CmpOp, DK, Formula, Iff, Imp, IndK,
-                     And, Group, Not, Or)
+from typing import Mapping
 
-__all__ = ["satisfies", "valid_in_model", "extension", "UnknownAtomError"]
+import numpy as np
+
+from .kripke import KripkeModel, ModelError, UnknownAgentError
+from .syntax import (Atom, CK, CDK, Cmp, CmpOp, DK, Formula, Iff, Imp, IndK,
+                     And, Group, Not, Or, Supergroup, agent_names,
+                     atom_names)
+
+__all__ = ["Block", "satisfies", "valid_in_model", "extension",
+           "UnknownAtomError"]
 
 
 class UnknownAtomError(ModelError):
     pass
 
 
-class _Evaluator:
-    """One evaluation pass over a fixed model; memoizes per subformula."""
+class Block:
+    """Frames x valuations of one world count, shared by every formula
+    evaluated against it.
 
-    def __init__(self, m: KripkeModel, strict_atoms: bool):
-        self.m = m
-        self.strict_atoms = strict_atoms
-        self.full = (1 << m.n_worlds) - 1
-        self._ext: dict[Formula, int] = {}
-        self._rows: dict[object, Relation] = {}
+    `rows_by_agent` maps each agent to its (F, n) uint32 relation rows and
+    `atom_ext` each atom to its extension; `shape` is (F, V).  The joint /
+    common / cdk relations and the comparison masks live as long as the
+    block; the memo of one formula's subterm extensions is dropped after
+    `evaluate` returns, so memory does not grow with the number of
+    formulas.
+    """
 
-    def rows(self, kind: str, key: Group | tuple) -> Relation:
-        cache_key = (kind, key)
-        rel = self._rows.get(cache_key)
-        if rel is None:
-            if kind == "joint":
-                rel = joint_relation(self.m, key)
-            elif kind == "common":
-                rel = common_relation(self.m, key)
-            else:
-                rel = cdk_relation(self.m, key)
-            self._rows[cache_key] = rel
-        return rel
+    def __init__(self, rows_by_agent: Mapping[str, np.ndarray],
+                 atom_ext: Mapping[str, np.ndarray],
+                 shape: tuple[int, int]):
+        self.rows_by_agent = rows_by_agent
+        self.atom_ext = atom_ext
+        self.shape = shape
+        self.n = next(iter(rows_by_agent.values())).shape[1]
+        self.full = np.uint32((1 << self.n) - 1)
+        self._leq_dtype = np.min_scalar_type(self.full)
+        self._joint: dict[Group, np.ndarray] = {}
+        self._reach: dict[object, np.ndarray] = {}
+        self._leqs: dict[tuple[Group, Group], np.ndarray] = {}
+        self._memo: dict[Formula, np.ndarray] = {}
 
-    def box(self, rel: Relation, ext: int) -> int:
-        out = 0
-        for w, row in enumerate(rel.rows):
-            if row & ~ext == 0:
-                out |= 1 << w
+    def evaluate(self, f: Formula) -> np.ndarray:
+        """f's extension, broadcastable to `shape`."""
+        out = self._ext(f)
+        self._memo.clear()
         return out
 
-    def leq_bits(self, left: Group, right: Group) -> int:
-        """Worlds where left's joint row is contained in right's."""
-        a = self.rows("joint", left)
-        b = self.rows("joint", right)
-        out = 0
-        for w in range(self.m.n_worlds):
-            if a.rows[w] & ~b.rows[w] == 0:
-                out |= 1 << w
+    def joint(self, group: Group) -> np.ndarray:
+        out = self._joint.get(group)
+        if out is None:
+            out = self.rows_by_agent[group.agents[0]]
+            for agent in group.agents[1:]:
+                out = out & self.rows_by_agent[agent]
+            self._joint[group] = out
         return out
 
-    def ext(self, f: Formula) -> int:
-        out = self._ext.get(f)
+    def _closure(self, rows: np.ndarray) -> np.ndarray:
+        rows = rows | (np.uint32(1) << np.arange(self.n, dtype=np.uint32))
+        for k in range(self.n):
+            rows = rows | ((rows >> np.uint32(k)) & 1) * rows[:, k:k + 1]
+        return rows
+
+    def common(self, group: Group) -> np.ndarray:
+        key = ("common", group)
+        out = self._reach.get(key)
+        if out is None:
+            acc = self.rows_by_agent[group.agents[0]]
+            for agent in group.agents[1:]:
+                acc = acc | self.rows_by_agent[agent]
+            out = self._closure(acc)
+            self._reach[key] = out
+        return out
+
+    def cdk(self, groups: Supergroup) -> np.ndarray:
+        key = ("cdk", groups)
+        out = self._reach.get(key)
+        if out is None:
+            acc = self.joint(groups.groups[0])
+            for g in groups.groups[1:]:
+                acc = acc | self.joint(g)
+            out = self._closure(acc)
+            self._reach[key] = out
+        return out
+
+    def _box(self, rows: np.ndarray, ext: np.ndarray) -> np.ndarray:
+        not_ext = ext ^ self.full
+        shape = np.broadcast_shapes((rows.shape[0], 1), not_ext.shape)
+        # two scratch arrays reused across worlds: every fresh block-sized
+        # temporary costs page faults, since freed blocks of this size go
+        # back to the OS
+        out = np.zeros(shape, dtype=np.uint32)
+        sub = np.empty(shape, dtype=np.uint32)
+        hit = np.empty(shape, dtype=bool)
+        for w in range(self.n):
+            np.bitwise_and(rows[:, w:w + 1], not_ext, out=sub)
+            np.equal(sub, 0, out=hit)
+            np.left_shift(hit, w, out=sub, dtype=np.uint32)
+            out |= sub
+        return out
+
+    def _leq(self, left: Group, right: Group) -> np.ndarray:
+        out = self._leqs.get((left, right))
+        if out is None:
+            a, b = self.joint(left), self.joint(right)
+            out = np.zeros((a.shape[0], 1), dtype=self._leq_dtype)
+            for w in range(self.n):
+                out[:, 0] |= ((a[:, w] & (b[:, w] ^ self.full)) == 0) \
+                    .astype(self._leq_dtype) << w
+            self._leqs[(left, right)] = out
+        return out
+
+    def _ext(self, f: Formula) -> np.ndarray:
+        out = self._memo.get(f)
         if out is not None:
             return out
         if isinstance(f, Atom):
-            mask = self.m.atom_mask(f.name)
-            if mask is None:
-                if self.strict_atoms:
-                    raise UnknownAtomError(f"unknown atom {f.name!r}")
-                mask = 0
-            out = mask
+            out = self.atom_ext[f.name]
         elif isinstance(f, Not):
-            out = self.full & ~self.ext(f.sub)
+            out = self._ext(f.sub) ^ self.full
         elif isinstance(f, And):
-            out = self.ext(f.left) & self.ext(f.right)
+            out = self._ext(f.left) & self._ext(f.right)
         elif isinstance(f, Or):
-            out = self.ext(f.left) | self.ext(f.right)
+            out = self._ext(f.left) | self._ext(f.right)
         elif isinstance(f, Imp):
-            out = (self.full & ~self.ext(f.left)) | self.ext(f.right)
+            out = (self._ext(f.left) ^ self.full) | self._ext(f.right)
         elif isinstance(f, Iff):
-            out = self.full & ~(self.ext(f.left) ^ self.ext(f.right))
+            out = (self._ext(f.left) ^ self._ext(f.right)) ^ self.full
         elif isinstance(f, DK):
-            out = self.box(self.rows("joint", f.group), self.ext(f.sub))
+            out = self._box(self.joint(f.group), self._ext(f.sub))
         elif isinstance(f, IndK):
-            out = self.box(self.rows("joint", Group([f.agent])),
-                           self.ext(f.sub))
+            out = self._box(self.rows_by_agent[f.agent], self._ext(f.sub))
         elif isinstance(f, CK):
-            out = self.box(self.rows("common", f.group), self.ext(f.sub))
+            out = self._box(self.common(f.group), self._ext(f.sub))
         elif isinstance(f, CDK):
-            out = self.box(self.rows("cdk", f.groups), self.ext(f.sub))
+            out = self._box(self.cdk(f.groups), self._ext(f.sub))
         elif isinstance(f, Cmp):
-            leq = self.leq_bits(f.left, f.right)
             if f.op is CmpOp.LEQ:
-                out = leq
+                out = self._leq(f.left, f.right)
             else:
-                geq = self.leq_bits(f.right, f.left)
+                leq = self._leq(f.left, f.right)
+                geq = self._leq(f.right, f.left)
                 if f.op is CmpOp.LT:
-                    out = leq & ~geq & self.full
+                    out = leq & (geq ^ self.full)
                 elif f.op is CmpOp.EQV:
                     out = leq & geq
                 else:
-                    out = self.full & ~leq & ~geq
+                    out = (leq ^ self.full) & (geq ^ self.full)
         else:
             raise TypeError(f"not a formula node: {f!r}")
-        self._ext[f] = out
+        self._memo[f] = out
         return out
 
 
 def _extension_mask(m: KripkeModel, f: Formula, strict_atoms: bool) -> int:
-    return _Evaluator(m, strict_atoms).ext(f)
+    """f's extension in m as a world bitmask, m taken as a (1, 1) block."""
+    stray = agent_names(f) - set(m.agents)
+    if stray:
+        raise UnknownAgentError(f"unknown agent {sorted(stray)[0]!r}")
+    atom_ext = {}
+    for atom in atom_names(f):
+        mask = m.atom_mask(atom)
+        if mask is None:
+            if strict_atoms:
+                raise UnknownAtomError(f"unknown atom {atom!r}")
+            mask = 0
+        atom_ext[atom] = np.array([[mask]], dtype=np.uint32)
+    rows = {agent: np.array([rel.rows], dtype=np.uint32)
+            for agent, rel in zip(m.agents, m.relations)}
+    return int(Block(rows, atom_ext, (1, 1)).evaluate(f)[0, 0])
 
 
 def satisfies(m: KripkeModel, world: str, f: Formula, *,

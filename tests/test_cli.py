@@ -1,6 +1,7 @@
 """Command-line tests driven through run_command with captured streams,
-plus end-to-end checks in separate processes: the exit code for formulas
-nested too deeply to evaluate, and the console script.
+plus end-to-end checks through `main`: the exit code for unknown agents,
+and, in separate processes, for formulas nested too deeply to evaluate,
+and the console script.
 
 The console-script check reads the `epicmp` entry point declared in
 pyproject.toml, writes the wrapper an installer would generate for it, and
@@ -142,13 +143,19 @@ def test_search_large_reflexive_bound_warns_on_stderr():
     code, out, err = run("search", "--frame", "kt", "--agents", "1",
                          "--max-worlds", "4", "-f", "D{a} p -> p")
     assert code == 0
-    assert out.startswith("NO COUNTERMODEL up to bound (")
-    assert "note:" in err
+    # 1 agent, atom p: sum over n of 2^(n*n - n) relations * 2^n valuations
+    assert out == "NO COUNTERMODEL up to bound (66066 models)\n"
+    assert err.startswith("note:")
+    assert "66066 models" in err
 
 
 def test_search_jobs_output_is_byte_identical():
-    argv = ("search", "--frame", "s4", "--agents", "2", "-f", KS)
-    assert run(*argv, "--jobs", "1") == run(*argv, "--jobs", "8")
+    for formula in (KS, "C{a,b} p -> D{a} p"):
+        for mod_iso in ((), ("--mod-iso",)):
+            argv = ("search", "--frame", "s4", "--agents", "2", *mod_iso,
+                    "-f", formula)
+            runs = [run(*argv, "--jobs", jobs) for jobs in ("1", "2", "8")]
+            assert runs[0] == runs[1] == runs[2]
 
 
 def test_search_rejects_bad_parameters():
@@ -163,6 +170,19 @@ def test_search_rejects_bad_parameters():
     code, _, err = run("search", "--frame", "kt", "--agents", "2",
                        "-f", "D{z} p")
     assert code == 2 and "'z'" in err
+
+
+@pytest.mark.parametrize("formula", ["D{z} p", "K{z} H1", "C{a,z} H1",
+                                     "CD[{a};{z}] H1", "[{a} <= {z}]"])
+@pytest.mark.parametrize("command", [("eval", "-w", "s"), ("valid",)])
+def test_unknown_agent_is_a_usage_error(command, formula, monkeypatch,
+                                        capsys):
+    monkeypatch.setattr(sys, "argv", ["epicmp", command[0], "-m", FIG3,
+                                      *command[1:], "-f", formula])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert exit_.value.code == 2
+    assert capsys.readouterr() == ("", "error: unknown agent 'z'\n")
 
 
 # --- corpus ---------------------------------------------------------------

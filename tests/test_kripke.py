@@ -1,7 +1,12 @@
-"""Relations, closures, classification, group relations, model files."""
+"""Relations, closures, classification, group relations, model files.
+
+The group relations (joint, common, group-as-agent common) are computed by
+the evaluator in `epicmp.semantics`; here they are read off a one-model
+block and checked against fixture facts and the pair-set oracles."""
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,10 +16,10 @@ from epicmp.corpus import fixtures
 from epicmp.kripke import (FrameClass, KripkeModel, ModelError,
                            ModelFormatError, Relation, UnknownAgentError,
                            UnknownWorldError, apply_closure, canonicalize,
-                           cdk_relation, classify_frame, common_relation,
-                           joint_relation, load_model, load_model_witness,
+                           classify_frame, load_model, load_model_witness,
                            save_model)
-from epicmp.syntax import Group, Supergroup
+from epicmp.semantics import Block, extension
+from epicmp.syntax import Group, Supergroup, parse
 
 
 def rel(n, pairs):
@@ -131,6 +136,28 @@ def test_flags_for_unknown_agent():
 
 # --- group relations ------------------------------------------------------
 
+def _block(m):
+    rows = {a: np.array([rel.rows], dtype=np.uint32)
+            for a, rel in zip(m.agents, m.relations)}
+    return Block(rows, {}, (1, 1))
+
+
+def _relation(rows):
+    return Relation(tuple(int(x) for x in rows[0]))
+
+
+def joint_relation(m, group):
+    return _relation(_block(m).joint(group))
+
+
+def common_relation(m, group):
+    return _relation(_block(m).common(group))
+
+
+def cdk_relation(m, groups):
+    return _relation(_block(m).cdk(groups))
+
+
 def test_fig3_pair_groups_are_identity():
     fig3 = fixtures()["fig3"]
     for pair in (("a", "b"), ("a", "c"), ("b", "c")):
@@ -165,8 +192,10 @@ def test_singleton_common_closes_non_transitive():
 
 
 def test_unknown_agent_in_group():
-    with pytest.raises(UnknownAgentError):
-        joint_relation(fixtures()["fig3"], Group(["z"]))
+    for text in ("D{z} H1", "K{z} H1", "C{a,z} H1", "CD[{a};{z}] H1",
+                 "[{a} <= {z}]"):
+        with pytest.raises(UnknownAgentError, match="unknown agent 'z'"):
+            extension(fixtures()["fig3"], parse(text))
 
 
 @given(models(atoms=(), max_agents=4))
@@ -202,9 +231,9 @@ def test_cdk_matches_pair_oracle(m):
 @given(models(atoms=(), max_agents=3))
 def test_joint_antitone_in_group(m):
     # pooling more agents can only sharpen the joint relation
-    whole = joint_relation(m, Group(m.agents))
+    whole = rel_pairs(joint_relation(m, Group(m.agents)))
     for a in m.agents:
-        assert whole <= m.relation(a)
+        assert whole <= rel_pairs(m.relation(a))
 
 
 @given(models(atoms=(), max_agents=3))

@@ -1,7 +1,8 @@
 """Bounded-search tests: enumeration sizes against closed forms, ordering,
-dedup-by-isomorphism, agreement between the array scanner and a plain
-per-model sweep, the thread pool, and schema instantiation (whose instances
-share one scan, checked against the per-model sweep too)."""
+dedup-by-isomorphism and its Burnside count, agreement between the array
+scanner and a plain per-model sweep with the pair-set oracle, the thread
+pool, and schema instantiation (whose instances share one scan, checked
+against the per-model sweep too)."""
 
 import itertools
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import epicmp.search as search
-from conftest import formulas_over
+from conftest import formulas_over, oracle_extension
 from epicmp.kripke import FrameClass, canonicalize, classify_frame, \
     encode_model
 from epicmp.search import (AGENT_POOL, BoundsError, Countermodel,
@@ -20,7 +21,7 @@ from epicmp.search import (AGENT_POOL, BoundsError, Countermodel,
                            SearchBounds, check_schema, check_validity,
                            count_models, enumerate_models, frame_relations,
                            instantiate_schema)
-from epicmp.semantics import extension, satisfies
+from epicmp.semantics import satisfies
 from epicmp.syntax import Group, parse
 
 
@@ -124,13 +125,35 @@ def test_mod_iso_preserves_search_outcomes():
     assert dedup.models_checked < full.models_checked == 218
 
 
+@pytest.mark.parametrize("frame,max_worlds,classes", [
+    (FrameClass.S5, 4, 357), (FrameClass.S4, 3, 1260),
+    (FrameClass.KT, 3, 5638)])
+def test_mod_iso_models_checked_is_the_burnside_count(frame, max_worlds,
+                                                      classes):
+    bounds = SearchBounds(frame, 2, max_worlds, atoms=("p",), mod_iso=True)
+    assert check_validity(parse("p -> p"), bounds) == NoCountermodelUpTo(
+        bounds=bounds, models_checked=classes)
+    assert count_models(bounds) == classes
+
+
+@pytest.mark.parametrize("bounds", [
+    SearchBounds(FrameClass.S5, 2, 3, atoms=("p",), mod_iso=True),
+    SearchBounds(FrameClass.S4, 2, 2, mod_iso=True)])
+def test_mod_iso_count_matches_the_enumerated_representatives(bounds):
+    reps = len(list(enumerate_models(bounds)))
+    assert count_models(bounds) == reps
+    for jobs in (1, 2, 8):
+        out = check_validity(parse("[{a} <= {a}]"), bounds, jobs=jobs)
+        assert out == NoCountermodelUpTo(bounds=bounds, models_checked=reps)
+
+
 # --- array scanner vs. per-model sweep -----------------------------------
 
 def _sweep(f, bounds):
     checked = 0
     for m in enumerate_models(bounds):
         checked += 1
-        missing = [w for w in m.worlds if w not in extension(m, f)]
+        missing = [w for w in m.worlds if w not in oracle_extension(m, f)]
         if missing:
             return m, missing[0], checked
     return None, None, checked
@@ -365,12 +388,12 @@ def test_schema_identical_instances_share_one_outcome():
 
 def _first_falsifiers(formulas, bounds):
     """First falsifying model and its lowest falsifying world per formula,
-    by one plain sweep over enumerate_models and the int evaluator."""
+    by one plain sweep over enumerate_models and the pair-set oracle."""
     first = {}
     for m in enumerate_models(bounds):
         for f in formulas:
             if f not in first:
-                holds = extension(m, f)
+                holds = oracle_extension(m, f)
                 missing = [w for w in m.worlds if w not in holds]
                 if missing:
                     first[f] = (m, missing[0])

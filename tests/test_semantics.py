@@ -1,20 +1,21 @@
-"""Evaluator tests: frozen model facts, desugaring soundness, operator
-oracles, and semantic properties that hold on every model."""
+"""Evaluator tests: frozen model facts, agreement with the pair-set oracle
+(also on 9-16-world models), desugaring soundness, operator oracles, and
+semantic properties that hold on every model."""
 
 import itertools
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import kt_models, model_formula_pairs, models, rel_pairs, \
-    s5_models
+from conftest import kt_models, model_formula_pairs, models, \
+    oracle_extension, rel_pairs, s5_models
 from epicmp.corpus import fixtures
 from epicmp.kripke import FrameClass, KripkeModel, UnknownWorldError
 from epicmp.search import SearchBounds, enumerate_models
 from epicmp.semantics import (UnknownAtomError, extension, satisfies,
                               valid_in_model)
-from epicmp.syntax import (And, CDK, Cmp, CmpOp, DK, Group, Imp, Supergroup,
-                           expand_sugar, parse)
+from epicmp.syntax import (And, CDK, CK, Cmp, CmpOp, DK, Group, Imp, IndK,
+                           Supergroup, expand_sugar, parse)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,69 @@ def test_known_superiority_failure_witness(figs):
     assert not satisfies(fig2, "s", parse("K{b} [{b} <= {a}]"))
     assert not satisfies(fig2, "s",
                          parse("[{b} <= {a}] -> D{b} [{b} <= {a}]"))
+
+
+def _marked(m, world):
+    """m with its atoms replaced by one atom x, true at world only."""
+    return KripkeModel(worlds=m.worlds, agents=m.agents,
+                       relations=m.relations, atoms=("x",),
+                       valuation=(1 << m.world_index(world),))
+
+
+def test_fixture_group_relations_through_d_c_cd(figs):
+    # a relation R is the identity iff box_R {w} = {w} for every w, and
+    # total iff box_R (W - {w}) is empty for every w
+    fig1, fig3 = figs["fig1"], figs["fig3"]
+    for w in fig1.worlds:
+        assert extension(_marked(fig1, w), parse("D{a,b} x")) == {w}
+        assert extension(_marked(fig1, w), parse("C{a,b,c} ~x")) == set()
+    for w in fig3.worlds:
+        for group in ("{a,b}", "{a,c}", "{b,c}"):
+            assert extension(_marked(fig3, w),
+                             parse(f"D{group} x")) == {w}
+        assert extension(_marked(fig3, w),
+                         parse("CD[{a,b};{b,c}] x")) == {w}
+
+
+# --- the evaluator against the pair-set oracle ---------------------------
+
+@given(model_formula_pairs())
+def test_extension_matches_pair_set_oracle(mf):
+    m, f = mf
+    assert extension(m, f) == oracle_extension(m, f)
+
+
+def _one_operator_formulas(agents):
+    """Every modality over every group (and every pair of groups for CD)
+    applied to p, and every comparison between two groups."""
+    groups = [Group(c) for k in range(1, len(agents) + 1)
+              for c in itertools.combinations(agents, k)]
+    p = parse("p")
+    out = [IndK(a, p) for a in agents]
+    for g in groups:
+        out += [DK(g, p), CK(g, p)]
+        for h in groups:
+            out.append(CDK(Supergroup([g, h]), p))
+            out += [Cmp(op, g, h) for op in CmpOp]
+    return out
+
+
+@settings(max_examples=30)
+@given(models(atoms=("p",)))
+def test_every_operator_matches_pair_set_oracle(m):
+    for f in _one_operator_formulas(m.agents):
+        assert extension(m, f) == oracle_extension(m, f), f
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_formula_pairs(min_worlds=9, max_worlds=16, max_agents=2))
+def test_extension_matches_oracle_on_9_to_16_worlds(mf):
+    # comparison masks must hold all n bits, not 8
+    m, f = mf
+    assert extension(m, f) == oracle_extension(m, f)
+    for op in ("<=", "<", "==", "#"):
+        g = parse(f"[{{{m.agents[-1]}}} {op} {{{m.agents[0]}}}]")
+        assert extension(m, g) == oracle_extension(m, g)
 
 
 # --- atoms and worlds -----------------------------------------------------
