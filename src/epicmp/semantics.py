@@ -37,6 +37,11 @@ class UnknownAtomError(ModelError):
     pass
 
 
+# Cells in one pass of a box operator's scratch arrays: one search block
+# (search._CHUNK_CELLS), so a search sweep takes one world per pass.
+_BOX_CELLS = 1 << 17
+
+
 class Block:
     """Frames x valuations of one world count, shared by every formula
     evaluated against it.
@@ -58,6 +63,10 @@ class Block:
         self.n = next(iter(rows_by_agent.values())).shape[1]
         self.full = np.uint32((1 << self.n) - 1)
         self._leq_dtype = np.min_scalar_type(self.full)
+        # per-world shift counts for _box, shaped to broadcast over (F, V)
+        self._shifts = np.arange(self.n, dtype=np.uint32)[:, None, None]
+        self._world_bits = (np.uint32(1) << np.arange(
+            self.n, dtype=np.uint32)).astype(self._leq_dtype)
         self._joint: dict[Group, np.ndarray] = {}
         self._reach: dict[object, np.ndarray] = {}
         self._leqs: dict[tuple[Group, Group], np.ndarray] = {}
@@ -108,28 +117,37 @@ class Block:
 
     def _box(self, rows: np.ndarray, ext: np.ndarray) -> np.ndarray:
         not_ext = ext ^ self.full
-        shape = np.broadcast_shapes((rows.shape[0], 1), not_ext.shape)
-        # two scratch arrays reused across worlds: every fresh block-sized
-        # temporary costs page faults, since freed blocks of this size go
-        # back to the OS
-        out = np.zeros(shape, dtype=np.uint32)
-        sub = np.empty(shape, dtype=np.uint32)
-        hit = np.empty(shape, dtype=bool)
-        for w in range(self.n):
-            np.bitwise_and(rows[:, w:w + 1], not_ext, out=sub)
-            np.equal(sub, 0, out=hit)
-            np.left_shift(hit, w, out=sub, dtype=np.uint32)
-            out |= sub
+        n_f, n_v = rows.shape[0], not_ext.shape[1]
+        # k worlds per pass, world axis first, so that the two scratch
+        # arrays hold about _BOX_CELLS cells: a search block goes one world
+        # at a time, a single model all at once.  The scratch arrays are
+        # reused across passes: every fresh block-sized temporary costs
+        # page faults, since freed blocks of this size go back to the OS
+        k = min(self.n, max(1, _BOX_CELLS // (n_f * n_v)))
+        cols = rows.T[:, :, None]
+        out = np.zeros((n_f, n_v), dtype=np.uint32)
+        sub = np.empty((k, n_f, n_v), dtype=np.uint32)
+        hit = np.empty((k, n_f, n_v), dtype=bool)
+        for w in range(0, self.n, k):
+            j = min(k, self.n - w)
+            np.bitwise_and(cols[w:w + j], not_ext, out=sub[:j])
+            np.equal(sub[:j], 0, out=hit[:j])
+            np.left_shift(hit[:j], self._shifts[w:w + j], out=sub[:j],
+                          dtype=np.uint32)
+            # one world needs no reduction, which would allocate a fresh
+            # block-sized result
+            out |= sub[0] if j == 1 else np.bitwise_or.reduce(sub[:j])
         return out
 
     def _leq(self, left: Group, right: Group) -> np.ndarray:
         out = self._leqs.get((left, right))
         if out is None:
             a, b = self.joint(left), self.joint(right)
-            out = np.zeros((a.shape[0], 1), dtype=self._leq_dtype)
-            for w in range(self.n):
-                out[:, 0] |= ((a[:, w] & (b[:, w] ^ self.full)) == 0) \
-                    .astype(self._leq_dtype) << w
+            # one row test per world, packed into a mask by a dot product
+            # with the world bits: distinct powers of two, so the sum is
+            # their OR and fits the mask dtype
+            hit = ((a & (b ^ self.full)) == 0).astype(self._leq_dtype)
+            out = (hit @ self._world_bits)[:, None]
             self._leqs[(left, right)] = out
         return out
 

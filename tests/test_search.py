@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import epicmp.search as search
+import epicmp.semantics as semantics
 from conftest import formulas_over, oracle_extension
 from epicmp.kripke import FrameClass, canonicalize, classify_frame, \
     encode_model
@@ -177,9 +178,13 @@ _AGREEMENT_CASES = [
 
 @pytest.mark.parametrize("text,bounds", _AGREEMENT_CASES,
                          ids=[t for t, _ in _AGREEMENT_CASES])
-def test_scanner_agrees_with_per_model_sweep(text, bounds):
+def test_scanner_agrees_with_per_model_sweep(text, bounds, monkeypatch):
     f = parse(text)
     out = check_validity(f, bounds)
+    # these blocks are small enough for a box to take every world in one
+    # pass; a large sweep takes one world per pass, with the same answer
+    monkeypatch.setattr(semantics, "_BOX_CELLS", 1)
+    assert check_validity(f, bounds) == out
     m, w, checked = _sweep(f, bounds)
     if m is None:
         assert isinstance(out, NoCountermodelUpTo)

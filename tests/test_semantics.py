@@ -7,6 +7,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
+import epicmp.semantics as semantics
 from conftest import kt_models, model_formula_pairs, models, \
     oracle_extension, rel_pairs, s5_models
 from epicmp.corpus import fixtures
@@ -98,7 +99,15 @@ def test_fixture_group_relations_through_d_c_cd(figs):
 @given(model_formula_pairs())
 def test_extension_matches_pair_set_oracle(mf):
     m, f = mf
-    assert extension(m, f) == oracle_extension(m, f)
+    want = oracle_extension(m, f)
+    assert extension(m, f) == want
+    # a box covers k worlds per pass, k set by _BOX_CELLS and the block
+    # size; a single model takes every world at once, and one world, or
+    # a few with a short last pass, must give the same extension
+    for cells in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(semantics, "_BOX_CELLS", cells)
+            assert extension(m, f) == want
 
 
 def _one_operator_formulas(agents):
