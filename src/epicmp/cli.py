@@ -21,7 +21,7 @@ from .kripke import (FrameClass, KripkeModel, ModelError, apply_closure,
 from .search import (BoundsError, NoCountermodelUpTo, SearchBounds,
                      check_validity, count_models)
 from .semantics import extension, satisfies, valid_in_model
-from .syntax import Formula, FormulaError, atom_names, parse
+from .syntax import FormulaError, atom_names, parse
 
 _FRAME_DEFAULT_WORLDS = {FrameClass.S5: 4, FrameClass.S4: 3,
                          FrameClass.KT: 3}
@@ -46,10 +46,6 @@ def _load(path: str) -> KripkeModel:
     return load_model(text)
 
 
-def _formula(text: str) -> Formula:
-    return parse(text)
-
-
 def _frame(name: str) -> FrameClass:
     try:
         return FrameClass[name.upper()]
@@ -60,7 +56,7 @@ def _frame(name: str) -> FrameClass:
 
 def _cmd_eval(args, out: TextIO, err: TextIO) -> int:
     m = _load(args.model)
-    f = _formula(args.formula)
+    f = parse(args.formula)
     result = satisfies(m, args.world, f, strict_atoms=args.strict_atoms)
     print("true" if result else "false", file=out)
     return 0 if result else 1
@@ -68,7 +64,7 @@ def _cmd_eval(args, out: TextIO, err: TextIO) -> int:
 
 def _cmd_valid(args, out: TextIO, err: TextIO) -> int:
     m = _load(args.model)
-    f = _formula(args.formula)
+    f = parse(args.formula)
     result = valid_in_model(m, f, strict_atoms=args.strict_atoms)
     print("true" if result else "false", file=out)
     if args.show_extension:
@@ -91,7 +87,7 @@ def _cmd_classify(args, out: TextIO, err: TextIO) -> int:
 
 
 def _cmd_search(args, out: TextIO, err: TextIO) -> int:
-    f = _formula(args.formula)
+    f = parse(args.formula)
     frame = _frame(args.frame)
     max_worlds = args.max_worlds
     if max_worlds is None:

@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 from .kripke import FrameClass, KripkeModel
 from .search import (Countermodel, DEFAULT_FORMULA_POOL, NoCountermodelUpTo,
-                     SearchBounds, SearchOutcome, check_formulas,
+                     SearchBounds, SearchOutcome, _subsets, check_formulas,
                      check_schema, check_validity)
 from .semantics import satisfies
 from .syntax import (And, CK, Formula, Group, Imp, IndK, parse, render)
@@ -133,14 +133,6 @@ def _subgroup(gm: dict[str, Group]) -> bool:
     return set(gm["B"].agents) <= set(gm["A"].agents)
 
 
-def _group_subsets(pool: tuple[str, ...]) -> list[Group]:
-    out = []
-    for mask in range(1, 1 << len(pool)):
-        out.append(Group(pool[i] for i in range(len(pool))
-                         if mask >> i & 1))
-    return out
-
-
 def _conj(parts: list[Formula]) -> Formula:
     out = parts[0]
     for p in parts[1:]:
@@ -150,7 +142,7 @@ def _conj(parts: list[Formula]) -> Formula:
 
 def _fixpoint_formulas() -> tuple[Formula, ...]:
     out = []
-    for group in _group_subsets(_AB):
+    for group in _subsets(_AB):
         for phi in DEFAULT_FORMULA_POOL:
             ck = CK(group, phi)
             each = _conj([IndK(ag, ck) for ag in group.agents])
@@ -160,7 +152,7 @@ def _fixpoint_formulas() -> tuple[Formula, ...]:
 
 def _induction_formulas() -> tuple[Formula, ...]:
     out = []
-    for group in _group_subsets(_AB):
+    for group in _subsets(_AB):
         for phi in DEFAULT_FORMULA_POOL:
             each = _conj([IndK(ag, phi) for ag in group.agents])
             premise = CK(group, Imp(phi, each))
@@ -438,7 +430,7 @@ def run_claim(claim_id: str, *, jobs: int = 1) -> ClaimReport:
         else:
             countermodel = found
             if claim.formula is not None:
-                own = check_validity(claim.formula, claim.bounds, jobs=jobs)
+                own = dict(outcomes)[claim.formula]
                 if isinstance(own, NoCountermodelUpTo):
                     details.append(
                         f"search found no countermodel to "

@@ -22,9 +22,7 @@ they were built that way) and never writes a ``closure:`` directive.
 
 from __future__ import annotations
 
-import itertools
 import re
-import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -39,7 +37,7 @@ __all__ = [
     "Relation", "KripkeModel", "FrameClass", "RelationFlags", "FrameReport",
     "ModelError", "ModelFormatError", "UnknownAgentError", "UnknownWorldError",
     "classify_frame", "apply_closure", "load_model", "load_model_witness",
-    "save_model", "canonicalize", "encode_model",
+    "save_model",
 ]
 
 
@@ -98,11 +96,6 @@ class Relation:
     @classmethod
     def identity(cls, n: int) -> Relation:
         return cls(tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def total(cls, n: int) -> Relation:
-        full = (1 << n) - 1
-        return cls((full,) * n)
 
     def reflexive_closure(self) -> Relation:
         return Relation(tuple(row | (1 << i)
@@ -477,72 +470,3 @@ def save_model(m: KripkeModel, witness: str | None = None) -> str:
         lines.append(f"witness: {witness}")
     return "\n".join(lines) + "\n"
 
-
-# --- canonical encoding --------------------------------------------------
-
-_ENCODE_MAX_WORLDS = 8  # packed relation must fit one 64-bit field
-
-
-def encode_model(m: KripkeModel, atom_pool: Sequence[str]) -> bytes:
-    """Pack world count, relation masks (agent order), valuation masks
-    (atom_pool order) into bytes; byte order sorts the way enumeration does.
-    """
-    n = m.n_worlds
-    if n > _ENCODE_MAX_WORLDS:
-        raise ModelError(f"encoding supports up to {_ENCODE_MAX_WORLDS} "
-                         f"worlds, got {n}")
-    rel_ints = [_rel_int(rel.rows, n) for rel in m.relations]
-    val_ints = [m.atom_mask(a) or 0 for a in atom_pool]
-    return struct.pack(">B" + "Q" * len(rel_ints) + "H" * len(val_ints),
-                       n, *rel_ints, *val_ints)
-
-
-def _rel_int(rows: Sequence[int], n: int) -> int:
-    out = 0
-    for i, row in enumerate(rows):
-        out |= row << (i * n)
-    return out
-
-
-def canonicalize(m: KripkeModel, atom_pool: Sequence[str] | None = None) \
-        -> bytes:
-    """Isomorphism-invariant key: minimal encoding over world relabelings.
-
-    Two models give equal keys iff some world bijection carries relations
-    and valuations (over atom_pool, default the model's atoms) across.
-    Agent and atom names are matched positionally, not renamed.
-    """
-    if atom_pool is None:
-        atom_pool = m.atoms
-    n = m.n_worlds
-    if n > _ENCODE_MAX_WORLDS:  # n! blowup guard; 8! = 40320 is the ceiling
-        raise ModelError(f"canonicalize supports up to {_ENCODE_MAX_WORLDS} "
-                         f"worlds, got {n}")
-    masks = [m.atom_mask(a) or 0 for a in atom_pool]
-    best: bytes | None = None
-    for perm in itertools.permutations(range(n)):
-        # perm[new] = old; new-index i relates to j iff old perm[i] -> perm[j]
-        rel_ints = []
-        for rel in m.relations:
-            out = 0
-            for i in range(n):
-                old_row = rel.rows[perm[i]]
-                row = 0
-                for j in range(n):
-                    if old_row >> perm[j] & 1:
-                        row |= 1 << j
-                out |= row << (i * n)
-            rel_ints.append(out)
-        val_ints = []
-        for mask in masks:
-            out = 0
-            for i in range(n):
-                if mask >> perm[i] & 1:
-                    out |= 1 << i
-            val_ints.append(out)
-        enc = struct.pack(">B" + "Q" * len(rel_ints) + "H" * len(val_ints),
-                          n, *rel_ints, *val_ints)
-        if best is None or enc < best:
-            best = enc
-    assert best is not None
-    return best

@@ -1,34 +1,41 @@
 """Bounded countermodel search over enumerated models.
 
-Models are enumerated world count ascending, then lexicographically on the
-packed encoding (per-agent relation masks agent-major, then valuation masks
-atom-major) -- the order `kripke.encode_model` sorts by.  Frame classes fix
-the per-agent relation pool:
+The models within bounds are ordered by world count, then frame index,
+then valuation index.  With n worlds:
+
+    frame      one relation per agent from the frame class's pool
+               (`frame_relations`, ascending by the row masks packed row 0
+               lowest); the frame index reads the agents' pool positions
+               as base-len(pool) digits, first agent most significant
+    valuation  one world mask per atom; the valuation index reads the
+               masks as n-bit digits, first atom most significant
+
+`_frame_rows` and `_atom_masks` decode the two indices, and no other
+module knows the order.  The pools are:
 
     KT  every reflexive relation
     S4  every reflexive transitive relation
     S5  every equivalence (one per set partition of the worlds)
 
 `check_formulas` sweeps the whole space with numpy for a list of formulas
-at once: one axis enumerates frames (tuples of per-agent relations), one
-enumerates valuations, and `semantics.Block` evaluates every connective as
-bitmask arithmetic on world-row masks.  The sweep runs world count outer,
-then frame span, then the formulas not yet refuted: each span's block of
-frame rows, its joint / common / cdk relations and its comparison masks
-are built once and shared by every formula, and a formula leaves the
-sweep at its first failing span.  `check_validity` is the one-formula case
-and `check_schema` sweeps all unique instances of a schema together.  The
-first countermodel reported for each formula is the first in enumeration
-order, with the lowest falsifying world as witness, so results are
-reproducible and independent of --jobs chunking.
+at once: one axis enumerates frames, one enumerates valuations, and
+`semantics.Block` evaluates every connective as bitmask arithmetic on
+world-row masks.  The sweep runs world count outer, then frame span, then
+the formulas not yet refuted: each span's block of frame rows, its joint /
+common / cdk relations and its comparison masks are built once and shared
+by every formula, and a formula leaves the sweep at its first failing
+span.  Spans are walked in order with at most two per worker in flight,
+so memory does not grow with the number of spans.  `check_validity` is the
+one-formula case and `check_schema` sweeps all unique instances of a
+schema together.  The first countermodel reported for each formula is the
+first in enumeration order, with the lowest falsifying world as witness,
+so results are reproducible and independent of --jobs chunking.
 
 `mod_iso` runs the same sweep and counts isomorphism classes instead of
 models: the first falsifying model in enumeration order is always the
 first member of its class, so the countermodel and witness do not change,
 and `models_checked` is the class count from Burnside's lemma over the
-world relabelings.  `enumerate_models` with mod_iso yields those
-first members one by one; it is the slow reference the count is tested
-against.
+world relabelings.
 """
 
 from __future__ import annotations
@@ -37,14 +44,15 @@ import itertools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .kripke import FrameClass, KripkeModel, Relation, canonicalize
+from .kripke import FrameClass, KripkeModel, Relation
 from .semantics import Block
 from .syntax import (And, Atom, CDK, CK, Cmp, DK, Formula, Group, Iff,
                      Imp, IndK, Not, Or, Supergroup, agent_names, atom_names,
@@ -65,7 +73,7 @@ _CHUNK_CELLS = 1 << 17
 __all__ = [
     "AGENT_POOL", "MAX_SEARCH_WORLDS", "MAX_SEARCH_AGENTS",
     "MAX_SEARCH_ATOMS", "BoundsError", "SearchBounds", "NoCountermodelUpTo",
-    "Countermodel", "SearchOutcome", "enumerate_models", "count_models",
+    "Countermodel", "SearchOutcome", "count_models",
     "check_validity", "check_formulas", "check_schema", "instantiate_schema",
     "SchemaInstance",
     "GROUP_PLACEHOLDERS", "FORMULA_PLACEHOLDERS", "DEFAULT_FORMULA_POOL",
@@ -147,7 +155,7 @@ def _rows_key(rows: Sequence[int], n: int) -> int:
 @lru_cache(maxsize=None)
 def frame_relations(frame: FrameClass, n: int) -> np.ndarray:
     """All per-agent relations for the frame class over n worlds, as a
-    (count, n) uint32 array of row masks, ascending in encoding order.
+    (count, n) uint32 array of row masks, ascending by `_rows_key`.
     The array is cached and shared, so it is read-only."""
     if frame is FrameClass.S5:
         rels = []
@@ -217,49 +225,36 @@ def _models_at(bounds: SearchBounds, n: int) -> int:
 
 
 def count_models(bounds: SearchBounds) -> int:
-    """Number of models `enumerate_models(bounds)` yields: the full
-    enumeration, or one model per isomorphism class under mod_iso."""
+    """Number of models within bounds, or of their isomorphism classes
+    under mod_iso: the `models_checked` of a search that finds no
+    countermodel."""
     return sum(_models_at(bounds, n) for n in range(1, bounds.max_worlds + 1))
 
 
-def enumerate_models(bounds: SearchBounds) -> Iterator[KripkeModel]:
-    """Yield every model within bounds in the documented order, one
-    `KripkeModel` at a time.  With mod_iso, only the first member of each
-    isomorphism class is yielded, found by `canonicalize`."""
-    agents = bounds.agents
-    k = len(bounds.atoms)
-    for n in range(1, bounds.max_worlds + 1):
-        worlds = tuple(f"w{i}" for i in range(n))
-        pool = [tuple(int(x) for x in rows)
-                for rows in frame_relations(bounds.frame, n)]
-        seen: set[bytes] | None = set() if bounds.mod_iso else None
-        for combo in itertools.product(pool, repeat=len(agents)):
-            relations = tuple(Relation(rows) for rows in combo)
-            for masks in itertools.product(range(1 << n), repeat=k):
-                m = KripkeModel(worlds=worlds, agents=agents,
-                                relations=relations, atoms=bounds.atoms,
-                                valuation=tuple(masks))
-                if seen is not None:
-                    key = canonicalize(m, bounds.atoms)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                yield m
+# --- index decoding and the vectorized sweep -----------------------------
+
+def _frame_rows(rel_rows: np.ndarray, n_agents: int, frame_idx):
+    """Each agent's pool rows at a frame index: one Python int (frame
+    counts outgrow int64) or an int64 array of indices."""
+    n_rels = len(rel_rows)
+    return [rel_rows[(frame_idx // n_rels ** (n_agents - 1 - j)) % n_rels]
+            for j in range(n_agents)]
 
 
-# --- vectorized evaluation -----------------------------------------------
+def _atom_masks(val_idx, n: int, n_atoms: int):
+    """Each atom's world mask at a valuation index: one Python int or a
+    uint32 array of indices."""
+    full = (1 << n) - 1
+    return [(val_idx >> (n * (n_atoms - 1 - t))) & full
+            for t in range(n_atoms)]
+
 
 def _block(rel_rows: np.ndarray, bounds: SearchBounds, n: int,
            atom_ext: Mapping[str, np.ndarray], lo: int, hi: int) -> Block:
-    """Frames [lo, hi) of one world count x all valuations: each agent's
-    rows gathered from the relation pool by its digit of the frame index."""
-    n_rels = len(rel_rows)
-    idx = np.arange(lo, hi, dtype=np.int64)
-    rows_by_agent = {}
-    for j, agent in enumerate(bounds.agents):
-        stride = n_rels ** (bounds.n_agents - 1 - j)
-        rows_by_agent[agent] = rel_rows[(idx // stride) % n_rels]
-    return Block(rows_by_agent, atom_ext,
+    """Frames [lo, hi) of one world count x all valuations."""
+    rows = _frame_rows(rel_rows, bounds.n_agents,
+                       np.arange(lo, hi, dtype=np.int64))
+    return Block(dict(zip(bounds.agents, rows)), atom_ext,
                  (hi - lo, 1 << (n * len(bounds.atoms))))
 
 
@@ -291,19 +286,22 @@ def _validate_within(f: Formula, bounds: SearchBounds) -> None:
 def _model_at(bounds: SearchBounds, n: int, frame_idx: int,
               val_idx: int) -> KripkeModel:
     """Rebuild the model at a (frame, valuation) index pair."""
-    rel_rows = frame_relations(bounds.frame, n)
-    n_rels = len(rel_rows)
-    relations = []
-    for j in range(bounds.n_agents):
-        stride = n_rels ** (bounds.n_agents - 1 - j)
-        rows = rel_rows[(frame_idx // stride) % n_rels]
-        relations.append(Relation(tuple(int(x) for x in rows)))
-    k = len(bounds.atoms)
-    full = (1 << n) - 1
-    masks = tuple((val_idx >> (n * (k - 1 - t))) & full for t in range(k))
+    rows = _frame_rows(frame_relations(bounds.frame, n), bounds.n_agents,
+                       frame_idx)
     return KripkeModel(worlds=tuple(f"w{i}" for i in range(n)),
-                       agents=bounds.agents, relations=tuple(relations),
-                       atoms=bounds.atoms, valuation=masks)
+                       agents=bounds.agents,
+                       relations=tuple(Relation(tuple(int(x) for x in r))
+                                       for r in rows),
+                       atoms=bounds.atoms,
+                       valuation=tuple(_atom_masks(val_idx, n,
+                                                   len(bounds.atoms))))
+
+
+def _run_now(fn: Callable, *args) -> Future:
+    """`Executor.submit` without a thread: run fn now."""
+    fut: Future = Future()
+    fut.set_result(fn(*args))
+    return fut
 
 
 def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
@@ -313,23 +311,20 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
     models of each formula in todo that has one.
 
     Frames are cut into spans; each span's block is built once and checked
-    against every formula not yet refuted at a lower span.  With threads a
-    formula may fail in several spans, and the lowest span's failure is
-    kept, so the answer never depends on `jobs`.
+    against every formula not yet refuted at a lower span.  Spans are
+    submitted in order, at most two per worker not yet waited for, and the
+    walk stops at the first span by which every formula has failed.  With
+    threads a formula may fail in several spans, and the lowest span's
+    failure is kept, so the answer never depends on `jobs`.
     """
     rel_rows = frame_relations(bounds.frame, n)
     n_frames = len(rel_rows) ** bounds.n_agents
-    n_vals = 1 << (n * len(bounds.atoms))
-    atom_ext = {}
-    if bounds.atoms:
-        vv = np.arange(n_vals, dtype=np.uint32)
-        for t, atom in enumerate(bounds.atoms):
-            shift = n * (len(bounds.atoms) - 1 - t)
-            atom_ext[atom] = ((vv >> np.uint32(shift))
-                              & np.uint32((1 << n) - 1))[None, :]
+    k = len(bounds.atoms)
+    n_vals = 1 << (n * k)
+    masks = _atom_masks(np.arange(n_vals, dtype=np.uint32), n, k)
+    atom_ext = {atom: mask[None, :] for atom, mask in zip(bounds.atoms, masks)}
     step = max(1, _CHUNK_CELLS // n_vals)
-    spans = [(lo, min(lo + step, n_frames))
-             for lo in range(0, n_frames, step)]
+    n_spans = -(-n_frames // step)
     first: dict[int, tuple[int, tuple[int, int, int]]] = {}
     lock = threading.Lock()
 
@@ -338,8 +333,9 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
             live = [i for i in todo if i not in first or first[i][0] > s]
         if not live:
             return
-        lo, hi = spans[s]
-        block = _block(rel_rows, bounds, n, atom_ext, lo, hi)
+        lo = s * step
+        block = _block(rel_rows, bounds, n, atom_ext, lo,
+                       min(lo + step, n_frames))
         for i in live:
             hit = _first_failure(block, formulas[i], lo)
             if hit is not None:
@@ -352,21 +348,32 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
         with lock:
             return all(i in first and first[i][0] <= s for i in todo)
 
-    workers = min(jobs, os.cpu_count() or 1, len(spans))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as tpe:
-            futures = [tpe.submit(scan, s) for s in range(len(spans))]
-            done = False
-            for s, fut in enumerate(futures):
-                if done and fut.cancel():
-                    continue
-                fut.result()
-                done = done or settled(s)
-    else:
-        for s in range(len(spans)):
-            scan(s)
+    def sweep(submit: Callable[..., Future], depth: int) -> None:
+        """Scan spans in order until every formula is settled.  One span
+        per worker starts first, because the first spans often settle
+        every formula; after that up to `depth` spans are submitted and
+        not yet waited for.  Spans still in flight at the end cannot
+        change the answer, and a serial walk never runs them, so their
+        results are not read."""
+        ahead = deque(submit(scan, s) for s in range(workers))
+        nxt = workers
+        for s in range(n_spans):
+            ahead.popleft().result()
             if settled(s):
-                break
+                return
+            while nxt < n_spans and len(ahead) < depth:
+                ahead.append(submit(scan, nxt))
+                nxt += 1
+
+    workers = min(jobs, os.cpu_count() or 1, n_spans)
+    if workers > 1:
+        # A second queued span per worker keeps each thread busy while the
+        # main thread waits for the GIL to hand out the next one: with one,
+        # KT/2/4 ran 14% slower under jobs=2 on 2 vCPUs.
+        with ThreadPoolExecutor(max_workers=workers) as tpe:
+            sweep(tpe.submit, 2 * workers)
+    else:
+        sweep(_run_now, 1)
     return {i: hit for i, (_, hit) in first.items()}
 
 

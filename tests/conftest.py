@@ -1,12 +1,25 @@
-"""Shared strategies and pair-set oracles for the property tests.
+"""Shared strategies, pair-set oracles and the plain model enumeration
+for the property tests.
 
 The oracles work on relations as sets of pairs and extensions as
 frozensets of world indices, independently of the numpy evaluator in
-`epicmp.semantics`, so tests that compare the two are real cross-checks."""
+`epicmp.semantics`, so tests that compare the two are real cross-checks.
+`enumerate_models` yields the search space one `KripkeModel` at a time,
+in the order of the packed byte key `encode_model` builds, and drops
+isomorphic models by a brute-force `canonicalize`.  It takes only the
+relation pools from `epicmp.search`, so the search's own index decoding
+is checked against it."""
+
+from __future__ import annotations
+
+import itertools
+import struct
+from typing import Iterator, Sequence
 
 import hypothesis.strategies as st
 
-from epicmp.kripke import KripkeModel, Relation
+from epicmp.kripke import KripkeModel, ModelError, Relation
+from epicmp.search import SearchBounds, frame_relations
 from epicmp.syntax import (And, Atom, CDK, CK, Cmp, CmpOp, DK, Group, Iff,
                            Imp, IndK, Not, Or, Supergroup)
 
@@ -178,3 +191,98 @@ class _PairSetEvaluator:
 def oracle_extension(m: KripkeModel, f) -> set[str]:
     """Names of the worlds of m where f holds; undeclared atoms are false."""
     return {m.worlds[w] for w in _PairSetEvaluator(m).ext(f)}
+
+
+# --- plain enumeration and canonical forms --------------------------------
+
+_ENCODE_MAX_WORLDS = 8  # packed relation must fit one 64-bit field
+
+
+def encode_model(m: KripkeModel, atom_pool: Sequence[str]) -> bytes:
+    """Pack world count, relation masks (agent order), valuation masks
+    (atom_pool order) into bytes; byte order sorts the way enumeration does.
+    """
+    n = m.n_worlds
+    if n > _ENCODE_MAX_WORLDS:
+        raise ModelError(f"encoding supports up to {_ENCODE_MAX_WORLDS} "
+                         f"worlds, got {n}")
+    rel_ints = [_rel_int(rel.rows, n) for rel in m.relations]
+    val_ints = [m.atom_mask(a) or 0 for a in atom_pool]
+    return struct.pack(">B" + "Q" * len(rel_ints) + "H" * len(val_ints),
+                       n, *rel_ints, *val_ints)
+
+
+def _rel_int(rows: Sequence[int], n: int) -> int:
+    out = 0
+    for i, row in enumerate(rows):
+        out |= row << (i * n)
+    return out
+
+
+def canonicalize(m: KripkeModel, atom_pool: Sequence[str] | None = None) \
+        -> bytes:
+    """Isomorphism-invariant key: minimal encoding over world relabelings.
+
+    Two models give equal keys iff some world bijection carries relations
+    and valuations (over atom_pool, default the model's atoms) across.
+    Agent and atom names are matched positionally, not renamed.
+    """
+    if atom_pool is None:
+        atom_pool = m.atoms
+    n = m.n_worlds
+    if n > _ENCODE_MAX_WORLDS:  # n! blowup guard; 8! = 40320 is the ceiling
+        raise ModelError(f"canonicalize supports up to {_ENCODE_MAX_WORLDS} "
+                         f"worlds, got {n}")
+    masks = [m.atom_mask(a) or 0 for a in atom_pool]
+    best: bytes | None = None
+    for perm in itertools.permutations(range(n)):
+        # perm[new] = old; new-index i relates to j iff old perm[i] -> perm[j]
+        rel_ints = []
+        for rel in m.relations:
+            out = 0
+            for i in range(n):
+                old_row = rel.rows[perm[i]]
+                row = 0
+                for j in range(n):
+                    if old_row >> perm[j] & 1:
+                        row |= 1 << j
+                out |= row << (i * n)
+            rel_ints.append(out)
+        val_ints = []
+        for mask in masks:
+            out = 0
+            for i in range(n):
+                if mask >> perm[i] & 1:
+                    out |= 1 << i
+            val_ints.append(out)
+        enc = struct.pack(">B" + "Q" * len(rel_ints) + "H" * len(val_ints),
+                          n, *rel_ints, *val_ints)
+        if best is None or enc < best:
+            best = enc
+    assert best is not None
+    return best
+
+
+def enumerate_models(bounds: SearchBounds) -> Iterator[KripkeModel]:
+    """Yield every model within bounds in the search order, one
+    `KripkeModel` at a time.  With mod_iso, only the first member of each
+    isomorphism class is yielded, found by `canonicalize`."""
+    agents = bounds.agents
+    k = len(bounds.atoms)
+    for n in range(1, bounds.max_worlds + 1):
+        worlds = tuple(f"w{i}" for i in range(n))
+        pool = [tuple(int(x) for x in rows)
+                for rows in frame_relations(bounds.frame, n)]
+        seen: set[bytes] | None = set() if bounds.mod_iso else None
+        for combo in itertools.product(pool, repeat=len(agents)):
+            relations = tuple(Relation(rows) for rows in combo)
+            for masks in itertools.product(range(1 << n), repeat=k):
+                m = KripkeModel(worlds=worlds, agents=agents,
+                                relations=relations, atoms=bounds.atoms,
+                                valuation=tuple(masks))
+                if seen is not None:
+                    key = canonicalize(m, bounds.atoms)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                yield m

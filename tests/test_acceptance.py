@@ -12,10 +12,11 @@ import time
 
 import pytest
 
+from conftest import enumerate_models
 from epicmp.corpus import REGISTRY, fixtures, run_all
 from epicmp.cli import run_command
 from epicmp.kripke import FrameClass, KripkeModel, classify_frame
-from epicmp.search import SearchBounds, count_models, enumerate_models
+from epicmp.search import SearchBounds, count_models
 from epicmp.semantics import extension, satisfies, valid_in_model
 from epicmp.syntax import parse
 

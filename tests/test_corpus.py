@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import epicmp.corpus as corpus
+import epicmp.search as search
 from epicmp.corpus import (REGISTRY, CorpusError, Verdict, claims_table,
                            fixtures, run_all, run_claim)
 from epicmp.kripke import FrameClass, classify_frame, load_model
+from epicmp.search import check_formulas
 from epicmp.semantics import satisfies
 from epicmp.syntax import parse
 
@@ -73,6 +76,29 @@ def test_countermodel_witnesses_falsify_and_extra_facts_hold():
         fix, world = claim.witness
         assert not satisfies(figs[fix], world, claim.formula), claim.id
     assert checked == 7
+
+
+def test_countermodel_claims_search_their_formula_once(monkeypatch):
+    """A COUNTERMODEL claim's formula is one of its instances, so the
+    instance sweep already finds the countermodel run_claim reports."""
+    searched = []
+
+    def recording(formulas, bounds, **kw):
+        searched.extend(formulas)
+        return check_formulas(formulas, bounds, **kw)
+
+    monkeypatch.setattr(search, "check_formulas", recording)
+    monkeypatch.setattr(corpus, "check_formulas", recording)
+    claims = [c for c in REGISTRY.values()
+              if c.expected == Verdict.COUNTERMODEL]
+    assert len(claims) == 7
+    for claim in claims:
+        searched.clear()
+        report = run_claim(claim.id)
+        assert report.ok, claim.id
+        assert searched.count(claim.formula) == 1, claim.id
+        assert report.countermodel == check_formulas([claim.formula],
+                                                     claim.bounds)[0]
 
 
 # --- representative runs --------------------------------------------------

@@ -10,20 +10,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (models, oracle_reflexive_transitive_closure, rel_pairs,
+from conftest import (canonicalize, models,
+                      oracle_reflexive_transitive_closure, rel_pairs,
                       s5_models)
 from epicmp.corpus import fixtures
 from epicmp.kripke import (FrameClass, KripkeModel, ModelError,
                            ModelFormatError, Relation, UnknownAgentError,
-                           UnknownWorldError, apply_closure, canonicalize,
-                           classify_frame, load_model, load_model_witness,
-                           save_model)
+                           UnknownWorldError, apply_closure, classify_frame,
+                           load_model, load_model_witness, save_model)
 from epicmp.semantics import Block, extension
 from epicmp.syntax import Group, Supergroup, parse
 
 
 def rel(n, pairs):
     return Relation.from_pairs(n, pairs)
+
+
+def total(n):
+    return Relation(((1 << n) - 1,) * n)
 
 
 # --- closures -------------------------------------------------------------
@@ -82,7 +86,7 @@ def test_euclidean_without_symmetry():
 
 
 def test_equivalence_is_euclidean():
-    assert Relation.total(3).is_euclidean()
+    assert total(3).is_euclidean()
     assert Relation.identity(3).is_euclidean()
 
 
@@ -121,7 +125,7 @@ def test_classify_missing_loop_is_none():
 
 def test_classify_weakest_agent_wins():
     m = KripkeModel(("w0", "w1"), ("a", "b"),
-                    (Relation.total(2), rel(2, [(0, 0), (0, 1), (1, 1)])),
+                    (total(2), rel(2, [(0, 0), (0, 1), (1, 1)])),
                     (), ())
     rep = classify_frame(m)
     assert rep.overall is FrameClass.S4
@@ -167,7 +171,7 @@ def test_fig3_pair_groups_are_identity():
 def test_fig1_pairs_identity_and_triple_total():
     fig1 = fixtures()["fig1"]
     assert joint_relation(fig1, Group(["a", "b"])) == Relation.identity(4)
-    assert common_relation(fig1, Group(["a", "b", "c"])) == Relation.total(4)
+    assert common_relation(fig1, Group(["a", "b", "c"])) == total(4)
 
 
 def test_fig3_cdk_relation_identity():
@@ -377,7 +381,7 @@ def test_canonicalize_detects_relabeling():
 
 def test_canonicalize_separates_non_isomorphic():
     a = KripkeModel(("w0", "w1"), ("a",), (Relation.identity(2),), (), ())
-    b = KripkeModel(("w0", "w1"), ("a",), (Relation.total(2),), (), ())
+    b = KripkeModel(("w0", "w1"), ("a",), (total(2),), (), ())
     assert canonicalize(a) != canonicalize(b)
 
 
@@ -398,7 +402,7 @@ def test_canonicalize_invariant_under_permutation(m, perm):
 
 
 def test_canonicalize_pads_missing_pool_atoms_as_false():
-    bare = KripkeModel(("w0", "w1"), ("a",), (Relation.total(2),), (), ())
-    declared = KripkeModel(("w0", "w1"), ("a",), (Relation.total(2),),
+    bare = KripkeModel(("w0", "w1"), ("a",), (total(2),), (), ())
+    declared = KripkeModel(("w0", "w1"), ("a",), (total(2),),
                            ("p",), (0,))
     assert canonicalize(bare, ("p",)) == canonicalize(declared, ("p",))

@@ -1,11 +1,13 @@
 """Bounded-search tests: enumeration sizes against closed forms, ordering,
 dedup-by-isomorphism and its Burnside count, agreement between the array
-scanner and a plain per-model sweep with the pair-set oracle, the thread
-pool, and schema instantiation (whose instances share one scan, checked
-against the per-model sweep too)."""
+scanner and a plain per-model sweep (`conftest.enumerate_models`) with the
+pair-set oracle, the thread pool and the lazy span walk, and schema
+instantiation (whose instances share one scan, checked against the
+per-model sweep too)."""
 
 import itertools
 import os
+import subprocess
 import sys
 from concurrent.futures import Future
 
@@ -14,13 +16,13 @@ from hypothesis import given, settings
 
 import epicmp.search as search
 import epicmp.semantics as semantics
-from conftest import formulas_over, oracle_extension
-from epicmp.kripke import FrameClass, canonicalize, classify_frame, \
-    encode_model
+from conftest import (canonicalize, encode_model, enumerate_models,
+                      formulas_over, oracle_extension)
+from epicmp.kripke import FrameClass, classify_frame
 from epicmp.search import (AGENT_POOL, BoundsError, Countermodel,
                            DEFAULT_FORMULA_POOL, NoCountermodelUpTo,
                            SearchBounds, check_schema, check_validity,
-                           count_models, enumerate_models, frame_relations,
+                           count_models, frame_relations,
                            instantiate_schema)
 from epicmp.semantics import satisfies
 from epicmp.syntax import Group, parse
@@ -264,13 +266,11 @@ def test_jobs_do_not_change_the_answer():
     assert isinstance(outs[0], NoCountermodelUpTo)
 
 
-def test_jobs_thread_pool_is_clamped(monkeypatch):
-    """The pool never asks for more workers than CPUs or spans."""
-    requested = []
+def _inline_pool(requested, submitted):
+    """A `ThreadPoolExecutor` stand-in that runs each task at once, in
+    this thread, and records max_workers and each task's arguments."""
 
     class InlinePool:
-        """Records max_workers and runs each task at once, in this thread."""
-
         def __init__(self, max_workers):
             requested.append(max_workers)
 
@@ -281,11 +281,19 @@ def test_jobs_thread_pool_is_clamped(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            submitted.append(args)
             fut = Future()
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(search, "ThreadPoolExecutor", InlinePool)
+    return InlinePool
+
+
+def test_jobs_thread_pool_is_clamped(monkeypatch):
+    """The pool never asks for more workers than CPUs or spans."""
+    requested = []
+    monkeypatch.setattr(search, "ThreadPoolExecutor",
+                        _inline_pool(requested, []))
     # one frame per span: 1 span at 1 world, 2 at 2 worlds, 64 at 3 worlds
     monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
     bounds = SearchBounds(FrameClass.KT, 1, 3, atoms=("p",))
@@ -301,6 +309,47 @@ def test_jobs_thread_pool_is_clamped(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert check_validity(f, bounds, jobs=10**6) == serial
     assert requested == []
+
+
+def test_span_walk_submits_no_more_spans_than_workers(monkeypatch):
+    """Spans are submitted as the walk reaches them: a formula refuted in
+    the first span of 4,096 costs one span per worker, not one each."""
+    submitted = []
+    monkeypatch.setattr(search, "ThreadPoolExecutor",
+                        _inline_pool([], submitted))
+    monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    bounds = SearchBounds(FrameClass.KT, 2, 3, atoms=("p",))
+    # 64 reflexive relations per agent, 8 valuations: 4,096 one-frame spans
+    hits = search._first_failures([parse("p")], [0], bounds, 3, 2)
+    assert hits == {0: (0, 0, 0)}
+    assert 1 <= len(submitted) <= 2
+
+
+_HUGE_SPAN_COUNT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from epicmp.kripke import FrameClass
+from epicmp.search import SearchBounds, _first_failures
+from epicmp.syntax import parse
+bounds = SearchBounds(FrameClass.KT, 2, 5, atoms=("p",))
+print(_first_failures([parse("p")], [0], bounds, 5, 1))
+"""
+
+
+def test_span_walk_memory_does_not_grow_with_the_span_count():
+    """KT, 2 agents, 5 worlds: 2^40 frames in 268,435,456 spans.  Finding
+    the first failure must fit in 2 GiB of address space, so nothing may
+    be held per span.  Runs in a child process under that limit."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(search.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _HUGE_SPAN_COUNT],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "{0: (0, 0, 0)}\n"
 
 
 def test_frame_relations_arrays_are_read_only():

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 
 import epicmp.semantics as semantics
-from conftest import kt_models, model_formula_pairs, models, \
-    oracle_extension, rel_pairs, s5_models
+from conftest import enumerate_models, kt_models, model_formula_pairs, \
+    models, oracle_extension, rel_pairs, s5_models
 from epicmp.corpus import fixtures
 from epicmp.kripke import FrameClass, KripkeModel, UnknownWorldError
-from epicmp.search import SearchBounds, enumerate_models
+from epicmp.search import SearchBounds
 from epicmp.semantics import (UnknownAtomError, extension, satisfies,
                               valid_in_model)
 from epicmp.syntax import (And, CDK, CK, Cmp, CmpOp, DK, Group, Imp, IndK,
