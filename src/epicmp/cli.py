@@ -180,7 +180,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-worlds", type=int, default=None,
                    help="world bound (default: 4 for s5, 3 otherwise)")
     p.add_argument("--mod-iso", action="store_true",
-                   help="enumerate one model per isomorphism class")
+                   help="count models up to isomorphism")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel scan jobs (never changes the output)")
     p.add_argument("-f", "--formula", required=True)

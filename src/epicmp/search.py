@@ -17,19 +17,25 @@ module knows the order.  The pools are:
     S4  every reflexive transitive relation
     S5  every equivalence (one per set partition of the worlds)
 
-`check_formulas` sweeps the whole space with numpy for a list of formulas
-at once: one axis enumerates frames, one enumerates valuations, and
+`check_formulas` sweeps the space with numpy for a list of formulas at
+once: one axis walks frames, one enumerates valuations, and
 `semantics.Block` evaluates every connective as bitmask arithmetic on
-world-row masks.  The sweep runs world count outer, then frame span, then
-the formulas not yet refuted: each span's block of frame rows, its joint /
-common / cdk relations and its comparison masks are built once and shared
-by every formula, and a formula leaves the sweep at its first failing
-span.  Spans are walked in order with at most two per worker in flight,
-so memory does not grow with the number of spans.  `check_validity` is the
-one-formula case and `check_schema` sweeps all unique instances of a
-schema together.  The first countermodel reported for each formula is the
-first in enumeration order, with the lowest falsifying world as witness,
-so results are reproducible and independent of --jobs chunking.
+world-row masks.  The frame axis holds only the frames that no world
+relabeling makes smaller (`_minimal_frames`).  That loses no answer: if a
+relabeling makes a frame smaller, it maps each falsifier on that frame to
+an isomorphic falsifier earlier in the order, so the first countermodel
+lies on a minimal frame, and a formula that holds on every minimal frame
+holds on every frame.  The sweep runs world count outer, then frame span,
+then the formulas not yet refuted: each span's block of frame rows, its
+joint / common / cdk relations and its comparison masks are built once and
+shared by every formula, and a formula leaves the sweep at its first
+failing span.  Spans are walked in order with at most two per worker in
+flight, so memory does not grow with the number of spans.
+`check_validity` is the one-formula case and `check_schema` sweeps all
+unique instances of a schema together.  The first countermodel reported
+for each formula is the first in enumeration order, with the lowest
+falsifying world as witness, so results are reproducible and independent
+of --jobs chunking.
 
 `mod_iso` runs the same sweep and counts isomorphism classes instead of
 models: the first falsifying model in enumeration order is always the
@@ -192,22 +198,80 @@ def frame_relations(frame: FrameClass, n: int) -> np.ndarray:
     return rows
 
 
+# --- world relabelings ----------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _pool_keys(frame: FrameClass, n: int) -> np.ndarray:
+    """`_rows_key` of each relation in the pool, ascending (int64); cached
+    and shared, so read-only."""
+    rows = frame_relations(frame, n).astype(np.int64)
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for i in range(n):
+        keys |= rows[:, i] << (i * n)
+    keys.setflags(write=False)
+    return keys
+
+
+def _relabel(frame: FrameClass, n: int, perm: tuple[int, ...],
+             idx: np.ndarray) -> np.ndarray:
+    """The pool index of each relation in idx (an int64 array of pool
+    indices) with every world j renamed perm[j]."""
+    if frame is FrameClass.KT:
+        # A KT pool index is the relation's off-diagonal bits, pair (i, j)
+        # at bit i*(n-1) + j - (j > i), so renaming permutes its bits; the
+        # bits that move by the same shift move together.
+        def bit(i: int, j: int) -> int:
+            return i * (n - 1) + j - (j > i)
+
+        moves: dict[int, int] = {}
+        for i, j in itertools.permutations(range(n), 2):
+            shift = bit(perm[i], perm[j]) - bit(i, j)
+            moves[shift] = moves.get(shift, 0) | 1 << bit(i, j)
+        out = np.zeros_like(idx)
+        for shift, mask in moves.items():
+            moved = idx & mask
+            out |= moved << shift if shift >= 0 else moved >> -shift
+        return out
+    rows = frame_relations(frame, n)[idx]
+    masks = np.arange(1 << n, dtype=np.int64)
+    image = np.zeros(1 << n, dtype=np.int64)
+    for j, pj in enumerate(perm):
+        image |= ((masks >> j) & 1) << pj
+    keys = np.zeros(len(idx), dtype=np.int64)
+    for i, pi in enumerate(perm):
+        keys |= image[rows[:, i]] << (pi * n)
+    return np.searchsorted(_pool_keys(frame, n), keys)
+
+
+def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycle lengths of a permutation, ascending."""
+    seen: set[int] = set()
+    lengths = []
+    for start in perm:
+        j, length = start, 0
+        while j not in seen:
+            seen.add(j)
+            j, length = perm[j], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
 @lru_cache(maxsize=None)
 def _relabelings(frame: FrameClass, n: int) -> tuple[tuple[int, int], ...]:
     """For each relabeling of n worlds: how many relations of the frame
-    class's pool, and how many sets of worlds, it maps onto themselves."""
-    rows = frame_relations(frame, n)
-    masks = np.arange(1 << n, dtype=np.uint32)
+    class's pool, and how many sets of worlds, it maps onto themselves.
+    Both depend only on the relabeling's cycle lengths, so each cycle
+    type is counted once."""
+    pool = np.arange(len(frame_relations(frame, n)), dtype=np.int64)
+    by_type: dict[tuple[int, ...], tuple[int, int]] = {}
     out = []
     for perm in itertools.permutations(range(n)):
-        # image[mask] is the mask with each world j renamed perm[j]
-        image = np.zeros(1 << n, dtype=np.uint32)
-        for j, pj in enumerate(perm):
-            image |= ((masks >> np.uint32(j)) & 1) << np.uint32(pj)
-        fixed = rows
-        for i, pi in enumerate(perm):
-            fixed = fixed[image[fixed[:, i]] == fixed[:, pi]]
-        out.append((len(fixed), int(np.count_nonzero(image == masks))))
+        cycles = _cycle_type(perm)
+        if cycles not in by_type:
+            fixed = _relabel(frame, n, perm, pool) == pool
+            by_type[cycles] = (int(np.count_nonzero(fixed)), 1 << len(cycles))
+        out.append(by_type[cycles])
     return tuple(out)
 
 
@@ -233,9 +297,9 @@ def count_models(bounds: SearchBounds) -> int:
 
 # --- index decoding and the vectorized sweep -----------------------------
 
-def _frame_rows(rel_rows: np.ndarray, n_agents: int, frame_idx):
-    """Each agent's pool rows at a frame index: one Python int (frame
-    counts outgrow int64) or an int64 array of indices."""
+def _frame_rows(rel_rows: np.ndarray, n_agents: int, frame_idx: int):
+    """Each agent's pool row at a frame index (a Python int: frame counts
+    outgrow int64)."""
     n_rels = len(rel_rows)
     return [rel_rows[(frame_idx // n_rels ** (n_agents - 1 - j)) % n_rels]
             for j in range(n_agents)]
@@ -249,26 +313,88 @@ def _atom_masks(val_idx, n: int, n_atoms: int):
             for t in range(n_atoms)]
 
 
+def _minimal_frames(frame: FrameClass, n: int, n_agents: int
+                    ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """The n-world frames that no world relabeling makes smaller, in
+    ascending order, as (prefix, last) pairs: the pool indices of all
+    agents but the last, and the ascending array of last-agent indices
+    that complete the prefix to such a frame.
+
+    Agent j keeps pool index i iff no relabeling that fixes the prefix maps
+    i lower; those that also map i onto itself then bound agent j + 1.
+    Each relabeling is applied only to the indices the previous ones kept,
+    and a prefix's last-agent indices are found only when the walk reaches
+    it, so neither an (n!, pool) table nor the list of frames is built."""
+    everything = np.arange(len(frame_relations(frame, n)), dtype=np.int64)
+
+    def walk(prefix: tuple[int, ...], perms: list[tuple[int, ...]]):
+        kept = everything
+        for perm in perms:
+            kept = kept[_relabel(frame, n, perm, kept) >= kept]
+        if len(prefix) == n_agents - 1:
+            yield prefix, kept
+            return
+        fixes = [(perm, _relabel(frame, n, perm, kept) == kept)
+                 for perm in perms]
+        for col in range(len(kept)):
+            yield from walk(prefix + (int(kept[col]),),
+                            [perm for perm, fixed in fixes if fixed[col]])
+
+    # the identity comes first and keeps everything, so it is left out
+    yield from walk((), list(itertools.permutations(range(n)))[1:])
+
+
+def _frame_spans(frame: FrameClass, n: int, n_agents: int,
+                 step: int) -> Iterator[list[np.ndarray]]:
+    """The minimal frames in ascending order, cut into spans of at most
+    step frames; a span is one int64 pool-index array per agent and may
+    cover several prefixes."""
+    parts: list[tuple[tuple[int, ...], np.ndarray]] = []
+    size = 0
+    for prefix, last in _minimal_frames(frame, n, n_agents):
+        while len(last):
+            take, last = last[:step - size], last[step - size:]
+            parts.append((prefix, take))
+            size += len(take)
+            if size == step:
+                yield _span(parts, n_agents)
+                parts, size = [], 0
+    if parts:
+        yield _span(parts, n_agents)
+
+
+def _span(parts: list[tuple[tuple[int, ...], np.ndarray]],
+          n_agents: int) -> list[np.ndarray]:
+    """A span's per-agent pool-index arrays from its (prefix, last-agent
+    indices) parts."""
+    lengths = [len(take) for _, take in parts]
+    return [np.repeat([prefix[j] for prefix, _ in parts], lengths)
+            for j in range(n_agents - 1)] \
+        + [np.concatenate([take for _, take in parts])]
+
+
 def _block(rel_rows: np.ndarray, bounds: SearchBounds, n: int,
-           atom_ext: Mapping[str, np.ndarray], lo: int, hi: int) -> Block:
-    """Frames [lo, hi) of one world count x all valuations."""
-    rows = _frame_rows(rel_rows, bounds.n_agents,
-                       np.arange(lo, hi, dtype=np.int64))
-    return Block(dict(zip(bounds.agents, rows)), atom_ext,
-                 (hi - lo, 1 << (n * len(bounds.atoms))))
+           atom_ext: Mapping[str, np.ndarray],
+           span: Sequence[np.ndarray]) -> Block:
+    """The frames of one span x all valuations."""
+    return Block(dict(zip(bounds.agents, (rel_rows[idx] for idx in span))),
+                 atom_ext, (len(span[0]), 1 << (n * len(bounds.atoms))))
 
 
-def _first_failure(block: Block, f: Formula,
-                  lo: int) -> tuple[int, int, int] | None:
-    """(frame, valuation, extension mask) of f's first failure in a block
-    whose frames start at index lo, frame-major, or None if f holds
-    everywhere in it."""
+def _first_failure(block: Block, f: Formula, span: Sequence[np.ndarray],
+                   n_rels: int) -> tuple[int, int, int] | None:
+    """(frame, valuation, extension mask) of f's first failure in the
+    block of a span, frame-major, with the frame's global index (a Python
+    int), or None if f holds everywhere in it."""
     ext = np.broadcast_to(block.evaluate(f), block.shape)
     ok = ext == block.full
     if ok.all():
         return None
     local_f, val = divmod(int(np.argmin(ok.ravel())), block.shape[1])
-    return lo + local_f, val, int(ext[local_f, val])
+    frame_idx = 0
+    for idx in span:
+        frame_idx = frame_idx * n_rels + int(idx[local_f])
+    return frame_idx, val, int(ext[local_f, val])
 
 
 def _validate_within(f: Formula, bounds: SearchBounds) -> None:
@@ -310,34 +436,33 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
     """First failure (frame, valuation, extension mask) over the n-world
     models of each formula in todo that has one.
 
-    Frames are cut into spans; each span's block is built once and checked
-    against every formula not yet refuted at a lower span.  Spans are
+    Only the frames no relabeling makes smaller are scanned
+    (`_minimal_frames`); the first failure always lies on one.  They are
+    cut into spans; each span's block is built once and checked against
+    every formula not yet refuted at a lower span.  Spans are cut and
     submitted in order, at most two per worker not yet waited for, and the
     walk stops at the first span by which every formula has failed.  With
     threads a formula may fail in several spans, and the lowest span's
     failure is kept, so the answer never depends on `jobs`.
     """
     rel_rows = frame_relations(bounds.frame, n)
-    n_frames = len(rel_rows) ** bounds.n_agents
     k = len(bounds.atoms)
     n_vals = 1 << (n * k)
     masks = _atom_masks(np.arange(n_vals, dtype=np.uint32), n, k)
     atom_ext = {atom: mask[None, :] for atom, mask in zip(bounds.atoms, masks)}
     step = max(1, _CHUNK_CELLS // n_vals)
-    n_spans = -(-n_frames // step)
+    spans = enumerate(_frame_spans(bounds.frame, n, bounds.n_agents, step))
     first: dict[int, tuple[int, tuple[int, int, int]]] = {}
     lock = threading.Lock()
 
-    def scan(s: int) -> None:
+    def scan(s: int, span: list[np.ndarray]) -> None:
         with lock:
             live = [i for i in todo if i not in first or first[i][0] > s]
         if not live:
             return
-        lo = s * step
-        block = _block(rel_rows, bounds, n, atom_ext, lo,
-                       min(lo + step, n_frames))
+        block = _block(rel_rows, bounds, n, atom_ext, span)
         for i in live:
-            hit = _first_failure(block, formulas[i], lo)
+            hit = _first_failure(block, formulas[i], span, len(rel_rows))
             if hit is not None:
                 with lock:
                     if i not in first or first[i][0] > s:
@@ -355,17 +480,21 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
         not yet waited for.  Spans still in flight at the end cannot
         change the answer, and a serial walk never runs them, so their
         results are not read."""
-        ahead = deque(submit(scan, s) for s in range(workers))
-        nxt = workers
-        for s in range(n_spans):
+        ahead = deque(submit(scan, *item) for item in head)
+        s = 0
+        while ahead:
             ahead.popleft().result()
             if settled(s):
                 return
-            while nxt < n_spans and len(ahead) < depth:
-                ahead.append(submit(scan, nxt))
-                nxt += 1
+            s += 1
+            for item in itertools.islice(spans, depth - len(ahead)):
+                ahead.append(submit(scan, *item))
 
-    workers = min(jobs, os.cpu_count() or 1, n_spans)
+    # workers = min(jobs, cpu_count, number of spans), at least one; only
+    # the spans the workers start with are cut here
+    head = list(itertools.islice(spans,
+                                 max(1, min(jobs, os.cpu_count() or 1))))
+    workers = len(head)
     if workers > 1:
         # A second queued span per worker keeps each thread busy while the
         # main thread waits for the GIL to hand out the next one: with one,

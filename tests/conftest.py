@@ -6,9 +6,11 @@ frozensets of world indices, independently of the numpy evaluator in
 `epicmp.semantics`, so tests that compare the two are real cross-checks.
 `enumerate_models` yields the search space one `KripkeModel` at a time,
 in the order of the packed byte key `encode_model` builds, and drops
-isomorphic models by a brute-force `canonicalize`.  It takes only the
-relation pools from `epicmp.search`, so the search's own index decoding
-is checked against it."""
+isomorphic models by a brute-force `canonicalize`; `lex_min_frames` lists
+the frames no world relabeling makes smaller by brute force over the
+plain pool product.  Both take only the relation pools from
+`epicmp.search`, so the search's own index decoding and frame walk are
+checked against them."""
 
 from __future__ import annotations
 
@@ -286,3 +288,26 @@ def enumerate_models(bounds: SearchBounds) -> Iterator[KripkeModel]:
                         continue
                     seen.add(key)
                 yield m
+
+
+def lex_min_frames(frame, n: int, n_agents: int) -> list[tuple[int, ...]]:
+    """Every n-world frame, as a tuple of pool indices (one per agent),
+    that no world relabeling maps to a lexicographically smaller tuple,
+    ascending."""
+    pool = [tuple(int(x) for x in rows) for rows in frame_relations(frame, n)]
+    index = {rows: i for i, rows in enumerate(pool)}
+    images = []
+    for perm in itertools.permutations(range(n)):
+        image = []
+        for rows in pool:
+            # world i -> perm[i]: row i becomes row perm[i], bit j bit perm[j]
+            new = [0] * n
+            for i, row in enumerate(rows):
+                new[perm[i]] = sum(1 << perm[j] for j in range(n)
+                                   if row >> j & 1)
+            image.append(index[tuple(new)])
+        images.append(image)
+    return [combo for combo in itertools.product(range(len(pool)),
+                                                 repeat=n_agents)
+            if all(tuple(image[i] for i in combo) >= combo
+                   for image in images)]

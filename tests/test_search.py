@@ -1,7 +1,9 @@
 """Bounded-search tests: enumeration sizes against closed forms, ordering,
 dedup-by-isomorphism and its Burnside count, agreement between the array
 scanner and a plain per-model sweep (`conftest.enumerate_models`) with the
-pair-set oracle, the thread pool and the lazy span walk, and schema
+pair-set oracle, the orbit-minimal frames the scanner walks (against a
+brute-force `conftest.lex_min_frames`), the thread pool and the lazy span
+walk, and schema
 instantiation (whose instances share one scan, checked against the
 per-model sweep too)."""
 
@@ -9,6 +11,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import Future
 
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 import epicmp.search as search
 import epicmp.semantics as semantics
 from conftest import (canonicalize, encode_model, enumerate_models,
-                      formulas_over, oracle_extension)
+                      formulas_over, lex_min_frames, oracle_extension)
 from epicmp.kripke import FrameClass, classify_frame
 from epicmp.search import (AGENT_POOL, BoundsError, Countermodel,
                            DEFAULT_FORMULA_POOL, NoCountermodelUpTo,
@@ -215,6 +218,100 @@ def test_scanner_agrees_on_random_formulas(f):
         assert out.witness == w
 
 
+# --- orbit-minimal frames -------------------------------------------------
+
+def _walked_frames(frame, n, n_agents, step):
+    spans = list(search._frame_spans(frame, n, n_agents, step))
+    assert all(len(idx) == len(span[0]) for span in spans for idx in span)
+    assert [len(span[0]) for span in spans[:-1]] == [step] * (len(spans) - 1)
+    assert 1 <= len(spans[-1][0]) <= step
+    return [tuple(int(idx[k]) for idx in span)
+            for span in spans for k in range(len(span[0]))]
+
+
+@pytest.mark.parametrize("frame,n_agents,n", [
+    *itertools.product((FrameClass.KT, FrameClass.S4, FrameClass.S5),
+                       (1, 2, 3), (1, 2, 3)),
+    (FrameClass.S5, 2, 4)])
+def test_frame_walk_is_the_brute_force_lex_min(frame, n_agents, n):
+    expected = lex_min_frames(frame, n, n_agents)
+    # spans of 7 frames cut across prefixes and through long ones
+    assert _walked_frames(frame, n, n_agents, 7) == expected
+    assert _walked_frames(frame, n, n_agents, 1 << 17) == expected
+
+
+_MINIMAL_SWEEP_BOUNDS = [
+    SearchBounds(FrameClass.KT, 2, 2, atoms=("p",)),
+    SearchBounds(FrameClass.KT, 1, 3, atoms=("p",)),
+    SearchBounds(FrameClass.S4, 2, 3, atoms=("p",)),
+    SearchBounds(FrameClass.S5, 3, 3, atoms=("p",)),
+]
+
+
+@pytest.mark.parametrize(
+    "bounds", _MINIMAL_SWEEP_BOUNDS,
+    ids=lambda b: f"{b.frame}-{b.n_agents}-{b.max_worlds}")
+def test_minimal_frame_sweep_agrees_with_per_model_sweep(bounds):
+    """The first countermodel and witness of the minimal-frame scan are
+    those of a plain sweep over every model, with 8-cell blocks (spans of
+    one to eight frames, cut across prefixes) and 1, 2 or 8 threads."""
+    @settings(max_examples=12, deadline=None)
+    @given(formulas_over(bounds.agents, atoms=bounds.atoms, max_leaves=6))
+    def check(f):
+        m, w, checked = _sweep(f, bounds)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_CHUNK_CELLS", 8)
+            mp.setattr(os, "cpu_count", lambda: 8)
+            outs = [check_validity(f, bounds, jobs=jobs)
+                    for jobs in (1, 2, 8)]
+        for out in outs:
+            if m is None:
+                assert out == NoCountermodelUpTo(bounds=bounds,
+                                                 models_checked=checked)
+            else:
+                assert isinstance(out, Countermodel)
+                assert encode_model(out.model, bounds.atoms) \
+                    == encode_model(m, bounds.atoms)
+                assert out.witness == w
+
+    check()
+
+
+def test_valid_sweep_gathers_only_the_minimal_frames(monkeypatch):
+    """KT, 2 agents, 4 worlds: 703,760 of the 16,777,216 frames are
+    minimal, and a formula that holds everywhere gathers exactly those."""
+    gathered = {}
+    block = search._block
+
+    def counting_block(rel_rows, bounds, n, atom_ext, span):
+        gathered[n] = gathered.get(n, 0) + len(span[0])
+        return block(rel_rows, bounds, n, atom_ext, span)
+
+    monkeypatch.setattr(search, "_block", counting_block)
+    bounds = SearchBounds(FrameClass.KT, 2, 4, atoms=("p",))
+    out = check_validity(parse("p -> p"), bounds)
+    assert out == NoCountermodelUpTo(bounds=bounds,
+                                     models_checked=268_468_290)
+    assert gathered == {n: len(lex_min_frames(FrameClass.KT, n, 2))
+                        for n in (1, 2, 3)} | {4: 703_760}
+
+
+def test_frame_walk_memory_stays_below_a_relabeling_table():
+    """KT, 1 agent, 5 worlds: the 2^20-relation pool relabeled 120 ways
+    would be a table of about 500 MB; the walk filters the survivors of
+    each relabeling only and stays far below that."""
+    bounds = SearchBounds(FrameClass.KT, 1, 5, atoms=("p",))
+    tracemalloc.start()
+    try:
+        out = check_validity(parse("p -> p"), bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == NoCountermodelUpTo(bounds=bounds,
+                                     models_checked=count_models(bounds))
+    assert peak < 128 << 20
+
+
 # --- two search results pinned in full -----------------------------------
 
 def test_negative_introspection_minimal_reflexive_countermodel():
@@ -294,7 +391,8 @@ def test_jobs_thread_pool_is_clamped(monkeypatch):
     requested = []
     monkeypatch.setattr(search, "ThreadPoolExecutor",
                         _inline_pool(requested, []))
-    # one frame per span: 1 span at 1 world, 2 at 2 worlds, 64 at 3 worlds
+    # one frame per span at 3 worlds: 1 span at 1 world, 2 at 2 worlds and
+    # 16 (the minimal frames) at 3 worlds
     monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
     bounds = SearchBounds(FrameClass.KT, 1, 3, atoms=("p",))
     f = parse("D{a} p -> p")
@@ -313,14 +411,15 @@ def test_jobs_thread_pool_is_clamped(monkeypatch):
 
 def test_span_walk_submits_no_more_spans_than_workers(monkeypatch):
     """Spans are submitted as the walk reaches them: a formula refuted in
-    the first span of 4,096 costs one span per worker, not one each."""
+    the first span of 720 costs one span per worker, not one each."""
     submitted = []
     monkeypatch.setattr(search, "ThreadPoolExecutor",
                         _inline_pool([], submitted))
     monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     bounds = SearchBounds(FrameClass.KT, 2, 3, atoms=("p",))
-    # 64 reflexive relations per agent, 8 valuations: 4,096 one-frame spans
+    # 64 reflexive relations per agent, 8 valuations: 720 one-frame spans,
+    # one per minimal frame
     hits = search._first_failures([parse("p")], [0], bounds, 3, 2)
     assert hits == {0: (0, 0, 0)}
     assert 1 <= len(submitted) <= 2
