@@ -20,7 +20,7 @@ from .kripke import (FrameClass, KripkeModel, ModelError, apply_closure,
                      classify_frame, load_model, save_model)
 from .search import (BoundsError, NoCountermodelUpTo, SearchBounds,
                      check_validity, count_models)
-from .semantics import extension, satisfies, valid_in_model
+from .semantics import extension, satisfies
 from .syntax import FormulaError, atom_names, parse
 
 _FRAME_DEFAULT_WORLDS = {FrameClass.S5: 4, FrameClass.S4: 3,
@@ -65,10 +65,11 @@ def _cmd_eval(args, out: TextIO, err: TextIO) -> int:
 def _cmd_valid(args, out: TextIO, err: TextIO) -> int:
     m = _load(args.model)
     f = parse(args.formula)
-    result = valid_in_model(m, f, strict_atoms=args.strict_atoms)
+    # one evaluation gives both the verdict and the extension
+    holds = extension(m, f, strict_atoms=args.strict_atoms)
+    result = len(holds) == m.n_worlds
     print("true" if result else "false", file=out)
     if args.show_extension:
-        holds = extension(m, f, strict_atoms=args.strict_atoms)
         names = " ".join(w for w in m.worlds if w in holds)
         print(f"extension: {names}", file=out)
     return 0 if result else 1

@@ -19,23 +19,23 @@ module knows the order.  The pools are:
 
 `check_formulas` sweeps the space with numpy for a list of formulas at
 once: one axis walks frames, one enumerates valuations, and
-`semantics.Block` evaluates every connective as bitmask arithmetic on
-world-row masks.  The frame axis holds only the frames that no world
-relabeling makes smaller (`_minimal_frames`).  That loses no answer: if a
-relabeling makes a frame smaller, it maps each falsifier on that frame to
-an isomorphic falsifier earlier in the order, so the first countermodel
-lies on a minimal frame, and a formula that holds on every minimal frame
-holds on every frame.  The sweep runs world count outer, then frame span,
-then the formulas not yet refuted: each span's block of frame rows, its
-joint / common / cdk relations and its comparison masks are built once and
-shared by every formula, and a formula leaves the sweep at its first
-failing span.  Spans are walked in order with at most two per worker in
-flight, so memory does not grow with the number of spans.
-`check_validity` is the one-formula case and `check_schema` sweeps all
-unique instances of a schema together.  The first countermodel reported
-for each formula is the first in enumeration order, with the lowest
-falsifying world as witness, so results are reproducible and independent
-of --jobs chunking.
+`semantics.Block` evaluates every connective as bitwise arithmetic on
+words that hold one bit per valuation.  The frame axis holds only the
+frames that no world relabeling makes smaller (`_minimal_frames`).  That
+loses no answer: if a relabeling makes a frame smaller, it maps each
+falsifier on that frame to an isomorphic falsifier earlier in the order,
+so the first countermodel lies on a minimal frame, and a formula that
+holds on every minimal frame holds on every frame.  The sweep runs world
+count outer, then frame span, then the formulas not yet refuted: each
+span's block of frame rows, its joint / common / cdk relations and its
+comparison words are built once and shared by every formula, and a
+formula leaves the sweep at its first failing span.  Spans are walked in
+order with at most two per worker in flight, so memory does not grow with
+the number of spans.  `check_validity` is the one-formula case and
+`check_schema` sweeps all unique instances of a schema together.  The
+first countermodel reported for each formula is the first in enumeration
+order, with the lowest falsifying world as witness, so results are
+reproducible and independent of --jobs chunking.
 
 `mod_iso` runs the same sweep and counts isomorphism classes instead of
 models: the first falsifying model in enumeration order is always the
@@ -69,11 +69,15 @@ MAX_SEARCH_WORLDS = 5
 MAX_SEARCH_AGENTS = len(AGENT_POOL)
 MAX_SEARCH_ATOMS = 3
 
-# Frames x valuations per block: 2^17 cells.  One (F, V) uint32 extension
-# is then 512 KiB, a cached comparison mask (F uint8) at most 128 KiB and a
-# cached relation (F x n uint32: gathered rows, joint, common, cdk) at most
-# 2.5 MiB.  A block shared by every instance of a schema holds dozens of
-# these; at 2^18 cells the registry's peak RSS rose instead of falling.
+# Frames x valuations per block: 2^17 cells.  An extension holds one bit
+# per valuation for each world and frame: n * 16 KiB for 8 or more
+# valuations, and at most n * 128 KiB (640 KiB at 5 worlds) for fewer,
+# where each world and frame takes a uint8 word.  A cached comparison is
+# at most one such extension, a cached relation (F x n uint32: gathered
+# rows, joint, common, cdk) at most 2.5 MiB, and its successor masks for
+# the box (n x n words per frame) at most n extensions.  A block shared by
+# every instance of a schema holds dozens of these; at 2^18 cells the
+# registry's peak RSS rose instead of falling.
 _CHUNK_CELLS = 1 << 17
 
 __all__ = [
@@ -212,10 +216,11 @@ def _pool_keys(frame: FrameClass, n: int) -> np.ndarray:
     return keys
 
 
-def _relabel(frame: FrameClass, n: int, perm: tuple[int, ...],
-             idx: np.ndarray) -> np.ndarray:
-    """The pool index of each relation in idx (an int64 array of pool
-    indices) with every world j renamed perm[j]."""
+@lru_cache(maxsize=None)
+def _relabel_table(frame: FrameClass, n: int, perm: tuple[int, ...]):
+    """What `_relabel` applies for one relabeling: for KT, the (shift,
+    bits) pairs of pool-index bits that move together; for S4/S5, the
+    image of each world mask (read-only)."""
     if frame is FrameClass.KT:
         # A KT pool index is the relation's off-diagonal bits, pair (i, j)
         # at bit i*(n-1) + j - (j > i), so renaming permutes its bits; the
@@ -227,19 +232,30 @@ def _relabel(frame: FrameClass, n: int, perm: tuple[int, ...],
         for i, j in itertools.permutations(range(n), 2):
             shift = bit(perm[i], perm[j]) - bit(i, j)
             moves[shift] = moves.get(shift, 0) | 1 << bit(i, j)
-        out = np.zeros_like(idx)
-        for shift, mask in moves.items():
-            moved = idx & mask
-            out |= moved << shift if shift >= 0 else moved >> -shift
-        return out
-    rows = frame_relations(frame, n)[idx]
+        return tuple(moves.items())
     masks = np.arange(1 << n, dtype=np.int64)
     image = np.zeros(1 << n, dtype=np.int64)
     for j, pj in enumerate(perm):
         image |= ((masks >> j) & 1) << pj
+    image.setflags(write=False)
+    return image
+
+
+def _relabel(frame: FrameClass, n: int, perm: tuple[int, ...],
+             idx: np.ndarray) -> np.ndarray:
+    """The pool index of each relation in idx (an int64 array of pool
+    indices) with every world j renamed perm[j]."""
+    table = _relabel_table(frame, n, perm)
+    if frame is FrameClass.KT:
+        out = np.zeros_like(idx)
+        for shift, mask in table:
+            moved = idx & mask
+            out |= moved << shift if shift >= 0 else moved >> -shift
+        return out
+    rows = frame_relations(frame, n)[idx]
     keys = np.zeros(len(idx), dtype=np.int64)
     for i, pi in enumerate(perm):
-        keys |= image[rows[:, i]] << (pi * n)
+        keys |= table[rows[:, i]] << (pi * n)
     return np.searchsorted(_pool_keys(frame, n), keys)
 
 
@@ -377,7 +393,9 @@ def _block(rel_rows: np.ndarray, bounds: SearchBounds, n: int,
            atom_ext: Mapping[str, np.ndarray],
            span: Sequence[np.ndarray]) -> Block:
     """The frames of one span x all valuations."""
-    return Block(dict(zip(bounds.agents, (rel_rows[idx] for idx in span))),
+    # np.take gathers rows about ten times faster than rel_rows[idx]
+    return Block(dict(zip(bounds.agents,
+                          (np.take(rel_rows, idx, axis=0) for idx in span))),
                  atom_ext, (len(span[0]), 1 << (n * len(bounds.atoms))))
 
 
@@ -386,15 +404,14 @@ def _first_failure(block: Block, f: Formula, span: Sequence[np.ndarray],
     """(frame, valuation, extension mask) of f's first failure in the
     block of a span, frame-major, with the frame's global index (a Python
     int), or None if f holds everywhere in it."""
-    ext = np.broadcast_to(block.evaluate(f), block.shape)
-    ok = ext == block.full
-    if ok.all():
+    hit = block.first_failure(block.evaluate(f))
+    if hit is None:
         return None
-    local_f, val = divmod(int(np.argmin(ok.ravel())), block.shape[1])
+    local_f, val, mask = hit
     frame_idx = 0
     for idx in span:
         frame_idx = frame_idx * n_rels + int(idx[local_f])
-    return frame_idx, val, int(ext[local_f, val])
+    return frame_idx, val, mask
 
 
 def _validate_within(f: Formula, bounds: SearchBounds) -> None:
@@ -449,7 +466,8 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
     k = len(bounds.atoms)
     n_vals = 1 << (n * k)
     masks = _atom_masks(np.arange(n_vals, dtype=np.uint32), n, k)
-    atom_ext = {atom: mask[None, :] for atom, mask in zip(bounds.atoms, masks)}
+    atom_ext = {atom: Block.atom_words(mask, n)
+                for atom, mask in zip(bounds.atoms, masks)}
     step = max(1, _CHUNK_CELLS // n_vals)
     spans = enumerate(_frame_spans(bounds.frame, n, bounds.n_agents, step))
     first: dict[int, tuple[int, tuple[int, int, int]]] = {}

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import epicmp.cli as cli
+import epicmp.semantics as semantics
 from epicmp.cli import run_command
 from epicmp.kripke import load_model_witness, save_model
 from epicmp.semantics import satisfies
@@ -96,6 +97,23 @@ def test_valid_extension_lists_worlds_in_model_order():
     code, out, _ = run("valid", "-m", FIG3, "-f", "H1 | T1",
                        "--show-extension")
     assert (code, out) == (0, "true\nextension: s t u\n")
+
+
+def test_valid_show_extension_evaluates_the_formula_once(monkeypatch):
+    """The README example: the verdict comes from the extension, so the
+    formula is evaluated once, not once for each."""
+    calls = []
+    mask = semantics._extension_mask
+
+    def counting(*args):
+        calls.append(args)
+        return mask(*args)
+
+    monkeypatch.setattr(semantics, "_extension_mask", counting)
+    code, out, err = run("valid", "-m", FIG3, "-f", "[{b} < {a}]",
+                         "--show-extension")
+    assert (code, out, err) == (1, "false\nextension: s\n", "")
+    assert len(calls) == 1
 
 
 # --- classify -------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Bounded-search tests: enumeration sizes against closed forms, ordering,
 dedup-by-isomorphism and its Burnside count, agreement between the array
 scanner and a plain per-model sweep (`conftest.enumerate_models`) with the
-pair-set oracle, the orbit-minimal frames the scanner walks (against a
-brute-force `conftest.lex_min_frames`), the thread pool and the lazy span
-walk, and schema
-instantiation (whose instances share one scan, checked against the
+pair-set oracle (for every size of valuation word, and past the first
+word), the orbit-minimal frames the scanner walks (against a brute-force
+`conftest.lex_min_frames`), the thread pool and the lazy span walk, and
+schema instantiation (whose instances share one scan, checked against the
 per-model sweep too)."""
 
 import itertools
@@ -245,34 +245,57 @@ _MINIMAL_SWEEP_BOUNDS = [
     SearchBounds(FrameClass.KT, 1, 3, atoms=("p",)),
     SearchBounds(FrameClass.S4, 2, 3, atoms=("p",)),
     SearchBounds(FrameClass.S5, 3, 3, atoms=("p",)),
+    # An extension holds one bit per valuation: in one uint8 word for up to
+    # 8 valuations, one uint16, uint32 or uint64 word for 16, 32 or 64.
+    # The bounds above hold 4 and 8 at their largest world count, these 1,
+    # 2, 16, 32 and 64.
+    SearchBounds(FrameClass.KT, 2, 2),
+    SearchBounds(FrameClass.S5, 2, 1, atoms=("p",)),
+    SearchBounds(FrameClass.S5, 1, 4, atoms=("p",)),
+    SearchBounds(FrameClass.S5, 1, 5, atoms=("p",)),
+    SearchBounds(FrameClass.S5, 1, 3, atoms=("p", "q")),
 ]
 
 
-@pytest.mark.parametrize(
-    "bounds", _MINIMAL_SWEEP_BOUNDS,
-    ids=lambda b: f"{b.frame}-{b.n_agents}-{b.max_worlds}")
+def _bounds_id(b):
+    atoms = "" if b.atoms == ("p",) else "-" + ("".join(b.atoms) or "none")
+    return f"{b.frame}-{b.n_agents}-{b.max_worlds}{atoms}"
+
+
+def _check_every_jobs(f, bounds, want):
+    """check_validity with 8-cell blocks (spans of one to eight frames,
+    cut across prefixes) and 1, 2 or 8 threads gives want, the per-model
+    sweep's (model, witness, models checked)."""
+    m, w, checked = want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_CHUNK_CELLS", 8)
+        mp.setattr(os, "cpu_count", lambda: 8)
+        outs = [check_validity(f, bounds, jobs=jobs) for jobs in (1, 2, 8)]
+    for out in outs:
+        if m is None:
+            assert out == NoCountermodelUpTo(bounds=bounds,
+                                             models_checked=checked)
+        else:
+            assert isinstance(out, Countermodel)
+            assert encode_model(out.model, bounds.atoms) \
+                == encode_model(m, bounds.atoms)
+            assert out.witness == w
+
+
+@pytest.mark.parametrize("bounds", _MINIMAL_SWEEP_BOUNDS, ids=_bounds_id)
 def test_minimal_frame_sweep_agrees_with_per_model_sweep(bounds):
     """The first countermodel and witness of the minimal-frame scan are
     those of a plain sweep over every model, with 8-cell blocks (spans of
-    one to eight frames, cut across prefixes) and 1, 2 or 8 threads."""
+    one to eight frames, cut across prefixes) and 1, 2 or 8 threads.
+    Without atoms in the bounds, the formulas' atom is a comparison."""
+    stand_in = {} if bounds.atoms else {"p": parse("[{a} <= {b}]")}
+
     @settings(max_examples=12, deadline=None)
-    @given(formulas_over(bounds.agents, atoms=bounds.atoms, max_leaves=6))
+    @given(formulas_over(bounds.agents, atoms=bounds.atoms or ("p",),
+                         max_leaves=6))
     def check(f):
-        m, w, checked = _sweep(f, bounds)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "_CHUNK_CELLS", 8)
-            mp.setattr(os, "cpu_count", lambda: 8)
-            outs = [check_validity(f, bounds, jobs=jobs)
-                    for jobs in (1, 2, 8)]
-        for out in outs:
-            if m is None:
-                assert out == NoCountermodelUpTo(bounds=bounds,
-                                                 models_checked=checked)
-            else:
-                assert isinstance(out, Countermodel)
-                assert encode_model(out.model, bounds.atoms) \
-                    == encode_model(m, bounds.atoms)
-                assert out.witness == w
+        f = instantiate_schema(f, {}, stand_in)
+        _check_every_jobs(f, bounds, _sweep(f, bounds))
 
     check()
 
@@ -310,6 +333,89 @@ def test_frame_walk_memory_stays_below_a_relabeling_table():
     assert out == NoCountermodelUpTo(bounds=bounds,
                                      models_checked=count_models(bounds))
     assert peak < 128 << 20
+
+
+# --- several valuation words per cell ------------------------------------
+
+# 512 and 1,024 valuations at the largest world count: 8 and 16 uint64
+# words per world and frame
+_KT_1_3_PQR = SearchBounds(FrameClass.KT, 1, 3, atoms=("p", "q", "r"))
+_S5_1_5_PQ = SearchBounds(FrameClass.S5, 1, 5, atoms=("p", "q"))
+
+
+def _sweep_at(f, bounds, n):
+    """The first n-world model of the per-model sweep that falsifies f,
+    with its lowest falsifying world."""
+    for m in enumerate_models(bounds):
+        if m.n_worlds == n:
+            missing = [w for w in m.worlds if w not in oracle_extension(m, f)]
+            if missing:
+                return m, missing[0]
+    return None, None
+
+
+@pytest.mark.parametrize("bounds,text,cell", [
+    (_KT_1_3_PQR, "~p", (0, 64)),
+    (_KT_1_3_PQR, "~(p & q & r)", (0, 73)),
+    (_KT_1_3_PQR, "p -> K{a} q", (0, 64)),
+    (_S5_1_5_PQ, "K{a} p -> (q -> K{a} q)", (1, 97)),
+    (_S5_1_5_PQ, "(K{a} p & q) -> K{a} q", (1, 97)),
+    (_S5_1_5_PQ, "K{a} (p | q) -> (K{a} p | K{a} q)", (1, 34))],
+    ids=lambda x: _bounds_id(x) if isinstance(x, SearchBounds) else None)
+def test_first_failure_past_the_first_word(bounds, text, cell):
+    """Several uint64 words per cell: at the largest world count, a first
+    failure in the second word (valuation 64 and up) or at a later frame
+    is decoded to the per-model sweep's model and witness, and so is the
+    search's first countermodel."""
+    n, f = bounds.max_worlds, parse(text)
+    m, w = _sweep_at(f, bounds, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_CHUNK_CELLS", 8)
+        mp.setattr(os, "cpu_count", lambda: 8)
+        for jobs in (1, 2, 8):
+            hits = search._first_failures([f], [0], bounds, n, jobs)
+            frame_idx, val_idx, mask = hits[0]
+            assert (frame_idx, val_idx) == cell
+            got = search._model_at(bounds, n, frame_idx, val_idx)
+            assert encode_model(got, bounds.atoms) \
+                == encode_model(m, bounds.atoms)
+            missing = ~mask & ((1 << n) - 1)
+            assert got.worlds[(missing & -missing).bit_length() - 1] == w
+    _check_every_jobs(f, bounds, _sweep(f, bounds))
+
+
+@pytest.mark.parametrize("bounds", [_KT_1_3_PQR, _S5_1_5_PQ],
+                         ids=_bounds_id)
+def test_several_words_hold_everywhere(bounds):
+    """A formula valid on every model checks all of them, under every
+    jobs and block size."""
+    f = parse("(K{a} p -> p) & (K{a} (q -> p) -> (K{a} q -> K{a} p))")
+    _check_every_jobs(f, bounds, (None, None, count_models(bounds)))
+
+
+def test_an_extension_holds_one_bit_per_valuation(monkeypatch):
+    """KT, 2 agents, 4 worlds, atom p: every extension over a span holds at
+    most n * V / 8 bytes per frame (8, one uint16 per world), where one
+    uint32 world mask per valuation would take 64."""
+    blocks = []
+    block = search._block
+
+    def keep_block(rel_rows, bounds, n, atom_ext, span):
+        blocks.append(block(rel_rows, bounds, n, atom_ext, span))
+        return blocks[-1]
+
+    monkeypatch.setattr(search, "_block", keep_block)
+    bounds = SearchBounds(FrameClass.KT, 2, 4, atoms=("p",))
+    # refuted in the first span
+    assert search._first_failures([parse("p")], [0], bounds, 4, 1) \
+        == {0: (0, 0, 0)}
+    (one,) = blocks
+    n_frames, n_vals = one.shape
+    assert (n_frames, n_vals) == (search._CHUNK_CELLS // 16, 16)
+    for text in ("p", "~p", "K{a} p -> p", "[{a} <= {b}]",
+                 "D{a,b} p & ~C{a,b} ~p", "[{a} # {b}] | CD[{a};{b}] p"):
+        ext = one.evaluate(parse(text))
+        assert ext.nbytes <= n_frames * 4 * n_vals // 8
 
 
 # --- two search results pinned in full -----------------------------------
@@ -437,9 +543,12 @@ print(_first_failures([parse("p")], [0], bounds, 5, 1))
 
 
 def test_span_walk_memory_does_not_grow_with_the_span_count():
-    """KT, 2 agents, 5 worlds: 2^40 frames in 268,435,456 spans.  Finding
-    the first failure must fit in 2 GiB of address space, so nothing may
-    be held per span.  Runs in a child process under that limit."""
+    """KT, 2 agents, 5 worlds: of the 2^40 frames the walk visits only the
+    orbit-minimal ones, at least 2^40 / 5! (about 9.2 billion, since an
+    orbit of world relabelings holds at most 120 frames), in at least 2.2
+    million spans of 4,096 frames.  Finding the first failure must fit in
+    2 GiB of address space, so nothing may be held per span.  Runs in a
+    child process under that limit."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(search.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
