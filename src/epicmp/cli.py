@@ -3,7 +3,7 @@
 Subcommands: eval, valid, classify, search, corpus, close.  Exit codes:
 0 for true / valid / no countermodel / all claims pass, 1 for the negative
 answer, 2 for any usage, parse, model or bounds error, for a formula nested
-too deeply to evaluate, and for any internal error.  `search` output is
+too deeply to parse, and for any internal error.  `search` output is
 deterministic regardless of --jobs.
 """
 
@@ -218,9 +218,10 @@ def run_command(argv: Sequence[str], out: TextIO | None = None,
         print(f"error: {exc}", file=err)
         return 2
     except RecursionError:
-        # the parser takes long flat input, but hashing and evaluating a
-        # formula recurse once per nesting level
-        print("error: formula nested too deeply to evaluate", file=err)
+        # hashing, rendering and evaluating a formula take any depth, but
+        # the parser recurses once per prefix operator, parenthesis and
+        # `->`, so a formula nested deeply enough cannot be parsed
+        print("error: formula nested too deeply to parse", file=err)
         return 2
 
 

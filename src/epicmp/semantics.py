@@ -91,7 +91,6 @@ class Block:
         self._reach: dict[object, np.ndarray] = {}
         self._notins: dict[object, np.ndarray] = {}
         self._leqs: dict[tuple[Group, str], np.ndarray] = {}
-        self._memo: dict[Formula, np.ndarray] = {}
 
     @staticmethod
     def atom_words(masks: np.ndarray, n: int) -> np.ndarray:
@@ -106,10 +105,23 @@ class Block:
         return np.bitwise_or.reduce(held, axis=2)[:, None, :]
 
     def evaluate(self, f: Formula) -> np.ndarray:
-        """f's extension, broadcastable to (n, F, W)."""
-        out = self._ext(f)
-        self._memo.clear()
-        return out
+        """f's extension, broadcastable to (n, F, W).  Each subterm is
+        evaluated once, in post-order from an explicit stack, so a formula
+        of any depth evaluates; the subterm extensions are dropped on
+        return."""
+        memo: dict[Formula, np.ndarray] = {}
+        todo = [f]
+        while todo:
+            g = todo.pop()
+            if g in memo:
+                continue
+            subs = [sub for sub in g.children if sub not in memo]
+            if subs:
+                todo.append(g)
+                todo += subs
+            else:
+                memo[g] = self._ext(g, memo)
+        return memo[f]
 
     def world_mask(self, ext: np.ndarray, frame: int, val: int) -> int:
         """The worlds of one frame where ext holds at one valuation, as a
@@ -233,33 +245,32 @@ class Block:
             self._leqs[(left, agent)] = out
         return out
 
-    def _ext(self, f: Formula) -> np.ndarray:
-        out = self._memo.get(f)
-        if out is not None:
-            return out
+    def _ext(self, f: Formula,
+             memo: Mapping[Formula, np.ndarray]) -> np.ndarray:
+        """f's extension from those of its children, held in memo."""
         if isinstance(f, Atom):
             out = self.atom_ext[f.name]
         elif isinstance(f, Not):
-            out = self._ext(f.sub) ^ self.full
+            out = memo[f.sub] ^ self.full
         elif isinstance(f, And):
-            out = self._ext(f.left) & self._ext(f.right)
+            out = memo[f.left] & memo[f.right]
         elif isinstance(f, Or):
-            out = self._ext(f.left) | self._ext(f.right)
+            out = memo[f.left] | memo[f.right]
         elif isinstance(f, Imp):
-            out = (self._ext(f.left) ^ self.full) | self._ext(f.right)
+            out = (memo[f.left] ^ self.full) | memo[f.right]
         elif isinstance(f, Iff):
-            out = (self._ext(f.left) ^ self._ext(f.right)) ^ self.full
+            out = (memo[f.left] ^ memo[f.right]) ^ self.full
         elif isinstance(f, DK):
-            out = self._box(f.group, self.joint(f.group), self._ext(f.sub))
+            out = self._box(f.group, self.joint(f.group), memo[f.sub])
         elif isinstance(f, IndK):
             out = self._box(Group([f.agent]), self.rows_by_agent[f.agent],
-                            self._ext(f.sub))
+                            memo[f.sub])
         elif isinstance(f, CK):
             out = self._box(("common", f.group), self.common(f.group),
-                            self._ext(f.sub))
+                            memo[f.sub])
         elif isinstance(f, CDK):
             out = self._box(("cdk", f.groups), self.cdk(f.groups),
-                            self._ext(f.sub))
+                            memo[f.sub])
         elif isinstance(f, Cmp):
             if f.op is CmpOp.LEQ:
                 out = self._leq(f.left, f.right)
@@ -274,7 +285,6 @@ class Block:
                     out = (leq ^ self.full) & (geq ^ self.full)
         else:
             raise TypeError(f"not a formula node: {f!r}")
-        self._memo[f] = out
         return out
 
 

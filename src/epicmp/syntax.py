@@ -23,14 +23,23 @@ possible for {a} is also jointly possible for {b} -- {a}'s pooled view is
 at least as sharp, so whatever {b} jointly knows there, {a} does too.
 `<` is the strict form, `==` mutual, `#` neither direction; all three
 desugar to `<=` via expand_sugar, and `K{a}` desugars to `D{a}`.
+
+Nodes are interned: building a node that already exists returns the
+existing object, so equal formulas are identical and compare and hash in
+constant time.  `render`, `atom_names` and `agent_names` never recurse,
+so a formula of any depth the parser accepts can be rendered and
+evaluated.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
+from _weakref import _remove_dead_weakref  # what WeakValueDictionary uses
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from functools import partial, total_ordering
+from typing import Iterable
 
 MAX_GROUP_AGENTS = 8
 
@@ -62,36 +71,105 @@ class EmptyGroupError(FormulaError):
     """A group or group list with no members."""
 
 
-@dataclass(frozen=True, order=True)
-class Group:
+# --- interned nodes ------------------------------------------------------
+
+# Every node is built through this table, keyed by (class, fields).  A
+# node's fields are strings, an operator, interned groups and interned
+# subformulas, so structurally equal nodes are one object: equality and
+# hashing are identity and never recurse (hash-consing, after Filliatre &
+# Conchon, "Type-safe modular hash-consing", 2006).  The table holds its
+# nodes weakly, so it keeps alive no formula that nothing else references.
+_nodes: dict[tuple, weakref.ref] = {}
+
+
+def _forget(key: tuple, ref: weakref.ref, nodes=_nodes,
+            remove=_remove_dead_weakref) -> None:
+    # drops the entry only while it holds a dead reference: another thread
+    # may already have put a new node under the same key.  The defaults
+    # keep working while the interpreter tears the module down.
+    remove(nodes, key)
+
+
+def _intern(cls: type, *fields):
+    """The one node of class cls with these fields, built if need be."""
+    key = (cls, *fields)
+    ref = _nodes.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            object.__setattr__(node, name, value)
+        node._derive(fields)
+        new = weakref.ref(node, partial(_forget, key))
+        # setdefault, so threads that build the same node get one object
+        while (ref := _nodes.setdefault(key, new)) is not new:
+            if (other := ref()) is not None:
+                return other
+            # a dead node whose callback has not run yet
+            _remove_dead_weakref(_nodes, key)
+    return node
+
+
+class _Node:
+    """An immutable node, one object per structure: build it only through
+    its class.  `_fields` names what identifies it, in constructor order."""
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def _derive(self, fields: tuple) -> None:
+        """Cache what the node's subtree determines; its fields are set."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which returns
+        # the interned node
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+@total_ordering
+class Group(_Node):
     """Non-empty set of agent names, stored sorted for canonical identity."""
 
-    agents: tuple[str, ...]
+    __slots__ = _fields = ("agents",)
 
-    def __init__(self, agents: Iterable[str]):
+    def __new__(cls, agents: Iterable[str]) -> Group:
         names = tuple(sorted(set(agents)))
         if not names:
             raise EmptyGroupError("group must name at least one agent")
         if len(names) > MAX_GROUP_AGENTS:
             raise FormulaError(
                 f"group has {len(names)} agents (limit {MAX_GROUP_AGENTS})")
-        object.__setattr__(self, "agents", names)
+        return _intern(cls, names)
+
+    def __lt__(self, other: Group) -> bool:
+        if not isinstance(other, Group):
+            return NotImplemented
+        return self.agents < other.agents
 
     def __str__(self) -> str:
         return "{" + ",".join(self.agents) + "}"
 
 
-@dataclass(frozen=True, order=True)
-class Supergroup:
+class Supergroup(_Node):
     """Non-empty set of groups, stored sorted for canonical identity."""
 
-    groups: tuple[Group, ...]
+    __slots__ = _fields = ("groups",)
 
-    def __init__(self, groups: Iterable[Group]):
+    def __new__(cls, groups: Iterable[Group]) -> Supergroup:
         gs = tuple(sorted(set(groups)))
         if not gs:
             raise EmptyGroupError("group list must contain at least one group")
-        object.__setattr__(self, "groups", gs)
+        return _intern(cls, gs)
 
     def __str__(self) -> str:
         return ";".join(str(g) for g in self.groups)
@@ -100,79 +178,125 @@ class Supergroup:
         return Group(a for g in self.groups for a in g.agents)
 
 
-class Formula:
-    """Base class; all nodes are immutable and hashable."""
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """a | b, reusing a or b when it holds the other."""
+    if b <= a:
+        return a
+    return b if a <= b else a | b
 
-    __slots__ = ()
+
+class Formula(_Node):
+    """Base class.  Nodes are immutable and interned, so two formulas are
+    equal exactly when they are the same object.  Each node holds its
+    children and its atom and agent names, computed from its children when
+    it is built, so no query walks the tree."""
+
+    __slots__ = ("children", "_atoms", "_agents")
+    children: tuple[Formula, ...]  # the immediate subformulas, in order
+
+    def _derive(self, fields: tuple) -> None:
+        children = []
+        atoms = agents = frozenset()
+        for value in fields:
+            if isinstance(value, Formula):
+                children.append(value)
+                atoms = _union(atoms, value._atoms)
+                names = value._agents
+            elif isinstance(value, Group):
+                names = frozenset(value.agents)
+            elif isinstance(value, Supergroup):
+                names = frozenset(value.union().agents)
+            elif isinstance(value, str):
+                # IndK's agent; Atom has its own _derive
+                names = frozenset((value,))
+            else:
+                continue
+            agents = _union(agents, names)
+        object.__setattr__(self, "children", tuple(children))
+        object.__setattr__(self, "_atoms", atoms)
+        object.__setattr__(self, "_agents", agents)
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name: str) -> Atom:
+        return _intern(cls, name)
+
+    def _derive(self, fields: tuple) -> None:
+        object.__setattr__(self, "children", ())
+        object.__setattr__(self, "_atoms", frozenset(fields))
+        object.__setattr__(self, "_agents", frozenset())
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
+
+    def __new__(cls, sub: Formula) -> Not:
+        return _intern(cls, sub)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        return _intern(cls, left, right)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Imp(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DK(Formula):
+class Iff(_Binary):
+    __slots__ = ()
+
+
+class _GroupModal(Formula):
+    __slots__ = _fields = ("group", "sub")
+
+    def __new__(cls, group: Group, sub: Formula):
+        return _intern(cls, group, sub)
+
+
+class DK(_GroupModal):
     """What the group would know pooling everything its members know."""
 
-    group: Group
-    sub: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CK(Formula):
+class CK(_GroupModal):
     """Common knowledge among the group's members."""
 
-    group: Group
-    sub: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class CDK(Formula):
     """Common knowledge among groups-as-agents (each group pools first)."""
 
-    groups: Supergroup
-    sub: Formula
+    __slots__ = _fields = ("groups", "sub")
+
+    def __new__(cls, groups: Supergroup, sub: Formula) -> CDK:
+        return _intern(cls, groups, sub)
 
 
-@dataclass(frozen=True)
 class IndK(Formula):
     """Individual knowledge; sugar for a one-agent DK."""
 
-    agent: str
-    sub: Formula
+    __slots__ = _fields = ("agent", "sub")
+
+    def __new__(cls, agent: str, sub: Formula) -> IndK:
+        return _intern(cls, agent, sub)
 
 
 class CmpOp(Enum):
@@ -182,13 +306,13 @@ class CmpOp(Enum):
     INCOMP = "#"
 
 
-@dataclass(frozen=True)
 class Cmp(Formula):
     """Comparison of the epistemic strength of two groups."""
 
-    op: CmpOp
-    left: Group
-    right: Group
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __new__(cls, op: CmpOp, left: Group, right: Group) -> Cmp:
+        return _intern(cls, op, left, right)
 
 
 # --- lexer ---------------------------------------------------------------
@@ -376,44 +500,51 @@ def parse(text: str) -> Formula:
 _L_IFF, _L_IMP, _L_OR, _L_AND, _L_UNARY, _L_PRIMARY = range(1, 7)
 
 
-def _render(f: Formula, min_level: int) -> str:
+def _pieces(f: Formula) -> tuple[int, list]:
+    """f's level and its text: strings, and (child, the level the child
+    needs to go without parentheses) pairs."""
     if isinstance(f, Atom):
-        s, level = f.name, _L_PRIMARY
-    elif isinstance(f, Cmp):
-        s, level = f"[{f.left} {f.op.value} {f.right}]", _L_PRIMARY
-    elif isinstance(f, Not):
-        s, level = "~" + _render(f.sub, _L_UNARY), _L_UNARY
-    elif isinstance(f, DK):
-        s, level = f"D{f.group} " + _render(f.sub, _L_UNARY), _L_UNARY
-    elif isinstance(f, CK):
-        s, level = f"C{f.group} " + _render(f.sub, _L_UNARY), _L_UNARY
-    elif isinstance(f, IndK):
-        s, level = "K{" + f.agent + "} " + _render(f.sub, _L_UNARY), _L_UNARY
-    elif isinstance(f, CDK):
-        s, level = f"CD[{f.groups}] " + _render(f.sub, _L_UNARY), _L_UNARY
-    elif isinstance(f, And):
-        s = _render(f.left, _L_AND) + " & " + _render(f.right, _L_AND + 1)
-        level = _L_AND
-    elif isinstance(f, Or):
-        s = _render(f.left, _L_OR) + " | " + _render(f.right, _L_OR + 1)
-        level = _L_OR
-    elif isinstance(f, Imp):
+        return _L_PRIMARY, [f.name]
+    if isinstance(f, Cmp):
+        return _L_PRIMARY, [f"[{f.left} {f.op.value} {f.right}]"]
+    if isinstance(f, Not):
+        return _L_UNARY, ["~", (f.sub, _L_UNARY)]
+    if isinstance(f, DK):
+        return _L_UNARY, [f"D{f.group} ", (f.sub, _L_UNARY)]
+    if isinstance(f, CK):
+        return _L_UNARY, [f"C{f.group} ", (f.sub, _L_UNARY)]
+    if isinstance(f, IndK):
+        return _L_UNARY, ["K{" + f.agent + "} ", (f.sub, _L_UNARY)]
+    if isinstance(f, CDK):
+        return _L_UNARY, [f"CD[{f.groups}] ", (f.sub, _L_UNARY)]
+    if isinstance(f, And):
+        return _L_AND, [(f.left, _L_AND), " & ", (f.right, _L_AND + 1)]
+    if isinstance(f, Or):
+        return _L_OR, [(f.left, _L_OR), " | ", (f.right, _L_OR + 1)]
+    if isinstance(f, Imp):
         # right associative: the right child may be another Imp bare
-        s = _render(f.left, _L_IMP + 1) + " -> " + _render(f.right, _L_IMP)
-        level = _L_IMP
-    elif isinstance(f, Iff):
-        s = _render(f.left, _L_IFF) + " <-> " + _render(f.right, _L_IFF + 1)
-        level = _L_IFF
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
-    if level < min_level:
-        return "(" + s + ")"
-    return s
+        return _L_IMP, [(f.left, _L_IMP + 1), " -> ", (f.right, _L_IMP)]
+    if isinstance(f, Iff):
+        return _L_IFF, [(f.left, _L_IFF), " <-> ", (f.right, _L_IFF + 1)]
+    raise TypeError(f"not a formula node: {f!r}")
 
 
 def render(f: Formula) -> str:
-    """Render with minimal parentheses; parse(render(f)) == f."""
-    return _render(f, 0)
+    """Render with minimal parentheses; parse(render(f)) == f.  The walk
+    keeps its own stack, so a formula of any depth renders."""
+    out: list[str] = []
+    todo: list = [(f, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, min_level = item
+        level, pieces = _pieces(node)
+        if level < min_level:
+            pieces = ["(", *pieces, ")"]
+        todo.extend(reversed(pieces))
+    return "".join(out)
 
 
 # --- desugaring and traversal --------------------------------------------
@@ -458,32 +589,10 @@ def expand_sugar(f: Formula) -> Formula:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _walk(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Not):
-        yield from _walk(f.sub)
-    elif isinstance(f, (And, Or, Imp, Iff)):
-        yield from _walk(f.left)
-        yield from _walk(f.right)
-    elif isinstance(f, (DK, CK, CDK, IndK)):
-        yield from _walk(f.sub)
-
-
 def atom_names(f: Formula) -> frozenset[str]:
-    return frozenset(n.name for n in _walk(f) if isinstance(n, Atom))
+    return f._atoms
 
 
 def agent_names(f: Formula) -> frozenset[str]:
     """Every agent mentioned in any modality or comparison."""
-    agents: set[str] = set()
-    for n in _walk(f):
-        if isinstance(n, (DK, CK)):
-            agents.update(n.group.agents)
-        elif isinstance(n, CDK):
-            agents.update(n.groups.union().agents)
-        elif isinstance(n, IndK):
-            agents.add(n.agent)
-        elif isinstance(n, Cmp):
-            agents.update(n.left.agents)
-            agents.update(n.right.agents)
-    return frozenset(agents)
+    return f._agents

@@ -1,7 +1,8 @@
 """Command-line tests driven through run_command with captured streams,
 plus end-to-end checks through `main`: the exit code for unknown agents,
-and, in separate processes, for formulas nested too deeply to evaluate,
-and the console script.
+and, in separate processes, the verdict on deeply nested formulas, the
+exit code for formulas nested too deeply to parse, and the console
+script.
 
 The console-script check reads the `epicmp` entry point declared in
 pyproject.toml, writes the wrapper an installer would generate for it, and
@@ -258,16 +259,37 @@ _DEEP_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("formula", sorted(_TOO_DEEP))
-@pytest.mark.parametrize("command", sorted(_DEEP_COMMANDS))
-def test_formula_too_deep_to_evaluate_exits_2(command, formula):
+def _cli_process(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "epicmp.cli", *_DEEP_COMMANDS[command],
-         "-f", _TOO_DEEP[formula]],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "epicmp.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("formula", sorted(_TOO_DEEP))
+@pytest.mark.parametrize("command", sorted(_DEEP_COMMANDS))
+def test_formula_too_deep_to_evaluate_exits_2(command, formula):
+    """Both formulas are equivalent to p.  Hashing and evaluating them
+    used to overflow the stack and exit 2; now they get p's verdict: false
+    at s of fig3, and the same countermodel as a search for p."""
+    proc = _cli_process(*_DEEP_COMMANDS[command], "-f", _TOO_DEEP[formula])
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    if command == "eval":
+        assert proc.stdout == "false\n"
+    else:
+        plain = _cli_process(*_DEEP_COMMANDS[command], "-f", "p")
+        assert plain.returncode == 1
+        assert proc.stdout == plain.stdout
+
+
+@pytest.mark.parametrize("command", sorted(_DEEP_COMMANDS))
+def test_formula_too_deep_to_parse_exits_2(command):
+    """The parser recurses once per prefix operator, so 2,000 nested `~`
+    still overflow the stack; that is an error, not an answer."""
+    proc = _cli_process(*_DEEP_COMMANDS[command], "-f", "~" * 2000 + "p")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")

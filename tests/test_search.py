@@ -8,12 +8,14 @@ schema instantiation (whose instances share one scan, checked against the
 per-model sweep too)."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -333,6 +335,91 @@ def test_frame_walk_memory_stays_below_a_relabeling_table():
     assert out == NoCountermodelUpTo(bounds=bounds,
                                      models_checked=count_models(bounds))
     assert peak < 128 << 20
+
+
+# --- the walk's memo --------------------------------------------------------
+
+@pytest.mark.parametrize("frame,n_agents,n,orbits", [
+    (FrameClass.KT, 2, 4, 703_760),
+    (FrameClass.KT, 3, 3, 43_968),
+    (FrameClass.S4, 2, 5, 437_319)])
+def test_one_minimal_frame_per_isomorphism_class(frame, n_agents, n,
+                                                 orbits):
+    """Each class of frames under world relabeling has one least member,
+    so the walk yields as many frames as Burnside's lemma counts classes."""
+    fixed = sum(rels ** n_agents for rels, _ in search._relabelings(frame, n))
+    assert fixed // math.factorial(n) == orbits
+    assert sum(len(last) for _, last
+               in search._minimal_frames(frame, n, n_agents)) == orbits
+
+
+@pytest.mark.parametrize("frame,n_agents,n", [
+    (FrameClass.KT, 3, 3), (FrameClass.S4, 2, 4), (FrameClass.S5, 4, 4)])
+def test_a_second_walk_yields_the_same_spans(monkeypatch, frame, n_agents,
+                                             n):
+    monkeypatch.setattr(search, "_KEPT", {})
+    cold = list(search._frame_spans(frame, n, n_agents, 7))
+    assert search._KEPT
+    warm = list(search._frame_spans(frame, n, n_agents, 7))
+    assert len(warm) == len(cold)
+    for a, b in zip(cold, warm):
+        assert len(a) == len(b) == n_agents
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype == np.int64
+            assert np.array_equal(x, y)
+
+
+def test_the_walk_memo_is_read_only(monkeypatch):
+    monkeypatch.setattr(search, "_KEPT", {})
+    for _ in search._minimal_frames(FrameClass.S4, 4, 3):
+        pass
+    assert search._KEPT
+    for entry in search._KEPT.values():
+        for array in (entry.bits, entry.fixed, entry.group):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert isinstance(entry.groups, tuple)
+    assert not search._pool_range(FrameClass.S4, 4).flags.writeable
+
+
+def test_the_walk_memo_holds_one_bit_per_pool_relation(monkeypatch):
+    """S4, 2 agents, 5 worlds: after a walk the memo holds one bit per
+    pool relation per entry, plus the sparse maps of fixing relabelings
+    (an int64 array of kept indices would take 64 bits per kept
+    relation)."""
+    frame, n = FrameClass.S4, 5
+    pool = len(frame_relations(frame, n))
+    row = -(-pool // 8)
+
+    def walk():
+        for _ in search._minimal_frames(frame, n, 2):
+            pass
+
+    walk()  # the pool and the relabeling tables are cached outside the count
+    monkeypatch.setattr(search, "_KEPT", {})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        walk()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = list(search._KEPT.values())
+    sparse = 0
+    for entry in entries:
+        assert entry.bits.nbytes == row
+        kept = np.flatnonzero(np.unpackbits(entry.bits, count=pool))
+        assert np.isin(entry.fixed, kept).all()
+        assert (np.diff(entry.fixed) > 0).all()
+        assert len(entry.group) == len(entry.fixed)
+        assert all(entry.groups)
+        sparse += entry.fixed.nbytes + entry.group.nbytes \
+            + sum(sys.getsizeof(g) for g in entry.groups)
+    # keys, named tuples, array headers and the relabelings themselves:
+    # about 1.1 KiB per entry
+    overhead = 2048 * len(entries)
+    assert retained <= len(entries) * row + sparse + overhead
 
 
 # --- several valuation words per cell ------------------------------------

@@ -1,8 +1,16 @@
-"""Parser, renderer and desugaring tests."""
+"""Parser, renderer, desugaring and interning tests."""
+
+import copy
+import gc
+import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+from epicmp import syntax
+from epicmp.search import instantiate_schema
 from epicmp.syntax import (And, Atom, CDK, CK, Cmp, CmpOp, DK,
                            EmptyGroupError, FormulaError, Group, Iff, Imp,
                            IndK, LexError, Not, Or, ParseError, Supergroup,
@@ -202,3 +210,136 @@ def test_expand_sugar_leaves_only_core_nodes(f):
 def test_collectors_survive_desugar(f):
     assert atom_names(expand_sugar(f)) == atom_names(f)
     assert agent_names(expand_sugar(f)) == agent_names(f)
+
+
+# --- interning -------------------------------------------------------------
+
+_TEXT = "D{a} p & [{b,a} < {c}] -> CD[{c};{a,b}] ~K{a} (q <-> C{b} p)"
+
+
+def test_parsing_one_text_twice_gives_one_object():
+    assert parse(_TEXT) is parse(_TEXT)
+    assert parse("[{b,a} <= {c}]") is parse("[{a,b} <= {c}]")
+    assert Group(["b", "a"]) is Group(("a", "b", "a"))
+
+
+def test_a_schema_instance_is_its_parsed_rendering():
+    schema = parse("[{A} <= {B}] -> (D{B} phi -> D{A} phi) & K{E} psi")
+    inst = instantiate_schema(
+        schema, {"A": Group(["a"]), "B": Group(["a", "b"]),
+                 "E": Group(["c"])},
+        {"phi": parse("p & ~q"), "psi": parse("C{a,c} r")})
+    assert inst is parse(render(inst))
+
+
+def _rebuilt(f):
+    """A structural copy of f, built bottom-up through the constructors
+    from fresh strings and groups."""
+    def group(g):
+        return Group(["".join(a) for a in g.agents])
+
+    if isinstance(f, Atom):
+        return Atom("".join(f.name))
+    if isinstance(f, Cmp):
+        return Cmp(f.op, group(f.left), group(f.right))
+    if isinstance(f, Not):
+        return Not(_rebuilt(f.sub))
+    if isinstance(f, (And, Or, Imp, Iff)):
+        return type(f)(_rebuilt(f.left), _rebuilt(f.right))
+    if isinstance(f, (DK, CK)):
+        return type(f)(group(f.group), _rebuilt(f.sub))
+    if isinstance(f, IndK):
+        return IndK("".join(f.agent), _rebuilt(f.sub))
+    return CDK(Supergroup(group(g) for g in f.groups.groups),
+               _rebuilt(f.sub))
+
+
+def _subformulas(f):
+    out, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        out.append(g)
+        todo.extend(g.children)
+    return out
+
+
+@given(st.data())
+def test_equal_rendering_iff_same_object(data):
+    f = data.draw(formulas)
+    g = data.draw(st.one_of(formulas, st.just(_rebuilt(f)),
+                            st.sampled_from(_subformulas(f))))
+    assert (render(f) == render(g)) == (f is g)
+    assert (f == g) == (f is g)
+    assert _rebuilt(f) is f
+
+
+def test_nodes_are_immutable():
+    f = parse(_TEXT)
+    with pytest.raises(AttributeError):
+        f.left = Atom("p")
+    with pytest.raises(AttributeError):
+        setattr(f.left.left, "sub", Atom("q"))
+    with pytest.raises(AttributeError):
+        del f.right
+    with pytest.raises(AttributeError):
+        Group(["a"]).agents = ("b",)
+    with pytest.raises(AttributeError):
+        Atom("p").extra = 1
+    assert render(f) == render(parse(_TEXT))
+
+
+def test_the_table_drops_a_formula_nothing_references():
+    gc.collect()
+    before = len(syntax._nodes)
+    f = parse("D{a} throwaway_atom & ~throwaway_atom")
+    assert (Atom, "throwaway_atom") in syntax._nodes
+    assert len(syntax._nodes) == before + 4
+    del f
+    gc.collect()
+    assert (Atom, "throwaway_atom") not in syntax._nodes
+    assert len(syntax._nodes) == before
+
+
+def test_threads_parsing_one_text_get_one_object():
+    """8 threads parse each of 200 new texts at once, with a short switch
+    interval so they interleave inside the table: each text gives one
+    object."""
+    texts = [f"D{{a,b}} (t{i} -> ~[{{a}} < {{b}}]) & C{{a}} t{i} | u{i}"
+             for i in range(200)]
+    barrier = threading.Barrier(8)
+    results = [[] for _ in range(8)]
+
+    def work(k):
+        for text in texts:
+            barrier.wait(timeout=30)
+            results[k].append(parse(text))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(r) == len(texts) for r in results)
+    for i, text in enumerate(texts):
+        first = results[0][i]
+        assert all(r[i] is first for r in results)
+        assert parse(text) is first
+
+
+def test_copy_and_pickle_return_the_interned_object():
+    f = parse(_TEXT)
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert copy.deepcopy([f, f.left])[1] is f.left
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(f, protocol)) is f
+    g = Supergroup([Group(["b", "a"]), Group(["c"])])
+    assert pickle.loads(pickle.dumps(g)) is g
+    assert copy.deepcopy(g) is g
