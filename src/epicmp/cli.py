@@ -2,9 +2,9 @@
 
 Subcommands: eval, valid, classify, search, corpus, close.  Exit codes:
 0 for true / valid / no countermodel / all claims pass, 1 for the negative
-answer, 2 for any usage, parse, model or bounds error, for a formula nested
-too deeply to parse, and for any internal error.  `search` output is
-deterministic regardless of --jobs.
+answer, 2 for any usage, parse, model or bounds error and for any internal
+error.  A formula gets its answer however deeply it nests.  `search`
+output is deterministic regardless of --jobs.
 """
 
 from __future__ import annotations
@@ -216,12 +216,6 @@ def run_command(argv: Sequence[str], out: TextIO | None = None,
     except (_CliError, FormulaError, ModelError, BoundsError,
             CorpusError) as exc:
         print(f"error: {exc}", file=err)
-        return 2
-    except RecursionError:
-        # hashing, rendering and evaluating a formula take any depth, but
-        # the parser recurses once per prefix operator, parenthesis and
-        # `->`, so a formula nested deeply enough cannot be parsed
-        print("error: formula nested too deeply to parse", file=err)
         return 2
 
 

@@ -60,9 +60,8 @@ import numpy as np
 
 from .kripke import FrameClass, KripkeModel, Relation
 from .semantics import Block
-from .syntax import (And, Atom, CDK, CK, Cmp, DK, Formula, Group, Iff,
-                     Imp, IndK, Not, Or, Supergroup, agent_names, atom_names,
-                     parse)
+from .syntax import (Atom, CDK, CK, Cmp, DK, Formula, Group, IndK,
+                     Supergroup, agent_names, atom_names, fold, parse)
 
 AGENT_POOL = ("a", "b", "c", "d")
 MAX_SEARCH_WORLDS = 5
@@ -663,6 +662,8 @@ class SchemaInstance:
 
 
 def _subst_group(g: Group, group_map: Mapping[str, Group]) -> Group:
+    if len(g.agents) == 1:
+        return group_map.get(g.agents[0], g)
     agents: list[str] = []
     for a in g.agents:
         if a in group_map:
@@ -672,36 +673,32 @@ def _subst_group(g: Group, group_map: Mapping[str, Group]) -> Group:
     return Group(agents)
 
 
+# each node that names a placeholder, from its instantiated children and
+# the group and formula maps; the other nodes rebuild from their children
+_SUBST = {
+    Atom: lambda f, gm, fm: fm.get(f.name, f),
+    DK: lambda f, gm, fm, sub: DK(_subst_group(f.group, gm), sub),
+    CK: lambda f, gm, fm, sub: CK(_subst_group(f.group, gm), sub),
+    CDK: lambda f, gm, fm, sub: CDK(
+        Supergroup(_subst_group(g, gm) for g in f.groups.groups), sub),
+    IndK: lambda f, gm, fm, sub: (DK(gm[f.agent], sub) if f.agent in gm
+                                  else f.rebuild(sub)),
+    Cmp: lambda f, gm, fm: Cmp(f.op, _subst_group(f.left, gm),
+                               _subst_group(f.right, gm)),
+}
+
+
 def instantiate_schema(schema: Formula, group_map: Mapping[str, Group],
                        formula_map: Mapping[str, Formula]) -> Formula:
     """Substitute placeholder group members (unioning) and placeholder
     atoms; non-placeholder names pass through unchanged."""
-    if isinstance(schema, Atom):
-        return formula_map.get(schema.name, schema)
-    if isinstance(schema, Not):
-        return Not(instantiate_schema(schema.sub, group_map, formula_map))
-    if isinstance(schema, (And, Or, Imp, Iff)):
-        return type(schema)(
-            instantiate_schema(schema.left, group_map, formula_map),
-            instantiate_schema(schema.right, group_map, formula_map))
-    if isinstance(schema, (DK, CK)):
-        return type(schema)(
-            _subst_group(schema.group, group_map),
-            instantiate_schema(schema.sub, group_map, formula_map))
-    if isinstance(schema, CDK):
-        return CDK(
-            Supergroup(_subst_group(g, group_map)
-                       for g in schema.groups.groups),
-            instantiate_schema(schema.sub, group_map, formula_map))
-    if isinstance(schema, IndK):
-        sub = instantiate_schema(schema.sub, group_map, formula_map)
-        if schema.agent in group_map:
-            return DK(group_map[schema.agent], sub)
-        return IndK(schema.agent, sub)
-    if isinstance(schema, Cmp):
-        return Cmp(schema.op, _subst_group(schema.left, group_map),
-                   _subst_group(schema.right, group_map))
-    raise TypeError(f"not a formula node: {schema!r}")
+    def step(f: Formula, *subs: Formula) -> Formula:
+        subst = _SUBST.get(type(f))
+        if subst is None:
+            return f.rebuild(*subs)
+        return subst(f, group_map, formula_map, *subs)
+
+    return fold(schema, step)
 
 
 def _placeholders_in(schema: Formula) -> tuple[list[str], list[str]]:

@@ -34,7 +34,7 @@ import numpy as np
 from .kripke import KripkeModel, ModelError, UnknownAgentError
 from .syntax import (Atom, CK, CDK, Cmp, CmpOp, DK, Formula, Iff, Imp, IndK,
                      And, Group, Not, Or, Supergroup, agent_names,
-                     atom_names)
+                     atom_names, fold)
 
 __all__ = ["Block", "satisfies", "valid_in_model", "extension",
            "UnknownAtomError"]
@@ -88,7 +88,7 @@ class Block:
         self.bits = self.dtype.itemsize * 8
         self.full = self.dtype.type(np.iinfo(self.dtype).max)
         self._joint: dict[Group, np.ndarray] = {}
-        self._reach: dict[object, np.ndarray] = {}
+        self._reach: dict[Supergroup, np.ndarray] = {}
         self._notins: dict[object, np.ndarray] = {}
         self._leqs: dict[tuple[Group, str], np.ndarray] = {}
 
@@ -105,23 +105,11 @@ class Block:
         return np.bitwise_or.reduce(held, axis=2)[:, None, :]
 
     def evaluate(self, f: Formula) -> np.ndarray:
-        """f's extension, broadcastable to (n, F, W).  Each subterm is
-        evaluated once, in post-order from an explicit stack, so a formula
-        of any depth evaluates; the subterm extensions are dropped on
-        return."""
-        memo: dict[Formula, np.ndarray] = {}
-        todo = [f]
-        while todo:
-            g = todo.pop()
-            if g in memo:
-                continue
-            subs = [sub for sub in g.children if sub not in memo]
-            if subs:
-                todo.append(g)
-                todo += subs
-            else:
-                memo[g] = self._ext(g, memo)
-        return memo[f]
+        """f's extension, broadcastable to (n, F, W): a fold, so each
+        subterm is evaluated once, from its children's extensions, and a
+        formula of any depth evaluates.  The subterm extensions are
+        dropped on return."""
+        return fold(f, lambda g, *subs: _EXT[type(g)](self, g, *subs))
 
     def world_mask(self, ext: np.ndarray, frame: int, val: int) -> int:
         """The worlds of one frame where ext holds at one valuation, as a
@@ -163,25 +151,17 @@ class Block:
         return rows
 
     def common(self, group: Group) -> np.ndarray:
-        key = ("common", group)
-        out = self._reach.get(key)
-        if out is None:
-            acc = self.rows_by_agent[group.agents[0]]
-            for agent in group.agents[1:]:
-                acc = acc | self.rows_by_agent[agent]
-            out = self._closure(acc)
-            self._reach[key] = out
-        return out
+        # the group's members, each as a group of one, pooling nothing
+        return self.cdk(Supergroup(Group([a]) for a in group.agents))
 
     def cdk(self, groups: Supergroup) -> np.ndarray:
-        key = ("cdk", groups)
-        out = self._reach.get(key)
+        out = self._reach.get(groups)
         if out is None:
             acc = self.joint(groups.groups[0])
             for g in groups.groups[1:]:
                 acc = acc | self.joint(g)
             out = self._closure(acc)
-            self._reach[key] = out
+            self._reach[groups] = out
         return out
 
     def _notin(self, key: object, rows: np.ndarray) -> np.ndarray:
@@ -245,47 +225,34 @@ class Block:
             self._leqs[(left, agent)] = out
         return out
 
-    def _ext(self, f: Formula,
-             memo: Mapping[Formula, np.ndarray]) -> np.ndarray:
-        """f's extension from those of its children, held in memo."""
-        if isinstance(f, Atom):
-            out = self.atom_ext[f.name]
-        elif isinstance(f, Not):
-            out = memo[f.sub] ^ self.full
-        elif isinstance(f, And):
-            out = memo[f.left] & memo[f.right]
-        elif isinstance(f, Or):
-            out = memo[f.left] | memo[f.right]
-        elif isinstance(f, Imp):
-            out = (memo[f.left] ^ self.full) | memo[f.right]
-        elif isinstance(f, Iff):
-            out = (memo[f.left] ^ memo[f.right]) ^ self.full
-        elif isinstance(f, DK):
-            out = self._box(f.group, self.joint(f.group), memo[f.sub])
-        elif isinstance(f, IndK):
-            out = self._box(Group([f.agent]), self.rows_by_agent[f.agent],
-                            memo[f.sub])
-        elif isinstance(f, CK):
-            out = self._box(("common", f.group), self.common(f.group),
-                            memo[f.sub])
-        elif isinstance(f, CDK):
-            out = self._box(("cdk", f.groups), self.cdk(f.groups),
-                            memo[f.sub])
-        elif isinstance(f, Cmp):
-            if f.op is CmpOp.LEQ:
-                out = self._leq(f.left, f.right)
-            else:
-                leq = self._leq(f.left, f.right)
-                geq = self._leq(f.right, f.left)
-                if f.op is CmpOp.LT:
-                    out = leq & (geq ^ self.full)
-                elif f.op is CmpOp.EQV:
-                    out = leq & geq
-                else:
-                    out = (leq ^ self.full) & (geq ^ self.full)
-        else:
-            raise TypeError(f"not a formula node: {f!r}")
-        return out
+    def _cmp(self, f: Cmp) -> np.ndarray:
+        leq = self._leq(f.left, f.right)
+        if f.op is CmpOp.LEQ:
+            return leq
+        geq = self._leq(f.right, f.left)
+        if f.op is CmpOp.LT:
+            return leq & (geq ^ self.full)
+        if f.op is CmpOp.EQV:
+            return leq & geq
+        return (leq ^ self.full) & (geq ^ self.full)
+
+
+# each node's extension in block b, from its children's
+_EXT = {
+    Atom: lambda b, f: b.atom_ext[f.name],
+    Not: lambda b, f, sub: sub ^ b.full,
+    And: lambda b, f, left, right: left & right,
+    Or: lambda b, f, left, right: left | right,
+    Imp: lambda b, f, left, right: (left ^ b.full) | right,
+    Iff: lambda b, f, left, right: (left ^ right) ^ b.full,
+    DK: lambda b, f, sub: b._box(f.group, b.joint(f.group), sub),
+    IndK: lambda b, f, sub: b._box(Group([f.agent]),
+                                   b.rows_by_agent[f.agent], sub),
+    CK: lambda b, f, sub: b._box(("common", f.group), b.common(f.group),
+                                 sub),
+    CDK: lambda b, f, sub: b._box(("cdk", f.groups), b.cdk(f.groups), sub),
+    Cmp: Block._cmp,
+}
 
 
 def _extension_mask(m: KripkeModel, f: Formula, strict_atoms: bool) -> int:

@@ -26,9 +26,12 @@ desugar to `<=` via expand_sugar, and `K{a}` desugars to `D{a}`.
 
 Nodes are interned: building a node that already exists returns the
 existing object, so equal formulas are identical and compare and hash in
-constant time.  `render`, `atom_names` and `agent_names` never recurse,
-so a formula of any depth the parser accepts can be rendered and
-evaluated.
+constant time.  `fold` is the one walk over a formula: it visits each
+distinct subformula once, in post-order from an explicit stack, and
+`expand_sugar`, schema instantiation and evaluation are folds.  The
+parser and `render` keep explicit stacks too, and `atom_names` and
+`agent_names` read what each node caches, so no formula operation
+recurses on depth.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from _weakref import _remove_dead_weakref  # what WeakValueDictionary uses
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial, total_ordering
-from typing import Iterable
+from typing import Callable, Iterable
 
 MAX_GROUP_AGENTS = 8
 
@@ -47,7 +50,7 @@ __all__ = [
     "Formula", "Atom", "Not", "And", "Or", "Imp", "Iff",
     "DK", "CK", "CDK", "IndK", "Cmp", "CmpOp", "Group", "Supergroup",
     "FormulaError", "LexError", "ParseError", "EmptyGroupError",
-    "parse", "render", "expand_sugar", "atom_names", "agent_names",
+    "parse", "render", "fold", "expand_sugar", "atom_names", "agent_names",
 ]
 
 
@@ -126,9 +129,14 @@ class _Node:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __deepcopy__(self, memo=None):
+        return self
+
+    __copy__ = __deepcopy__
+
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor, which returns
-        # the interned node
+        # pickle rebuilds through the constructor, which returns the
+        # interned node
         return type(self), tuple(getattr(self, n) for n in self._fields)
 
     def __repr__(self) -> str:
@@ -191,7 +199,7 @@ class Formula(_Node):
     children and its atom and agent names, computed from its children when
     it is built, so no query walks the tree."""
 
-    __slots__ = ("children", "_atoms", "_agents")
+    __slots__ = ("children", "_atoms", "_agents", "_order")
     children: tuple[Formula, ...]  # the immediate subformulas, in order
 
     def _derive(self, fields: tuple) -> None:
@@ -215,9 +223,22 @@ class Formula(_Node):
         object.__setattr__(self, "children", tuple(children))
         object.__setattr__(self, "_atoms", atoms)
         object.__setattr__(self, "_agents", agents)
+        object.__setattr__(self, "_order", None)  # see fold
+
+    def rebuild(self, *children: Formula) -> Formula:
+        """This node with new children, in order; the node itself when
+        they are its own.  A node's children are its last fields."""
+        if children == self.children:
+            return self
+        kept = self._fields[:len(self._fields) - len(children)]
+        return _intern(type(self), *[getattr(self, n) for n in kept],
+                       *children)
 
     def __str__(self) -> str:
         return render(self)
+
+    def __repr__(self) -> str:
+        return f"parse({render(self)!r})"
 
 
 class Atom(Formula):
@@ -230,6 +251,7 @@ class Atom(Formula):
         object.__setattr__(self, "children", ())
         object.__setattr__(self, "_atoms", frozenset(fields))
         object.__setattr__(self, "_agents", frozenset())
+        object.__setattr__(self, "_order", ())
 
 
 class Not(Formula):
@@ -350,141 +372,143 @@ def _tokenize(text: str) -> list[_Token]:
 
 # --- parser --------------------------------------------------------------
 
+# The binary connectives, loosest first: (level, class, text).  `->` is
+# right associative and the others left associative.  Prefix operators
+# bind at _L_UNARY, atoms and comparisons at _L_PRIMARY.
+_BINARY = ((1, Iff, "<->"), (2, Imp, "->"), (3, Or, "|"), (4, And, "&"))
+_L_UNARY, _L_PRIMARY = 5, 6
+_INFIX = {text: (level, cls) for level, cls, text in _BINARY}
+_INFIX_OF = {cls: (level, text) for level, cls, text in _BINARY}
+
+
+def _indk(tok: _Token, group: Group, sub: Formula) -> IndK:
+    if len(group.agents) != 1:
+        raise ParseError(f"K takes a single agent, got {group}", tok.pos)
+    return IndK(group.agents[0], sub)
+
+
+def _reduce(args: list[Formula], ops: list, level: int) -> None:
+    """Apply the pending operators of at least this level."""
+    while ops and ops[-1][0] >= level:
+        op_level, build = ops.pop()
+        if op_level == _L_UNARY:
+            args[-1] = build(args[-1])
+        else:
+            right = args.pop()
+            args[-1] = build(args[-1], right)
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+        # a last token of kind "end" marks the end of the input
+        self.tokens = [*_tokenize(text), _Token("end", "", len(text))]
         self.i = 0
 
-    def _peek(self, ahead: int = 0) -> _Token | None:
-        j = self.i + ahead
-        return self.tokens[j] if j < len(self.tokens) else None
-
-    def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.i += 1
-        return tok
-
-    def _expect(self, kind: str) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError(f"expected {kind!r}, got end of input",
-                             len(self.text))
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, got {tok.text!r}", tok.pos)
+    def _next(self, kind: str | None = None) -> _Token:
+        """The next token, which must be of this kind if one is given."""
+        tok = self.tokens[self.i]
+        if (tok.kind == "end") if kind is None else (tok.kind != kind):
+            got = "end of input" if tok.kind == "end" else repr(tok.text)
+            raise ParseError(f"unexpected {got}" if kind is None else
+                             f"expected {kind!r}, got {got}", tok.pos)
         self.i += 1
         return tok
 
     def _at(self, kind: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == kind
+        return self.tokens[self.i].kind == kind
 
     def parse(self) -> Formula:
-        f = self._iff()
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok.text!r} after formula", tok.pos)
-        return f
+        """Operator precedence over two explicit stacks: `args` holds the
+        finished operands, `ops` the operators still waiting for theirs
+        as (level, build)."""
+        args: list[Formula] = []
+        ops: list[tuple[int, Callable | None]] = []
+        while True:
+            tok = self._next()
+            op = self._opener(tok)
+            if op is not None:
+                ops.append(op)
+                continue
+            args.append(self._leaf(tok))
+            # the operand is finished: apply its prefixes, and close the
+            # parentheses it finishes; once the binary operators are
+            # applied, an open parenthesis is all that can be left
+            _reduce(args, ops, _L_UNARY)
+            while self._at(")"):
+                _reduce(args, ops, 1)
+                if not ops:
+                    break
+                self.i += 1
+                ops.pop()
+                _reduce(args, ops, _L_UNARY)
+            tok = self.tokens[self.i]
+            if tok.kind not in _INFIX:
+                _reduce(args, ops, 1)
+                if ops:
+                    self._next(")")
+                if tok.kind != "end":
+                    raise ParseError(f"unexpected {tok.text!r} after formula",
+                                     tok.pos)
+                return args[0]
+            self.i += 1
+            level, cls = _INFIX[tok.kind]
+            _reduce(args, ops, level + (cls is Imp))
+            ops.append((level, cls))
 
-    def _iff(self) -> Formula:
-        left = self._imp()
-        while self._at("<->"):
-            self._next()
-            left = Iff(left, self._imp())
-        return left
-
-    def _imp(self) -> Formula:
-        left = self._or()
-        if self._at("->"):
-            self._next()
-            return Imp(left, self._imp())
-        return left
-
-    def _or(self) -> Formula:
-        left = self._and()
-        while self._at("|"):
-            self._next()
-            left = Or(left, self._and())
-        return left
-
-    def _and(self) -> Formula:
-        left = self._unary()
-        while self._at("&"):
-            self._next()
-            left = And(left, self._unary())
-        return left
-
-    def _unary(self) -> Formula:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
+    def _opener(self, tok: _Token) -> tuple[int, Callable | None] | None:
+        """The operator tok opens, with its groups read, or None: an open
+        parenthesis as (0, None), a prefix operator as (_L_UNARY, build)."""
+        if tok.kind == "(":
+            return 0, None
         if tok.kind == "~":
-            self._next()
-            return Not(self._unary())
-        if tok.kind == "ident":
-            nxt = self._peek(1)
-            if tok.text in ("D", "C", "K") and nxt is not None \
-                    and nxt.kind == "{":
-                self._next()
-                group = self._group()
-                sub = self._unary()
-                if tok.text == "D":
-                    return DK(group, sub)
-                if tok.text == "C":
-                    return CK(group, sub)
-                if len(group.agents) != 1:
-                    raise ParseError(
-                        f"K takes a single agent, got {group}", tok.pos)
-                return IndK(group.agents[0], sub)
-            if tok.text == "CD" and nxt is not None and nxt.kind == "[":
-                self._next()
-                self._expect("[")
-                groups = [self._group()]
-                while self._at(";"):
-                    self._next()
-                    groups.append(self._group())
-                self._expect("]")
-                return CDK(Supergroup(groups), self._unary())
-        return self._primary()
+            return _L_UNARY, Not
+        if tok.kind != "ident":
+            return None
+        nxt = self.tokens[self.i]
+        if tok.text in ("D", "C", "K") and nxt.kind == "{":
+            build = {"D": DK, "C": CK, "K": partial(_indk, tok)}[tok.text]
+            return _L_UNARY, partial(build, self._group())
+        if tok.text == "CD" and nxt.kind == "[":
+            self.i += 1
+            groups = [self._group()]
+            while self._at(";"):
+                self.i += 1
+                groups.append(self._group())
+            self._next("]")
+            return _L_UNARY, partial(CDK, Supergroup(groups))
+        return None
 
-    def _primary(self) -> Formula:
-        tok = self._next()
+    def _leaf(self, tok: _Token) -> Formula:
         if tok.kind == "ident":
             return Atom(tok.text)
-        if tok.kind == "(":
-            f = self._iff()
-            self._expect(")")
-            return f
-        if tok.kind == "[":
-            left = self._group()
-            op_tok = self._next()
-            try:
-                op = CmpOp(op_tok.kind)
-            except ValueError:
-                raise ParseError(
-                    f"expected comparison operator, got {op_tok.text!r}",
-                    op_tok.pos) from None
-            right = self._group()
-            self._expect("]")
-            return Cmp(op, left, right)
-        raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+        if tok.kind != "[":
+            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+        left = self._group()
+        op_tok = self._next()
+        try:
+            op = CmpOp(op_tok.kind)
+        except ValueError:
+            raise ParseError(
+                f"expected comparison operator, got {op_tok.text!r}",
+                op_tok.pos) from None
+        right = self._group()
+        self._next("]")
+        return Cmp(op, left, right)
 
     def _group(self) -> Group:
-        open_tok = self._expect("{")
+        open_tok = self._next("{")
         if self._at("}"):
             raise EmptyGroupError(
                 f"empty group at column {open_tok.pos + 1}")
-        names = [self._expect("ident").text]
+        names = [self._next("ident").text]
         while self._at(","):
-            self._next()
-            tok = self._expect("ident")
+            self.i += 1
+            tok = self._next("ident")
             if tok.text in names:
                 raise ParseError(f"duplicate agent {tok.text!r} in group",
                                  tok.pos)
             names.append(tok.text)
-        self._expect("}")
+        self._next("}")
         return Group(names)
 
 
@@ -495,42 +519,35 @@ def parse(text: str) -> Formula:
 
 # --- rendering -----------------------------------------------------------
 
-# precedence levels; a node is parenthesized when its level is below the
-# minimum its context demands
-_L_IFF, _L_IMP, _L_OR, _L_AND, _L_UNARY, _L_PRIMARY = range(1, 7)
+# the text of each node without children, and of each prefix operator
+_TEXT = {
+    Atom: lambda f: f.name,
+    Cmp: lambda f: f"[{f.left} {f.op.value} {f.right}]",
+    Not: lambda f: "~",
+    DK: lambda f: f"D{f.group} ",
+    CK: lambda f: f"C{f.group} ",
+    IndK: lambda f: "K{" + f.agent + "} ",
+    CDK: lambda f: f"CD[{f.groups}] ",
+}
 
 
 def _pieces(f: Formula) -> tuple[int, list]:
     """f's level and its text: strings, and (child, the level the child
     needs to go without parentheses) pairs."""
-    if isinstance(f, Atom):
-        return _L_PRIMARY, [f.name]
-    if isinstance(f, Cmp):
-        return _L_PRIMARY, [f"[{f.left} {f.op.value} {f.right}]"]
-    if isinstance(f, Not):
-        return _L_UNARY, ["~", (f.sub, _L_UNARY)]
-    if isinstance(f, DK):
-        return _L_UNARY, [f"D{f.group} ", (f.sub, _L_UNARY)]
-    if isinstance(f, CK):
-        return _L_UNARY, [f"C{f.group} ", (f.sub, _L_UNARY)]
-    if isinstance(f, IndK):
-        return _L_UNARY, ["K{" + f.agent + "} ", (f.sub, _L_UNARY)]
-    if isinstance(f, CDK):
-        return _L_UNARY, [f"CD[{f.groups}] ", (f.sub, _L_UNARY)]
-    if isinstance(f, And):
-        return _L_AND, [(f.left, _L_AND), " & ", (f.right, _L_AND + 1)]
-    if isinstance(f, Or):
-        return _L_OR, [(f.left, _L_OR), " | ", (f.right, _L_OR + 1)]
-    if isinstance(f, Imp):
-        # right associative: the right child may be another Imp bare
-        return _L_IMP, [(f.left, _L_IMP + 1), " -> ", (f.right, _L_IMP)]
-    if isinstance(f, Iff):
-        return _L_IFF, [(f.left, _L_IFF), " <-> ", (f.right, _L_IFF + 1)]
-    raise TypeError(f"not a formula node: {f!r}")
+    cls = type(f)
+    if cls in _INFIX_OF:
+        level, text = _INFIX_OF[cls]
+        # the operand on the associative side may sit bare at f's level
+        left, right = (level + 1, level) if cls is Imp else (level, level + 1)
+        return level, [(f.left, left), f" {text} ", (f.right, right)]
+    if cls not in _TEXT:
+        raise TypeError(f"not a formula node: {f!r}")
+    level = _L_UNARY if f.children else _L_PRIMARY
+    return level, [_TEXT[cls](f), *[(sub, level) for sub in f.children]]
 
 
 def render(f: Formula) -> str:
-    """Render with minimal parentheses; parse(render(f)) == f.  The walk
+    """Render with minimal parentheses; parse(render(f)) is f.  The walk
     keeps its own stack, so a formula of any depth renders."""
     out: list[str] = []
     todo: list = [(f, 0)]
@@ -547,7 +564,56 @@ def render(f: Formula) -> str:
     return "".join(out)
 
 
-# --- desugaring and traversal --------------------------------------------
+# --- the walk -------------------------------------------------------------
+
+def fold(f: Formula, step: Callable):
+    """step(f, *results), where each child's result is its own fold.
+    Each distinct subformula is folded once, children first, in an order
+    found with an explicit stack, so a formula of any depth folds.  The
+    order is cached on f without f, so f holds no reference cycle."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula node: {f!r}")
+    if f._order is None:
+        seen, order, todo = {f}, [], [*reversed(f.children)]
+        while todo:
+            g = todo.pop()
+            subs = [c for c in reversed(g.children) if c not in seen]
+            if subs:
+                todo += g, *subs
+            elif g not in seen:
+                seen.add(g)
+                order.append(g)
+        object.__setattr__(f, "_order", tuple(order))
+    done: dict[Formula, object] = {}
+    result = done.__getitem__
+    for g in f._order:
+        done[g] = step(g, *map(result, g.children))
+    return step(f, *map(result, f.children))
+
+
+def _core_cmp(f: Cmp) -> Formula:
+    leq = Cmp(CmpOp.LEQ, f.left, f.right)
+    if f.op is CmpOp.LEQ:
+        return leq
+    geq = Cmp(CmpOp.LEQ, f.right, f.left)
+    if f.op is CmpOp.LT:
+        return And(leq, Not(geq))
+    if f.op is CmpOp.EQV:
+        return And(leq, geq)
+    return And(Not(leq), Not(geq))
+
+
+# each sugared node in the core fragment, from its children's; the other
+# nodes rebuild from theirs
+_CORE = {
+    Or: lambda f, left, right: Not(And(Not(left), Not(right))),
+    Imp: lambda f, left, right: Not(And(left, Not(right))),
+    Iff: lambda f, left, right: And(Not(And(left, Not(right))),
+                                    Not(And(right, Not(left)))),
+    IndK: lambda f, sub: DK(Group([f.agent]), sub),
+    Cmp: _core_cmp,
+}
+
 
 def expand_sugar(f: Formula) -> Formula:
     """Rewrite to the core fragment: atoms, ~, &, D, C, CD, [<=].
@@ -555,38 +621,8 @@ def expand_sugar(f: Formula) -> Formula:
     K{a} becomes D{a};  [A < B] becomes [A <= B] & ~[B <= A];
     [A == B] both directions;  [A # B] neither;  |, ->, <-> become ~/&.
     """
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(expand_sugar(f.sub))
-    if isinstance(f, And):
-        return And(expand_sugar(f.left), expand_sugar(f.right))
-    if isinstance(f, Or):
-        return Not(And(Not(expand_sugar(f.left)), Not(expand_sugar(f.right))))
-    if isinstance(f, Imp):
-        return Not(And(expand_sugar(f.left), Not(expand_sugar(f.right))))
-    if isinstance(f, Iff):
-        left, right = expand_sugar(f.left), expand_sugar(f.right)
-        return And(Not(And(left, Not(right))), Not(And(right, Not(left))))
-    if isinstance(f, DK):
-        return DK(f.group, expand_sugar(f.sub))
-    if isinstance(f, CK):
-        return CK(f.group, expand_sugar(f.sub))
-    if isinstance(f, CDK):
-        return CDK(f.groups, expand_sugar(f.sub))
-    if isinstance(f, IndK):
-        return DK(Group([f.agent]), expand_sugar(f.sub))
-    if isinstance(f, Cmp):
-        leq = Cmp(CmpOp.LEQ, f.left, f.right)
-        geq = Cmp(CmpOp.LEQ, f.right, f.left)
-        if f.op is CmpOp.LEQ:
-            return leq
-        if f.op is CmpOp.LT:
-            return And(leq, Not(geq))
-        if f.op is CmpOp.EQV:
-            return And(leq, geq)
-        return And(Not(leq), Not(geq))
-    raise TypeError(f"not a formula node: {f!r}")
+    return fold(f, lambda g, *subs:
+                _CORE.get(type(g), Formula.rebuild)(g, *subs))
 
 
 def atom_names(f: Formula) -> frozenset[str]:

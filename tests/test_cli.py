@@ -1,8 +1,8 @@
 """Command-line tests driven through run_command with captured streams,
 plus end-to-end checks through `main`: the exit code for unknown agents,
-and, in separate processes, the verdict on deeply nested formulas, the
-exit code for formulas nested too deeply to parse, and the console
-script.
+and, in separate processes, the verdict on deeply nested formulas (no
+depth is too deep to parse or evaluate), exit 2 on an internal error, and
+the console script.
 
 The console-script check reads the `epicmp` entry point declared in
 pyproject.toml, writes the wrapper an installer would generate for it, and
@@ -251,6 +251,7 @@ def test_close_produces_the_requested_frame(tmp_path):
 _TOO_DEEP = {
     "600-nested-not": "~" * 600 + "p",
     "5000-conjuncts": " & ".join(["p"] * 5000),
+    "5000-parentheses": "(" * 5000 + "p" + ")" * 5000,
 }
 _DEEP_COMMANDS = {
     "eval": ["eval", "-m", FIG3, "-w", "s"],
@@ -271,10 +272,15 @@ def _cli_process(*argv):
 @pytest.mark.parametrize("formula", sorted(_TOO_DEEP))
 @pytest.mark.parametrize("command", sorted(_DEEP_COMMANDS))
 def test_formula_too_deep_to_evaluate_exits_2(command, formula):
-    """Both formulas are equivalent to p.  Hashing and evaluating them
-    used to overflow the stack and exit 2; now they get p's verdict: false
-    at s of fig3, and the same countermodel as a search for p."""
-    proc = _cli_process(*_DEEP_COMMANDS[command], "-f", _TOO_DEEP[formula])
+    """Every formula here is equivalent to p.  Hashing and evaluating the
+    first two used to overflow the stack and exit 2, and parsing the
+    third; now they get p's verdict: false at s of fig3, and the same
+    countermodel as a search for p."""
+    _assert_verdict_of_p(command, _TOO_DEEP[formula])
+
+
+def _assert_verdict_of_p(command, formula):
+    proc = _cli_process(*_DEEP_COMMANDS[command], "-f", formula)
     assert proc.returncode == 1
     assert proc.stderr == ""
     if command == "eval":
@@ -287,13 +293,10 @@ def test_formula_too_deep_to_evaluate_exits_2(command, formula):
 
 @pytest.mark.parametrize("command", sorted(_DEEP_COMMANDS))
 def test_formula_too_deep_to_parse_exits_2(command):
-    """The parser recurses once per prefix operator, so 2,000 nested `~`
-    still overflow the stack; that is an error, not an answer."""
-    proc = _cli_process(*_DEEP_COMMANDS[command], "-f", "~" * 2000 + "p")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error:")
-    assert "Traceback" not in proc.stderr
+    """2,000 nested `~` overflowed the recursive parser's stack and exited
+    2; the parser keeps explicit stacks now, so the formula gets p's
+    verdict."""
+    _assert_verdict_of_p(command, "~" * 2000 + "p")
 
 
 def test_main_exits_2_on_an_internal_error(monkeypatch, capsys):

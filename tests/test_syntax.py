@@ -12,10 +12,10 @@ from hypothesis import given, strategies as st
 from epicmp import syntax
 from epicmp.search import instantiate_schema
 from epicmp.syntax import (And, Atom, CDK, CK, Cmp, CmpOp, DK,
-                           EmptyGroupError, FormulaError, Group, Iff, Imp,
-                           IndK, LexError, Not, Or, ParseError, Supergroup,
-                           agent_names, atom_names, expand_sugar, parse,
-                           render)
+                           EmptyGroupError, Formula, FormulaError, Group, Iff,
+                           Imp, IndK, LexError, Not, Or, ParseError,
+                           Supergroup, agent_names, atom_names, expand_sugar,
+                           fold, parse, render)
 
 
 def test_atom_and_precedence():
@@ -103,6 +103,46 @@ def test_lex_error_positions():
 def test_parse_error_on_trailing_input():
     with pytest.raises(ParseError, match="unexpected"):
         parse("p q")
+
+
+_MESSAGES = [
+    (parse, ("(p q",), ParseError, "expected ')', got 'q' (column 4)"),
+    (parse, ("((p)",), ParseError,
+     "expected ')', got end of input (column 5)"),
+    (parse, ("(p))",), ParseError, "unexpected ')' after formula (column 4)"),
+    (parse, ("-> p",), ParseError, "unexpected '->' (column 1)"),
+    (parse, ("p & & q",), ParseError, "unexpected '&' (column 5)"),
+    (parse, ("p ->",), ParseError, "unexpected end of input (column 5)"),
+    (parse, ("CD[{a};{b} p",), ParseError,
+     "expected ']', got 'p' (column 12)"),
+    (parse, ("C{a} (p) (q)",), ParseError,
+     "unexpected '(' after formula (column 10)"),
+    (parse, ("D{a}",), ParseError, "unexpected end of input (column 5)"),
+    (parse, ("{a}",), ParseError, "unexpected '{' (column 1)"),
+    (parse, ("K{a,b} p & q",), ParseError,
+     "K takes a single agent, got {a,b} (column 1)"),
+    (parse, ("[{a} -> {b}]",), ParseError,
+     "expected comparison operator, got '->' (column 6)"),
+    (parse, ("D{a,a} p",), ParseError,
+     "duplicate agent 'a' in group (column 5)"),
+    (parse, ("D{} p",), EmptyGroupError, "empty group at column 2"),
+    (parse, ("p $ q",), LexError, "unexpected character '$' (column 3)"),
+    (render, ("p",), TypeError, "not a formula node: 'p'"),
+    (expand_sugar, ("p",), TypeError, "not a formula node: 'p'"),
+    (instantiate_schema, ("p", {}, {}), TypeError,
+     "not a formula node: 'p'"),
+]
+
+
+@pytest.mark.parametrize("fn, args, error, message", _MESSAGES,
+                         ids=[f"{fn.__name__}:{args[0]}"
+                              for fn, args, _, _ in _MESSAGES])
+def test_error_messages(fn, args, error, message):
+    """The exact text of each parse error, and a non-formula given to a
+    formula operation is a TypeError."""
+    with pytest.raises(error) as exc:
+        fn(*args)
+    assert str(exc.value) == message
 
 
 def test_parse_error_on_missing_operand():
@@ -210,6 +250,47 @@ def test_expand_sugar_leaves_only_core_nodes(f):
 def test_collectors_survive_desugar(f):
     assert atom_names(expand_sugar(f)) == atom_names(f)
     assert agent_names(expand_sugar(f)) == agent_names(f)
+
+
+@given(formulas)
+def test_rebuild_replaces_the_children_in_order(f):
+    assert f.rebuild(*f.children) is f
+    g = f.rebuild(*map(Not, f.children))
+    assert type(g) is type(f)
+    assert g.children == tuple(map(Not, f.children))
+    for name in f._fields:
+        if not isinstance(getattr(f, name), Formula):
+            assert getattr(g, name) is getattr(f, name)
+
+
+@given(formulas)
+def test_fold_visits_each_subformula_once_after_its_children(f):
+    visited = []
+
+    def step(g, *subs):
+        assert subs == tuple(map(render, g.children))
+        assert set(g.children) <= set(visited)
+        visited.append(g)
+        return render(g)
+
+    assert fold(f, step) == render(f)
+    assert len(visited) == len(set(visited)) == len(set(_subformulas(f)))
+    assert visited[-1] is f
+
+
+def test_a_folded_formula_holds_no_reference_cycle():
+    """With the cyclic collector off, only reference counts free a
+    formula: one that fold left in a cycle would stay in the table."""
+    gc.collect()
+    gc.disable()
+    try:
+        f = parse("D{a} fold_atom & ~fold_atom -> fold_atom")
+        fold(f, lambda g, *subs: g)
+        assert (Atom, "fold_atom") in syntax._nodes
+        del f
+        assert (Atom, "fold_atom") not in syntax._nodes
+    finally:
+        gc.enable()
 
 
 # --- interning -------------------------------------------------------------
@@ -343,3 +424,58 @@ def test_copy_and_pickle_return_the_interned_object():
     g = Supergroup([Group(["b", "a"]), Group(["c"])])
     assert pickle.loads(pickle.dumps(g)) is g
     assert copy.deepcopy(g) is g
+
+
+# --- depth ----------------------------------------------------------------
+
+def _right_nested_and(leaf, depth):
+    f = leaf
+    for _ in range(depth - 1):
+        f = And(leaf, f)
+    return f
+
+
+_DEEP = {
+    "5000-conjuncts": lambda leaf: parse(" & ".join([leaf] * 5000)),
+    "5000-right-nested": lambda leaf: _right_nested_and(Atom(leaf), 5000),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP))
+def test_deep_formulas_desugar_and_instantiate(shape):
+    """5,000 nested `&` are rewritten and instantiated: the conjuncts
+    are the placeholder phi, then p, then p | q desugared."""
+    f = _DEEP[shape]("p")
+    assert expand_sugar(f) is f
+    schema = _DEEP[shape]("phi")
+    assert instantiate_schema(schema, {}, {"phi": Atom("p")}) is f
+    sugared = instantiate_schema(schema, {}, {"phi": parse("p | q")})
+    assert expand_sugar(sugared) is instantiate_schema(
+        schema, {}, {"phi": parse("~(~p & ~q)")})
+
+
+def test_deep_formulas_parse_and_round_trip():
+    f = _right_nested_and(Atom("p"), 5000)
+    assert parse(render(f)) is f
+    assert parse("(" * 5000 + "p" + ")" * 5000) is Atom("p")
+    chain = parse(" -> ".join(f"p{i}" for i in range(5000)))
+    for i in range(4999):
+        assert chain.left is Atom(f"p{i}")
+        chain = chain.right
+    assert chain is Atom("p4999")
+    assert parse("~" * 2000 + "p") is _not_chain(2000)
+
+
+def _not_chain(depth):
+    f = Atom("p")
+    for _ in range(depth):
+        f = Not(f)
+    return f
+
+
+def test_deep_formulas_copy_and_repr():
+    f = _not_chain(900)
+    assert copy.deepcopy(f) is f
+    assert copy.copy(f) is f
+    assert repr(f) == "parse(" + repr("~" * 900 + "p") + ")"
+    assert eval(repr(f), {"parse": parse}) is f
