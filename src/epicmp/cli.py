@@ -40,8 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _load(path: str) -> KripkeModel:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
     return load_model(text)
 

@@ -4,18 +4,22 @@ The models within bounds are ordered by world count, then frame index,
 then valuation index.  With n worlds:
 
     frame      one relation per agent from the frame class's pool
-               (`frame_relations`, ascending by the row masks packed row 0
-               lowest); the frame index reads the agents' pool positions
-               as base-len(pool) digits, first agent most significant
+               (`frame_relations`, ascending by code); the frame index
+               reads the agents' pool positions as base-len(pool) digits,
+               first agent most significant
     valuation  one world mask per atom; the valuation index reads the
                masks as n-bit digits, first atom most significant
 
-`_frame_rows` and `_atom_masks` decode the two indices, and no other
-module knows the order.  The pools are:
+A reflexive relation's code holds its off-diagonal pairs as bits, (i, j)
+at `_bit(n, i, j)`, in the order of (i, j), so codes ascend as the row
+masks packed row 0 lowest do, and renaming the worlds permutes a code's
+bits (`_relabel`).  `_frame_rows` and `_atom_masks` decode the two
+indices, and no other module knows the order.  The pools (`_pool_codes`)
+are:
 
-    KT  every reflexive relation
-    S4  every reflexive transitive relation
-    S5  every equivalence (one per set partition of the worlds)
+    KT  every code, so a KT pool index is its code
+    S4  the codes of transitive relations
+    S5  the codes of equivalences (one per set partition of the worlds)
 
 `check_formulas` sweeps the space with numpy for a list of formulas at
 once: one axis walks frames, one enumerates valuations, and
@@ -137,66 +141,64 @@ class Countermodel:
 SearchOutcome = NoCountermodelUpTo | Countermodel
 
 
-# --- per-frame relation pools --------------------------------------------
+# --- relation codes and pools ---------------------------------------------
 
-def _set_partitions(n: int) -> Iterator[list[int]]:
-    """Block assignments in restricted-growth order; a[i] is i's block."""
-    a = [0] * n
-
-    def rec(i: int, mx: int) -> Iterator[list[int]]:
-        if i == n:
-            yield a
-            return
-        for v in range(mx + 2):
-            a[i] = v
-            yield from rec(i + 1, max(mx, v))
-
-    yield from rec(1, 0)
+def _bit(n: int, i: int, j: int) -> int:
+    """The bit of the pair (i, j), i != j, in the code of a reflexive
+    relation on n worlds: its off-diagonal pairs in the order of (i, j)."""
+    return i * (n - 1) + j - (j > i)
 
 
-def _rows_key(rows: Sequence[int], n: int) -> int:
-    out = 0
-    for i, row in enumerate(rows):
-        out |= row << (i * n)
-    return out
+def _rows(codes: np.ndarray, n: int) -> np.ndarray:
+    """The reflexive relations with these codes, as a (len, n) uint32
+    array of row masks, built in place: a KT/5 pool has 2^20 codes."""
+    rows = np.empty((len(codes), n), dtype=np.uint32)
+    row, bit = np.empty_like(codes), np.empty_like(codes)
+    for i in range(n):
+        row[...] = 1 << i
+        for j in range(n):
+            if j != i:
+                np.right_shift(codes, _bit(n, i, j), out=bit)
+                bit &= 1
+                bit <<= j
+                row |= bit
+        rows[:, i] = row
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _pool_codes(frame: FrameClass, n: int) -> np.ndarray:
+    """The codes of the frame class's pool over n worlds, ascending
+    (int64): all codes (KT), or the transitive ones among all (S4) or the
+    symmetric (S5) codes.  Cached and shared, so read-only."""
+    if frame is FrameClass.S5:
+        pairs = list(itertools.combinations(range(n), 2))
+        sym = np.arange(1 << len(pairs), dtype=np.int64)
+        codes = np.zeros_like(sym)
+        for t, (i, j) in enumerate(pairs):
+            both = 1 << _bit(n, i, j) | 1 << _bit(n, j, i)
+            codes |= (sym >> t & 1) * both
+        codes.sort()
+    else:
+        codes = np.arange(1 << (n * n - n), dtype=np.int64)
+    if frame is not FrameClass.KT:
+        rows = _rows(codes, n)
+        ok = np.ones(len(codes), dtype=bool)
+        for i, k in itertools.permutations(range(n), 2):
+            # k a successor of i: every successor of k is one of i
+            ok &= (rows[:, i] >> k & 1 == 0) | (rows[:, k] & ~rows[:, i] == 0)
+        codes = codes[ok]
+    codes.setflags(write=False)
+    return codes
 
 
 @lru_cache(maxsize=None)
 def frame_relations(frame: FrameClass, n: int) -> np.ndarray:
     """All per-agent relations for the frame class over n worlds, as a
-    (count, n) uint32 array of row masks, ascending by `_rows_key`.
-    The array is cached and shared, so it is read-only."""
-    if frame is FrameClass.S5:
-        rels = []
-        for assign in _set_partitions(n):
-            blocks: dict[int, int] = {}
-            for i, b in enumerate(assign):
-                blocks[b] = blocks.get(b, 0) | (1 << i)
-            rels.append(tuple(blocks[b] for b in assign))
-        rels.sort(key=lambda rows: _rows_key(rows, n))
-        rows = np.array(rels, dtype=np.uint32)
-        rows.setflags(write=False)
-        return rows
-
-    free = n * n - n
-    count = 1 << free
-    rows = np.zeros((count, n), dtype=np.uint32)
-    r = np.arange(count, dtype=np.uint64)
-    k = 0
-    for i in range(n):
-        rows[:, i] = np.uint32(1 << i)
-        for j in range(n):
-            if i == j:
-                continue
-            rows[:, i] |= ((r >> np.uint64(k)) & 1).astype(np.uint32) << j
-            k += 1
-    if frame is FrameClass.S4:
-        ok = np.ones(count, dtype=bool)
-        for i in range(n):
-            for kk in range(n):
-                via = ((rows[:, i] >> kk) & 1).astype(bool)
-                ok &= ~(via & ((rows[:, i] | rows[:, kk]) != rows[:, i]))
-        rows = rows[ok]
+    (count, n) uint32 array of row masks, ascending by code
+    (`_pool_codes`).  The array is cached and shared, so it is
+    read-only."""
+    rows = _rows(_pool_codes(frame, n), n)
     rows.setflags(write=False)
     return rows
 
@@ -204,65 +206,36 @@ def frame_relations(frame: FrameClass, n: int) -> np.ndarray:
 # --- world relabelings ----------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _pool_keys(frame: FrameClass, n: int) -> np.ndarray:
-    """`_rows_key` of each relation in the pool, ascending (int64); cached
-    and shared, so read-only."""
-    rows = frame_relations(frame, n).astype(np.int64)
-    keys = np.zeros(len(rows), dtype=np.int64)
-    for i in range(n):
-        keys |= rows[:, i] << (i * n)
-    keys.setflags(write=False)
-    return keys
-
-
-@lru_cache(maxsize=None)
-def _relabel_table(frame: FrameClass, n: int, perm: tuple[int, ...]):
-    """What `_relabel` applies for one relabeling: for KT, the (shift,
-    bits) pairs of pool-index bits that move together; for S4/S5, the
-    image of each world mask (read-only)."""
-    if frame is FrameClass.KT:
-        # A KT pool index is the relation's off-diagonal bits, pair (i, j)
-        # at bit i*(n-1) + j - (j > i), so renaming permutes its bits; the
-        # bits that move by the same shift move together.
-        def bit(i: int, j: int) -> int:
-            return i * (n - 1) + j - (j > i)
-
-        moves: dict[int, int] = {}
-        for i, j in itertools.permutations(range(n), 2):
-            shift = bit(perm[i], perm[j]) - bit(i, j)
-            moves[shift] = moves.get(shift, 0) | 1 << bit(i, j)
-        return tuple(moves.items())
-    masks = np.arange(1 << n, dtype=np.int64)
-    image = np.zeros(1 << n, dtype=np.int64)
-    for j, pj in enumerate(perm):
-        image |= ((masks >> j) & 1) << pj
-    image.setflags(write=False)
-    return image
+def _relabel_table(n: int, perm: tuple[int, ...]):
+    """The (shift, bits) pairs `_relabel` applies for one relabeling:
+    renaming the worlds permutes a code's bits, and the bits that move by
+    the same shift move together."""
+    moves: dict[int, int] = {}
+    for i, j in itertools.permutations(range(n), 2):
+        shift = _bit(n, perm[i], perm[j]) - _bit(n, i, j)
+        moves[shift] = moves.get(shift, 0) | 1 << _bit(n, i, j)
+    return tuple(moves.items())
 
 
 def _relabel(frame: FrameClass, n: int, perm: tuple[int, ...],
              idx: np.ndarray) -> np.ndarray:
     """The pool index of each relation in idx (an int64 array of pool
-    indices) with every world j renamed perm[j]."""
-    table = _relabel_table(frame, n, perm)
-    if frame is FrameClass.KT:
-        # one scratch array for the moved bits: a KT/5 pool is 8 MB of
-        # indices, and the walk relabels it whole
-        out = np.zeros_like(idx)
-        moved = np.empty_like(idx)
-        for shift, mask in table:
-            np.bitwise_and(idx, mask, out=moved)
-            if shift >= 0:
-                moved <<= shift
-            else:
-                moved >>= -shift
-            out |= moved
-        return out
-    rows = frame_relations(frame, n)[idx]
-    keys = np.zeros(len(idx), dtype=np.int64)
-    for i, pi in enumerate(perm):
-        keys |= table[rows[:, i]] << (pi * n)
-    return np.searchsorted(_pool_keys(frame, n), keys)
+    indices) with every world j renamed perm[j].  A KT pool index is its
+    code, so KT needs neither the gather of codes nor their lookup."""
+    codes = _pool_codes(frame, n)
+    src = idx if frame is FrameClass.KT else codes[idx]
+    # one scratch array for the moved bits: a KT/5 pool is 8 MB of codes,
+    # and the walk relabels it whole
+    out = np.zeros_like(src)
+    moved = np.empty_like(src)
+    for shift, mask in _relabel_table(n, perm):
+        np.bitwise_and(src, mask, out=moved)
+        if shift >= 0:
+            moved <<= shift
+        else:
+            moved >>= -shift
+        out |= moved
+    return out if frame is FrameClass.KT else np.searchsorted(codes, out)
 
 
 def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -285,7 +258,7 @@ def _relabelings(frame: FrameClass, n: int) -> tuple[tuple[int, int], ...]:
     class's pool, and how many sets of worlds, it maps onto themselves.
     Both depend only on the relabeling's cycle lengths, so each cycle
     type is counted once."""
-    pool = np.arange(len(frame_relations(frame, n)), dtype=np.int64)
+    pool = _pool_range(frame, n)
     by_type: dict[tuple[int, ...], tuple[int, int]] = {}
     out = []
     for perm in itertools.permutations(range(n)):
@@ -303,7 +276,7 @@ def _models_at(bounds: SearchBounds, n: int) -> int:
     world relabelings of the models each relabeling fixes."""
     k = len(bounds.atoms)
     if not bounds.mod_iso:
-        return len(frame_relations(bounds.frame, n)) ** bounds.n_agents \
+        return len(_pool_codes(bounds.frame, n)) ** bounds.n_agents \
             << (n * k)
     fixed = sum(rels ** bounds.n_agents * sets ** k
                 for rels, sets in _relabelings(bounds.frame, n))
@@ -338,9 +311,11 @@ def _atom_masks(val_idx, n: int, n_atoms: int):
 @lru_cache(maxsize=None)
 def _pool_range(frame: FrameClass, n: int) -> np.ndarray:
     """Every pool index, ascending (int64): what a prefix whose only
-    fixing relabeling is the identity keeps.  Cached and shared, so
-    read-only."""
-    out = np.arange(len(frame_relations(frame, n)), dtype=np.int64)
+    fixing relabeling is the identity keeps.  For KT this is the array of
+    codes itself.  Cached and shared, so read-only."""
+    if frame is FrameClass.KT:
+        return _pool_codes(frame, n)
+    out = np.arange(len(_pool_codes(frame, n)), dtype=np.int64)
     out.setflags(write=False)
     return out
 

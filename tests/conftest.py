@@ -4,24 +4,27 @@ for the property tests.
 The oracles work on relations as sets of pairs and extensions as
 frozensets of world indices, independently of the numpy evaluator in
 `epicmp.semantics`, so tests that compare the two are real cross-checks.
+`relation_pool` builds each frame class's relations from plain ints and
+`Relation`'s property checks, in the documented order.
 `enumerate_models` yields the search space one `KripkeModel` at a time,
 in the order of the packed byte key `encode_model` builds, and drops
 isomorphic models by a brute-force `canonicalize`; `lex_min_frames` lists
-the frames no world relabeling makes smaller by brute force over the
-plain pool product.  Both take only the relation pools from
-`epicmp.search`, so the search's own index decoding and frame walk are
+the frames no world relabeling (`relabel_rows`) makes smaller by brute
+force over the plain pool product.  Neither reads `epicmp.search`'s pools,
+so its pool order, index decoding, relabeling and frame walk are all
 checked against them."""
 
 from __future__ import annotations
 
 import itertools
 import struct
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import hypothesis.strategies as st
 
-from epicmp.kripke import KripkeModel, ModelError, Relation
-from epicmp.search import SearchBounds, frame_relations
+from epicmp.kripke import FrameClass, KripkeModel, ModelError, Relation
+from epicmp.search import SearchBounds
 from epicmp.syntax import (And, Atom, CDK, CK, Cmp, CmpOp, DK, Group, Iff,
                            Imp, IndK, Not, Or, Supergroup)
 
@@ -273,8 +276,7 @@ def enumerate_models(bounds: SearchBounds) -> Iterator[KripkeModel]:
     k = len(bounds.atoms)
     for n in range(1, bounds.max_worlds + 1):
         worlds = tuple(f"w{i}" for i in range(n))
-        pool = [tuple(int(x) for x in rows)
-                for rows in frame_relations(bounds.frame, n)]
+        pool = relation_pool(bounds.frame, n)
         seen: set[bytes] | None = set() if bounds.mod_iso else None
         for combo in itertools.product(pool, repeat=len(agents)):
             relations = tuple(Relation(rows) for rows in combo)
@@ -290,23 +292,52 @@ def enumerate_models(bounds: SearchBounds) -> Iterator[KripkeModel]:
                 yield m
 
 
+@lru_cache(maxsize=None)
+def relation_pool(frame: FrameClass, n: int) -> tuple[tuple[int, ...], ...]:
+    """Every relation of the frame class over n worlds, as a tuple of row
+    masks, ascending by the row masks packed row 0 lowest (row i at bits
+    i*n and up).  Candidates are plain ints, every relation for KT and S4
+    and every symmetric one for S5; `Relation`'s own checks filter them."""
+    if frame is FrameClass.S5:
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    else:
+        pairs = list(itertools.product(range(n), repeat=2))
+    pool = []
+    for chosen in range(1 << len(pairs)):
+        rows = [0] * n
+        for t, (i, j) in enumerate(pairs):
+            if chosen >> t & 1:
+                rows[i] |= 1 << j
+                if frame is FrameClass.S5:
+                    rows[j] |= 1 << i
+        rel = Relation(tuple(rows))
+        if rel.is_reflexive() \
+                and (frame is FrameClass.KT or rel.is_transitive()) \
+                and (frame is not FrameClass.S5 or rel.is_symmetric()):
+            pool.append(rel.rows)
+    pool.sort(key=lambda rows: sum(row << (i * n)
+                                   for i, row in enumerate(rows)))
+    return tuple(pool)
+
+
+def relabel_rows(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """A relation's row masks with every world i renamed perm[i]: row i
+    becomes row perm[i], and bit j bit perm[j]."""
+    new = [0] * len(rows)
+    for i, row in enumerate(rows):
+        new[perm[i]] = sum(1 << perm[j] for j in range(len(rows))
+                           if row >> j & 1)
+    return tuple(new)
+
+
 def lex_min_frames(frame, n: int, n_agents: int) -> list[tuple[int, ...]]:
     """Every n-world frame, as a tuple of pool indices (one per agent),
     that no world relabeling maps to a lexicographically smaller tuple,
     ascending."""
-    pool = [tuple(int(x) for x in rows) for rows in frame_relations(frame, n)]
+    pool = relation_pool(frame, n)
     index = {rows: i for i, rows in enumerate(pool)}
-    images = []
-    for perm in itertools.permutations(range(n)):
-        image = []
-        for rows in pool:
-            # world i -> perm[i]: row i becomes row perm[i], bit j bit perm[j]
-            new = [0] * n
-            for i, row in enumerate(rows):
-                new[perm[i]] = sum(1 << perm[j] for j in range(n)
-                                   if row >> j & 1)
-            image.append(index[tuple(new)])
-        images.append(image)
+    images = [[index[relabel_rows(rows, perm)] for rows in pool]
+              for perm in itertools.permutations(range(n))]
     return [combo for combo in itertools.product(range(len(pool)),
                                                  repeat=n_agents)
             if all(tuple(image[i] for i in combo) >= combo

@@ -80,6 +80,18 @@ def test_eval_missing_model_file():
     assert "no-such.km" in err
 
 
+def test_eval_model_file_that_is_not_utf8(tmp_path):
+    """Undecodable bytes are a model-file error (exit 2), not an internal
+    crash with a traceback."""
+    bad = tmp_path / "bad.km"
+    bad.write_bytes(b"\xff\xfe")
+    proc = _cli_process("eval", "-m", str(bad), "-w", "s", "-f", "p")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot read {bad}: ")
+    assert "Traceback" not in proc.stderr
+
+
 # --- valid ----------------------------------------------------------------
 
 def test_valid_true():

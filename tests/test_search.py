@@ -2,7 +2,9 @@
 dedup-by-isomorphism and its Burnside count, agreement between the array
 scanner and a plain per-model sweep (`conftest.enumerate_models`) with the
 pair-set oracle (for every size of valuation word, and past the first
-word), the orbit-minimal frames the scanner walks (against a brute-force
+word), the relation pools and their world relabelings (against
+`conftest.relation_pool` and `conftest.relabel_rows`), the orbit-minimal
+frames the scanner walks (against a brute-force
 `conftest.lex_min_frames`), the thread pool and the lazy span walk, and
 schema instantiation (whose instances share one scan, checked against the
 per-model sweep too)."""
@@ -22,7 +24,8 @@ from hypothesis import given, settings
 import epicmp.search as search
 import epicmp.semantics as semantics
 from conftest import (canonicalize, encode_model, enumerate_models,
-                      formulas_over, lex_min_frames, oracle_extension)
+                      formulas_over, lex_min_frames, oracle_extension,
+                      relabel_rows, relation_pool)
 from epicmp.kripke import FrameClass, classify_frame
 from epicmp.search import (AGENT_POOL, BoundsError, Countermodel,
                            DEFAULT_FORMULA_POOL, NoCountermodelUpTo,
@@ -51,6 +54,30 @@ def test_relation_pool_sizes_match_closed_forms():
     # reflexive+transitive relation counts (preorders)
     assert [len(frame_relations(FrameClass.S4, n))
             for n in range(1, 5)] == [1, 4, 29, 355]
+
+
+@pytest.mark.parametrize("frame,n", [
+    *itertools.product((FrameClass.KT, FrameClass.S4), range(1, 5)),
+    *((FrameClass.S5, n) for n in range(1, 6))])
+def test_relation_pools_are_the_plain_pools_in_order(frame, n):
+    assert [tuple(int(x) for x in rows)
+            for rows in frame_relations(frame, n)] \
+        == list(relation_pool(frame, n))
+
+
+@pytest.mark.parametrize("frame,n,step", [
+    *((frame, n, 1) for frame in (FrameClass.KT, FrameClass.S4,
+                                  FrameClass.S5) for n in range(1, 5)),
+    (FrameClass.S4, 5, 13), (FrameClass.S5, 5, 13)])
+def test_relabel_renames_the_worlds_of_every_pool_relation(frame, n, step):
+    """Every relabeling of up to 4 worlds, and every step-th one of 5."""
+    pool = [tuple(int(x) for x in rows) for rows in frame_relations(frame, n)]
+    index = {rows: i for i, rows in enumerate(pool)}
+    idx = np.arange(len(pool), dtype=np.int64)
+    for perm in itertools.islice(itertools.permutations(range(n)),
+                                 step - 1, None, step):
+        assert search._relabel(frame, n, perm, idx).tolist() \
+            == [index[relabel_rows(rows, perm)] for rows in pool]
 
 
 def test_count_models_examples():
