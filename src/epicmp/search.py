@@ -73,14 +73,14 @@ MAX_SEARCH_AGENTS = len(AGENT_POOL)
 MAX_SEARCH_ATOMS = 3
 
 # Frames x valuations per block: 2^17 cells.  An extension holds one bit
-# per valuation for each world and frame: n * 16 KiB for 8 or more
-# valuations, and at most n * 128 KiB (640 KiB at 5 worlds) for fewer,
-# where each world and frame takes a uint8 word.  A cached comparison is
-# at most one such extension, a cached relation (F x n uint32: gathered
-# rows, joint, common, cdk) at most 2.5 MiB, and its successor masks for
-# the box (n x n words per frame) at most n extensions.  A block shared by
-# every instance of a schema holds dozens of these; at 2^18 cells the
-# registry's peak RSS rose instead of falling.
+# per cell, n * 16 KiB at most (80 KiB at 5 worlds); with fewer than 8
+# valuations a uint8 word holds several frames, so an atomless span of
+# 2^17 frames packs into the same n * 16 KiB.  A cached comparison is at
+# most one such extension, and a relation's rows (gathered, joint, common,
+# cdk, and the complement rows a box reads) are F x n bytes: at most
+# 640 KiB, for an atomless span at 5 worlds.  A block shared by every
+# instance of a schema holds dozens of these; at 2^18 cells the registry's
+# peak RSS rose instead of falling.
 _CHUNK_CELLS = 1 << 17
 
 __all__ = [
@@ -150,9 +150,10 @@ def _bit(n: int, i: int, j: int) -> int:
 
 
 def _rows(codes: np.ndarray, n: int) -> np.ndarray:
-    """The reflexive relations with these codes, as a (len, n) uint32
-    array of row masks, built in place: a KT/5 pool has 2^20 codes."""
-    rows = np.empty((len(codes), n), dtype=np.uint32)
+    """The reflexive relations with these codes, as a (len, n) uint8
+    array of row masks (up to 5 worlds, so a row fits a byte), built in
+    place: a KT/5 pool has 2^20 codes."""
+    rows = np.empty((len(codes), n), dtype=np.uint8)
     row, bit = np.empty_like(codes), np.empty_like(codes)
     for i in range(n):
         row[...] = 1 << i
@@ -195,7 +196,7 @@ def _pool_codes(frame: FrameClass, n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def frame_relations(frame: FrameClass, n: int) -> np.ndarray:
     """All per-agent relations for the frame class over n worlds, as a
-    (count, n) uint32 array of row masks, ascending by code
+    (count, n) uint8 array of row masks, ascending by code
     (`_pool_codes`).  The array is cached and shared, so it is
     read-only."""
     rows = _rows(_pool_codes(frame, n), n)

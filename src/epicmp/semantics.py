@@ -1,21 +1,24 @@
 """Truth evaluation of formulas: the one evaluator.
 
 A `Block` holds models that share a world count: F frames, each a tuple of
-per-agent relations stored as (F, n) uint32 row masks, times V valuations.
-The valuation axis is bit-sliced: an extension holds, for each world and
-frame, W words whose bits are the valuations (one word of the smallest
-unsigned type that holds V bits, or V/64 uint64 words), shaped
-(n, F|1, W|1) with the world axis first and broadcast on demand.  Each
-connective is one bitwise operation on those words.  A box operator holds
-at w, for a valuation, when the operand holds there at every R-successor
-v of w: it is the AND over v of `ext[v] | notin[v, w]`, where notin[v, w]
-is all ones when v is not a successor of w and 0 when it is.  The
-comparison `[A <= B]` holds at w when A's joint row at w is contained in
-B's: A's pooled information is at least as sharp, so anything B jointly
-knows at w transfers to A.  It does not depend on the valuation, so it is
-one word per world and frame, all ones or 0.  The strict/mutual/
-incomparable forms and `K{a}` are evaluated directly with the same row
-tests their desugarings produce.
+per-agent relations stored as (F, n) row masks in the rows' own unsigned
+dtype (uint8 in the search), times V valuations.  The bit axis is the
+frame-major (frame, valuation) cell, bit-sliced: an extension holds, for
+each world, words whose bits are the cells, frames first and valuations
+within a frame.  With 8 or more valuations a frame takes W words of the
+smallest unsigned type that holds V bits (or V/64 uint64 words); with
+fewer, one uint8 word holds 8 // V frames.  Extensions are shaped
+(n, G|1, W|1), G groups of words, with the world axis first and broadcast
+on demand.  Each connective is one bitwise operation on those words.  A
+box operator holds at w, for a valuation, when the operand holds there at
+every R-successor v of w: it is the AND over v of `ext[v] | notin[v, w]`,
+where notin[v, w] is all ones on the cells of the frames where v is not a
+successor of w and 0 on the others.  The comparison `[A <= B]` holds at w
+when A's joint row at w is contained in B's: A's pooled information is at
+least as sharp, so anything B jointly knows at w transfers to A.  It does
+not depend on the valuation, so each frame's cells are all ones or 0.
+The strict/mutual/incomparable forms and `K{a}` are evaluated directly
+with the same row tests their desugarings produce.
 
 The countermodel search evaluates whole frame spans this way; `satisfies`,
 `valid_in_model` and `extension` evaluate one `KripkeModel` as a block of
@@ -44,37 +47,46 @@ class UnknownAtomError(ModelError):
     pass
 
 
-# Cells (frames x valuation words) in one pass of a box operator.  A
-# `scan_kt4` span (8,192 frames of 4 worlds, one uint16 word) then takes one
-# successor world per pass, and each pass's scratch array is 64 KiB, below
-# glibc's 128 KiB mmap threshold, so it is reused from the heap instead of
-# being faulted in afresh; a single model takes every successor at once.
+# Words (groups x words per group) in one pass of a box operator.  A
+# `scan_kt4` span (8,192 frames of 4 worlds, one uint16 word each) then takes
+# one successor world per pass: the pass's scratch array is 64 KiB and its
+# successor bytes 32 KiB, below glibc's 128 KiB mmap threshold, so they are
+# reused from the heap instead of being faulted in afresh.  A single model
+# takes every successor at once.
 _BOX_CELLS = 1 << 13
 
 
-def _word_layout(n_vals: int) -> tuple[np.dtype, int]:
-    """The word dtype and the word count that hold one bit per valuation:
-    the smallest unsigned type of at least n_vals bits, else uint64s."""
+def _word_layout(n_vals: int) -> tuple[np.dtype, int, int]:
+    """The word dtype, the words per frame group and the frames per group
+    that hold one bit per (frame, valuation) cell: the smallest unsigned
+    type of at least n_vals bits, else uint64s; with fewer than 8
+    valuations a uint8 word holds 8 // n_vals frames."""
     bits = 8
     while bits < min(n_vals, 64):
         bits *= 2
-    return np.dtype(f"uint{bits}"), -(-n_vals // bits)
+    return np.dtype(f"uint{bits}"), -(-n_vals // bits), max(1, bits // n_vals)
 
 
 class Block:
     """Frames x valuations of one world count, shared by every formula
     evaluated against it.
 
-    `rows_by_agent` maps each agent to its (F, n) uint32 relation rows and
-    `atom_ext` each atom to its extension as `atom_words` builds it; `shape`
-    is (F, V).  An extension holds, for each world and frame, W words whose
-    bits are the valuations: valuation v is bit v % B of word v // B, with
-    B bits per word.  It is shaped (n, F|1, W|1), world axis first, and
-    broadcast on demand.  The joint / common / cdk relations, their
-    successor masks and the comparison words live as long as the block;
-    the memo of one formula's subterm extensions is dropped after
-    `evaluate` returns, so memory does not grow with the number of
-    formulas.
+    `rows_by_agent` maps each agent to its (F, n) relation rows, in any
+    unsigned dtype wide enough for n worlds (uint8 in the search, uint32
+    for a single model of up to 16 worlds); the joint / common / cdk rows
+    keep that dtype.  `atom_ext` maps each atom to its extension as
+    `atom_words` builds it, and `shape` is (F, V).  Cell c = f * V + v, for
+    frame f and valuation v, is bit c % B of word c // B, with B bits per
+    word.  The words fall into G groups of W words and P frames each,
+    W * B = P * V: one frame over W words when there are 8 or more
+    valuations (P = 1), else P = 8 // V frames in one uint8 word (W = 1).
+    An extension is shaped (n, G|1, W|1), world axis first, and broadcast
+    on demand.  The last group's cells past frame F are padding, which no
+    first failure reports.  The joint / common / cdk relations, their
+    complement rows, the successor bytes of relations boxed more than
+    once and the comparison words live as long as the block; the memo of
+    one formula's subterm extensions is dropped after `evaluate` returns,
+    so memory does not grow with the number of formulas.
     """
 
     def __init__(self, rows_by_agent: Mapping[str, np.ndarray],
@@ -83,29 +95,49 @@ class Block:
         self.rows_by_agent = rows_by_agent
         self.atom_ext = atom_ext
         self.shape = shape
+        n_frames, n_vals = shape
         self.n = next(iter(rows_by_agent.values())).shape[1]
-        self.dtype = _word_layout(shape[1])[0]
+        self.dtype, self.words, self.per_word = _word_layout(n_vals)
         self.bits = self.dtype.itemsize * 8
+        self.groups = -(-n_frames // self.per_word)
         self.full = self.dtype.type(np.iinfo(self.dtype).max)
+        # the cells of the last group's words that hold frames
+        tail = (n_frames - (self.groups - 1) * self.per_word) * n_vals
+        self.tail = self.dtype.type((1 << min(tail, self.bits)) - 1)
+        # A frame's 0/1 byte becomes a byte with that frame's cells set:
+        # the bytes of a group's P frames, read as one little-endian
+        # carrier and multiplied by spread, put each frame's bit on its
+        # cells in the carrier's top byte (the partial products never
+        # carry).  With P = 1 the carrier is the byte and spread 0xFF, and
+        # the byte sign-extends to the word.
+        self._carrier = np.dtype(f"<u{self.per_word}")
+        cells = 8 // self.per_word
+        self._spread = self._carrier.type(
+            sum(1 << (8 * (self.per_word - 1 - c // cells) + c)
+                for c in range(8)))
+        self._signed = np.dtype(f"int{self.bits}")
         self._joint: dict[Group, np.ndarray] = {}
         self._reach: dict[Supergroup, np.ndarray] = {}
-        self._notins: dict[object, np.ndarray] = {}
+        self._misses: dict[object, np.ndarray] = {}
+        self._notins: dict[object, list[np.ndarray]] = {}
         self._leqs: dict[tuple[Group, str], np.ndarray] = {}
 
     @staticmethod
     def atom_words(masks: np.ndarray, n: int) -> np.ndarray:
         """An atom's extension from its world mask at each valuation index
-        (a (V,) integer array), as (n, 1, W) valuation words."""
-        dtype, n_words = _word_layout(len(masks))
+        (a (V,) integer array), as (n, 1, W) words: the same in every
+        group, so with fewer than 8 valuations the V cells repeat for each
+        frame of the word."""
+        dtype, n_words, per_word = _word_layout(len(masks))
         bits = dtype.itemsize * 8
-        held = np.zeros((n, n_words * bits), dtype=dtype)
-        held[:, :len(masks)] = (masks.astype(np.uint32)
-                                >> np.arange(n, dtype=np.uint32)[:, None]) & 1
+        cells = np.tile(masks.astype(np.uint32), per_word)
+        held = ((cells >> np.arange(n, dtype=np.uint32)[:, None]) & 1
+                ).astype(dtype)
         held = held.reshape(n, n_words, bits) << np.arange(bits, dtype=dtype)
         return np.bitwise_or.reduce(held, axis=2)[:, None, :]
 
     def evaluate(self, f: Formula) -> np.ndarray:
-        """f's extension, broadcastable to (n, F, W): a fold, so each
+        """f's extension, broadcastable to (n, G, W): a fold, so each
         subterm is evaluated once, from its children's extensions, and a
         formula of any depth evaluates.  The subterm extensions are
         dropped on return."""
@@ -114,26 +146,39 @@ class Block:
     def world_mask(self, ext: np.ndarray, frame: int, val: int) -> int:
         """The worlds of one frame where ext holds at one valuation, as a
         bitmask."""
-        word, bit = divmod(val, self.bits)
-        # a broadcast axis of length 1 stands for every frame or word
-        cells = ext[:, frame % ext.shape[1], word % ext.shape[2]]
+        word, bit = divmod(frame * self.shape[1] + val, self.bits)
+        group, word = divmod(word, self.words)
+        # a broadcast axis of length 1 stands for every group or word
+        cells = ext[:, group % ext.shape[1], word % ext.shape[2]]
         return sum((c >> bit & 1) << w for w, c in enumerate(cells.tolist()))
 
     def first_failure(self, ext: np.ndarray) -> tuple[int, int, int] | None:
         """(frame, valuation, world mask) of the first cell where ext
         misses a world, frames first and then valuations ascending, or
         None if ext holds everywhere."""
-        # With fewer than 8 valuations the word has spare bits.  Atoms are
-        # false there and no operator mixes bits, so a spare bit evaluates
-        # as valuation 0 of its word and never fails first.
         fail = np.invert(np.bitwise_and.reduce(ext, axis=0))
+        if len(fail) == self.groups:
+            fail[-1] &= self.tail
         if not fail.any():
             return None
-        # a broadcast frame axis fails first at frame 0
-        frame, word = divmod(int(np.argmax(fail != 0)), fail.shape[1])
-        low = int(fail[frame, word])
-        val = word * self.bits + (low & -low).bit_length() - 1
+        # a broadcast group axis fails first in group 0, a broadcast word
+        # axis in word 0
+        group, word = divmod(int(np.argmax(fail != 0)), fail.shape[1])
+        low = int(fail[group, word])
+        cell = (group * self.words + word) * self.bits \
+            + (low & -low).bit_length() - 1
+        frame, val = divmod(cell, self.shape[1])
         return frame, val, self.world_mask(ext, frame, val)
+
+    def _spread_bytes(self, held: np.ndarray) -> np.ndarray:
+        """held, a C-contiguous (..., G * P) uint8 array of one 0/1 byte
+        per frame (any byte past frame F), as (..., G) int8 bytes with all
+        cells set of each frame whose byte is 1: the words themselves when
+        a word holds several frames, else bytes of all ones or 0 that
+        sign-extend to the words.  Works in place on held."""
+        carried = held.view(self._carrier)
+        carried *= self._spread
+        return held.view(np.int8)[..., self.per_word - 1::self.per_word]
 
     def joint(self, group: Group) -> np.ndarray:
         out = self._joint.get(group)
@@ -145,9 +190,11 @@ class Block:
         return out
 
     def _closure(self, rows: np.ndarray) -> np.ndarray:
-        rows = rows | (np.uint32(1) << np.arange(self.n, dtype=np.uint32))
+        # in the rows' own dtype: a uint8 row stays one byte
+        rows = rows | (rows.dtype.type(1)
+                       << np.arange(self.n, dtype=rows.dtype))
         for k in range(self.n):
-            rows = rows | ((rows >> np.uint32(k)) & 1) * rows[:, k:k + 1]
+            rows = rows | ((rows >> k) & 1) * rows[:, k:k + 1]
         return rows
 
     def common(self, group: Group) -> np.ndarray:
@@ -164,44 +211,63 @@ class Block:
             self._reach[groups] = out
         return out
 
-    def _notin(self, key: object, rows: np.ndarray) -> np.ndarray:
-        """notin for a relation's rows, as (n, n, F, 1) words: [v, w] is
-        all ones where world v is not an R-successor of w and 0 where it
-        is.  Built once per relation and block."""
-        out = self._notins.get(key)
+    def _missed(self, key: object, rows: np.ndarray) -> np.ndarray:
+        """A relation's complement rows, world axis first, as a
+        (n, G * P) array: bit v of [w, f] is 1 where world v is not an
+        R-successor of w in frame f, and 0 past frame F.  Built once per
+        relation and block."""
+        out = self._misses.get(key)
         if out is None:
-            out = np.empty((self.n, self.n, len(rows), 1), dtype=self.dtype)
-            # row >> v, cut to the word type, keeps bit v of the row as its
-            # lowest bit; & 1, then - 1, turns 1 into 0 and 0 into all ones
-            cell = out[..., 0]
-            shifts = np.arange(self.n, dtype=np.uint32)[:, None, None]
-            np.right_shift(np.ascontiguousarray(rows.T)[None], shifts,
-                           out=cell, casting="unsafe")
-            cell &= 1
-            cell -= 1
-            self._notins[key] = out
+            out = np.zeros((self.n, self.groups * self.per_word),
+                           dtype=rows.dtype)
+            np.invert(rows.T, out=out[:, :len(rows)])
+            self._misses[key] = out
         return out
 
     def _box(self, key: object, rows: np.ndarray,
              ext: np.ndarray) -> np.ndarray:
-        # at world w: the AND over successor worlds v of ext[v] | notin[v, w]
-        notin = self._notin(key, rows)
-        n_f, n_w = notin.shape[2], ext.shape[2]
-        # k successor worlds per pass, reduced over the leading axis; the
-        # scratch array is reused across passes
-        k = min(self.n, max(1, _BOX_CELLS // (n_f * n_w)))
-        sub = np.empty((k, self.n, n_f, n_w), dtype=self.dtype)
+        # at world w: the AND over successor worlds v of ext[v] | notin[v, w],
+        # where notin[v, w] is all ones on the frames where v is not a
+        # successor of w.  k worlds v per pass, reduced over the leading
+        # axis; signed words sign-extend the notin bytes.  A relation's
+        # first box spreads them pass by pass from its complement rows
+        # into one scratch array, and its second keeps them for the block:
+        # keeping them at once held n x n bytes per frame for relations
+        # boxed once, which pushed a `scan_kt4` span's heap past what
+        # glibc keeps between spans (12,700 minor faults per pass, not 0).
+        kept = self._notins.get(key)
+        keep = kept is None and key in self._misses
+        missed = self._missed(key, rows)
+        k = min(self.n, max(1, _BOX_CELLS // (self.groups * self.words)))
+        shifts = np.arange(self.n, dtype=missed.dtype)[:, None, None]
+        ext = ext.view(self._signed)
+        held = np.empty((k, *missed.shape), dtype=np.uint8)
+        sub = np.empty((k, self.n, self.groups, ext.shape[2]),
+                       dtype=self._signed)
+        passes: list[np.ndarray] = []
         out = None
         for v in range(0, self.n, k):
             j = min(k, self.n - v)
-            np.bitwise_or(ext[v:v + j, None], notin[v:v + j], out=sub[:j])
+            if kept is not None:
+                notin = kept[len(passes)]
+            else:
+                if keep and passes:
+                    held = np.empty_like(held)
+                np.right_shift(missed, shifts[v:v + j], out=held[:j],
+                               casting="unsafe")
+                held[:j] &= 1
+                notin = self._spread_bytes(held[:j])[..., None]
+            passes.append(notin)
+            np.bitwise_or(ext[v:v + j, None], notin, out=sub[:j])
             if out is None:
                 out = np.bitwise_and.reduce(sub[:j])
             else:
                 # one world needs no reduction, which would allocate a
                 # fresh result
                 out &= sub[0] if j == 1 else np.bitwise_and.reduce(sub[:j])
-        return out
+        if keep:
+            self._notins[key] = passes
+        return out.view(self.dtype)
 
     def _leq(self, left: Group, right: Group) -> np.ndarray:
         # A's joint row is inside B's iff it is inside each member's row,
@@ -216,12 +282,14 @@ class Block:
         out = self._leqs.get((left, agent))
         if out is None:
             a, b = self.joint(left), self.rows_by_agent[agent]
-            # one row test per frame and world, as a word of all ones or 0;
-            # written world axis first, so the operators read it
-            # contiguously
-            hit = np.ascontiguousarray(((a & np.invert(b)) == 0).T)
-            out = np.empty((self.n, len(a), 1), dtype=self.dtype)
-            np.multiply(hit, self.full, out=out[:, :, 0])
+            # one row test per frame and world, world axis first, so the
+            # operators read the words contiguously
+            held = np.zeros((self.n, self.groups * self.per_word),
+                            dtype=np.uint8)
+            held.view(bool)[:, :len(a)] = ((a & np.invert(b)) == 0).T
+            out = np.empty((self.n, self.groups, 1), dtype=self.dtype)
+            np.copyto(out[:, :, 0].view(self._signed),
+                      self._spread_bytes(held))
             self._leqs[(left, agent)] = out
         return out
 

@@ -28,7 +28,8 @@ from conftest import (canonicalize, encode_model, enumerate_models,
                       relabel_rows, relation_pool)
 from epicmp.kripke import FrameClass, classify_frame
 from epicmp.search import (AGENT_POOL, BoundsError, Countermodel,
-                           DEFAULT_FORMULA_POOL, NoCountermodelUpTo,
+                           DEFAULT_FORMULA_POOL, MAX_SEARCH_WORLDS,
+                           NoCountermodelUpTo,
                            SearchBounds, check_schema, check_validity,
                            count_models, frame_relations,
                            instantiate_schema)
@@ -207,6 +208,12 @@ _AGREEMENT_CASES = [
     ("[{a,b} <= {a}]", SearchBounds(FrameClass.S5, 2, 2)),
     ("[{a} <= {a,b}]", SearchBounds(FrameClass.S5, 2, 2)),
     ("[{a} # {b}] -> ~[{a} <= {b}]", SearchBounds(FrameClass.S4, 2, 2)),
+    # three boxes over one relation: the second keeps its successor bytes
+    # for the block, one array per pass, and the third reads them
+    ("K{a} K{a} K{a} p -> K{a} p",
+     SearchBounds(FrameClass.KT, 1, 3, atoms=("p",))),
+    ("K{a} p -> K{a} K{a} K{a} p",
+     SearchBounds(FrameClass.KT, 1, 3, atoms=("p",))),
 ]
 
 
@@ -274,10 +281,11 @@ _MINIMAL_SWEEP_BOUNDS = [
     SearchBounds(FrameClass.KT, 1, 3, atoms=("p",)),
     SearchBounds(FrameClass.S4, 2, 3, atoms=("p",)),
     SearchBounds(FrameClass.S5, 3, 3, atoms=("p",)),
-    # An extension holds one bit per valuation: in one uint8 word for up to
-    # 8 valuations, one uint16, uint32 or uint64 word for 16, 32 or 64.
-    # The bounds above hold 4 and 8 at their largest world count, these 1,
-    # 2, 16, 32 and 64.
+    # An extension holds one bit per (frame, valuation) cell: one uint8
+    # word holds 8, 4 or 2 frames of 1, 2 or 4 valuations, and a frame of
+    # 8, 16, 32 or 64 valuations takes one uint8, uint16, uint32 or uint64
+    # word.  The bounds above hold 4 and 8 valuations at their largest
+    # world count, these 1, 2, 16, 32 and 64.
     SearchBounds(FrameClass.KT, 2, 2),
     SearchBounds(FrameClass.S5, 2, 1, atoms=("p",)),
     SearchBounds(FrameClass.S5, 1, 4, atoms=("p",)),
@@ -291,13 +299,14 @@ def _bounds_id(b):
     return f"{b.frame}-{b.n_agents}-{b.max_worlds}{atoms}"
 
 
-def _check_every_jobs(f, bounds, want):
+def _check_every_jobs(f, bounds, want, cells=8):
     """check_validity with 8-cell blocks (spans of one to eight frames,
-    cut across prefixes) and 1, 2 or 8 threads gives want, the per-model
-    sweep's (model, witness, models checked)."""
+    cut across prefixes), or blocks of the given cells, and 1, 2 or 8
+    threads gives want, the per-model sweep's (model, witness, models
+    checked)."""
     m, w, checked = want
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_CHUNK_CELLS", 8)
+        mp.setattr(search, "_CHUNK_CELLS", cells)
         mp.setattr(os, "cpu_count", lambda: 8)
         outs = [check_validity(f, bounds, jobs=jobs) for jobs in (1, 2, 8)]
     for out in outs:
@@ -532,6 +541,80 @@ def test_an_extension_holds_one_bit_per_valuation(monkeypatch):
         assert ext.nbytes <= n_frames * 4 * n_vals // 8
 
 
+def test_an_atomless_extension_packs_eight_frames_per_byte(monkeypatch):
+    """KT, 3 agents, 3 worlds, no atoms: one valuation, so a uint8 word
+    holds 8 frames and an extension over the span of all 43,968 minimal
+    frames holds at most n * F / 8 bytes (one byte per world and frame
+    would take n * F)."""
+    blocks = []
+    block = search._block
+
+    def keep_block(rel_rows, bounds, n, atom_ext, span):
+        blocks.append(block(rel_rows, bounds, n, atom_ext, span))
+        return blocks[-1]
+
+    monkeypatch.setattr(search, "_block", keep_block)
+    bounds = SearchBounds(FrameClass.KT, 3, 3)
+    assert search._first_failures([parse("[{a} <= {a}]")], [0], bounds, 3,
+                                  1) == {}
+    (one,) = blocks
+    n_frames, n_vals = one.shape
+    assert (n_frames, n_vals) == (43_968, 1)
+    for text in ("[{a} <= {b}]", "~[{a} <= {b}]", "[{a,b} < {c}]",
+                 "D{a,b} [{a} # {c}]", "K{a} [{b} <= {c}]",
+                 "C{a,b} [{a} <= {b}] -> [{b} == {c}]",
+                 "CD[{a};{b,c}] ~[{a} <= {c}]"):
+        ext = one.evaluate(parse(text))
+        assert ext.nbytes <= -(-3 * n_frames // 8)
+
+
+# --- frames packed into a word --------------------------------------------
+
+# KT, 2 agents, up to 3 worlds, no atoms: one valuation, so a uint8 word
+# holds 8 frames.  Blocks of 10 and 13 cells cut spans of up to 10 and 13
+# frames, neither a multiple of 8, so a span's last word holds padding
+# cells past the span's last frame.
+_KT_2_3 = SearchBounds(FrameClass.KT, 2, 3)
+
+
+@pytest.mark.parametrize("cells", [10, 13])
+@pytest.mark.parametrize("text", ["[{a} <= {a}]", "[{a,b} <= {a}]"])
+def test_padding_past_the_last_frame_never_fails(text, cells):
+    """Valid formulas whose comparisons are 0 on the padding cells check
+    every model, under every jobs."""
+    _check_every_jobs(parse(text), _KT_2_3,
+                      (None, None, count_models(_KT_2_3)), cells)
+
+
+@pytest.mark.parametrize("cells", [10, 13])
+@pytest.mark.parametrize("text", [
+    "~[{a} <= {b}]", "[{b} <= {a}]", "[{a} <= {b}] | [{b} <= {a}]",
+    "[{a} <= {b}] -> K{a} [{a} <= {b}]"])
+def test_first_failure_in_a_packed_span(text, cells):
+    """A packed span's first failure, in its first word or a later one,
+    is the per-model sweep's first countermodel and witness."""
+    f = parse(text)
+    _check_every_jobs(f, _KT_2_3, _sweep(f, _KT_2_3), cells)
+
+
+def test_first_failure_in_the_second_word_of_a_span(monkeypatch):
+    """On 2 worlds the 10 minimal frames make one span, and this formula
+    first fails at frame 8: the first cell of the span's second word."""
+    hits = []
+    first_failure = semantics.Block.first_failure
+
+    def record(block, ext):
+        hits.append((block.shape, first_failure(block, ext)))
+        return hits[-1][1]
+
+    monkeypatch.setattr(semantics.Block, "first_failure", record)
+    monkeypatch.setattr(search, "_CHUNK_CELLS", 13)
+    f = parse("[{a} <= {b}] -> K{a} [{a} <= {b}]")
+    assert isinstance(check_validity(f, _KT_2_3), Countermodel)
+    shape, (frame, val, _) = hits[-1]
+    assert (shape, frame, val) == ((10, 1), 8, 0)
+
+
 # --- two search results pinned in full -----------------------------------
 
 def test_negative_introspection_minimal_reflexive_countermodel():
@@ -680,6 +763,13 @@ def test_frame_relations_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             rows[0, 0] = 0
         assert frame_relations(frame, 3) is rows
+
+
+def test_frame_relations_rows_are_one_byte():
+    """Search frames have at most 5 worlds, so a row mask is one byte."""
+    for frame in (FrameClass.KT, FrameClass.S4, FrameClass.S5):
+        for n in range(1, MAX_SEARCH_WORLDS + 1):
+            assert frame_relations(frame, n).dtype == np.uint8
 
 
 # --- bounds validation ----------------------------------------------------

@@ -4,6 +4,7 @@ semantic properties that hold on every model."""
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -11,7 +12,8 @@ import epicmp.semantics as semantics
 from conftest import enumerate_models, kt_models, model_formula_pairs, \
     models, oracle_extension, rel_pairs, s5_models
 from epicmp.corpus import fixtures
-from epicmp.kripke import FrameClass, KripkeModel, UnknownWorldError
+from epicmp.kripke import (FrameClass, KripkeModel, UnknownWorldError,
+                           load_model)
 from epicmp.search import SearchBounds
 from epicmp.semantics import (UnknownAtomError, extension, satisfies,
                               valid_in_model)
@@ -141,6 +143,54 @@ def test_extension_matches_oracle_on_9_to_16_worlds(mf):
     for op in ("<=", "<", "==", "#"):
         g = parse(f"[{{{m.agents[-1]}}} {op} {{{m.agents[0]}}}]")
         assert extension(m, g) == oracle_extension(m, g)
+
+
+_SIXTEEN_WORLDS = "\n".join([
+    "agents: a b",
+    "worlds: " + " ".join(f"w{i}" for i in range(16)),
+    "atoms: p",
+    # a: a chain through every world, with w0 -> w15 and w15 -> w0
+    "rel a: " + " ".join(f"(w{i},w{i}) (w{i},w{(i + 1) % 16})"
+                         for i in range(16)) + " (w0,w15)",
+    # b: w15 alone sees w0, and w8 sees w15
+    "rel b: " + " ".join(f"(w{i},w{i})" for i in range(16))
+    + " (w15,w0) (w8,w15)",
+    "val p: " + " ".join(f"w{i}" for i in range(15)),
+    ""])
+
+
+def test_sixteen_world_model_keeps_rows_past_the_eighth_world():
+    """A single model keeps its rows wide: on 16 worlds, the edges into
+    and out of w15 decide the answer, and every operator agrees with the
+    pair-set oracle."""
+    m = load_model(_SIXTEEN_WORLDS)
+    texts = ["K{a} p", "K{b} p", "D{a,b} p", "C{a,b} p", "CD[{a};{b}] p",
+             "~K{b} ~p", "[{a} <= {b}]", "[{b} <= {a}]", "[{a} < {b}]",
+             "[{a} == {b}]", "[{a} # {b}]", "[{a,b} <= {b}]",
+             "D{b} [{a} # {b}]", "C{a} [{b} <= {a}]"]
+    for text in texts:
+        f = parse(text)
+        assert extension(m, f) == oracle_extension(m, f), text
+    # the w15 edges matter: p fails only at w15, which w0 and w14 see
+    # through a and w8 through b
+    assert "w0" not in extension(m, parse("K{a} p"))
+    assert "w14" not in extension(m, parse("K{a} p"))
+    assert "w8" not in extension(m, parse("K{b} p"))
+    assert extension(m, parse("C{a,b} p")) == set()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+def test_group_relations_keep_the_dtype_of_their_rows(dtype):
+    """joint, common and cdk rows are built in the dtype of the agents'
+    rows, so search rows stay one byte and single-model rows stay wide."""
+    rows = {"a": np.array([[0b011, 0b110, 0b100]], dtype=dtype),
+            "b": np.array([[0b001, 0b010, 0b101]], dtype=dtype)}
+    block = semantics.Block(rows, {}, (1, 1))
+    ab = Group(["a", "b"])
+    for out in (block.joint(ab), block.common(ab),
+                block.cdk(Supergroup([ab, Group(["a"])]))):
+        assert out.dtype == dtype
+    assert block.common(ab).tolist() == [[0b111, 0b111, 0b111]]
 
 
 # --- atoms and worlds -----------------------------------------------------
