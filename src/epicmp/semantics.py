@@ -83,10 +83,10 @@ class Block:
     An extension is shaped (n, G|1, W|1), world axis first, and broadcast
     on demand.  The last group's cells past frame F are padding, which no
     first failure reports.  The joint / common / cdk relations, their
-    complement rows, the successor bytes of relations boxed more than
-    once and the comparison words live as long as the block; the memo of
-    one formula's subterm extensions is dropped after `evaluate` returns,
-    so memory does not grow with the number of formulas.
+    complement rows and the comparison words live as long as the block;
+    the memo of one formula's subterm extensions is dropped after
+    `evaluate` returns, so memory does not grow with the number of
+    formulas.
     """
 
     def __init__(self, rows_by_agent: Mapping[str, np.ndarray],
@@ -119,7 +119,6 @@ class Block:
         self._joint: dict[Group, np.ndarray] = {}
         self._reach: dict[Supergroup, np.ndarray] = {}
         self._misses: dict[object, np.ndarray] = {}
-        self._notins: dict[object, list[np.ndarray]] = {}
         self._leqs: dict[tuple[Group, str], np.ndarray] = {}
 
     @staticmethod
@@ -229,14 +228,11 @@ class Block:
         # at world w: the AND over successor worlds v of ext[v] | notin[v, w],
         # where notin[v, w] is all ones on the frames where v is not a
         # successor of w.  k worlds v per pass, reduced over the leading
-        # axis; signed words sign-extend the notin bytes.  A relation's
-        # first box spreads them pass by pass from its complement rows
-        # into one scratch array, and its second keeps them for the block:
-        # keeping them at once held n x n bytes per frame for relations
-        # boxed once, which pushed a `scan_kt4` span's heap past what
-        # glibc keeps between spans (12,700 minor faults per pass, not 0).
-        kept = self._notins.get(key)
-        keep = kept is None and key in self._misses
+        # axis; signed words sign-extend the notin bytes.  Each pass spreads
+        # them from the relation's complement rows into one scratch array:
+        # caching them held n x n bytes per frame, which pushed a
+        # `scan_kt4` span's heap past what glibc keeps between spans
+        # (12,700 minor faults per pass, not 0).
         missed = self._missed(key, rows)
         k = min(self.n, max(1, _BOX_CELLS // (self.groups * self.words)))
         shifts = np.arange(self.n, dtype=missed.dtype)[:, None, None]
@@ -244,20 +240,13 @@ class Block:
         held = np.empty((k, *missed.shape), dtype=np.uint8)
         sub = np.empty((k, self.n, self.groups, ext.shape[2]),
                        dtype=self._signed)
-        passes: list[np.ndarray] = []
         out = None
         for v in range(0, self.n, k):
             j = min(k, self.n - v)
-            if kept is not None:
-                notin = kept[len(passes)]
-            else:
-                if keep and passes:
-                    held = np.empty_like(held)
-                np.right_shift(missed, shifts[v:v + j], out=held[:j],
-                               casting="unsafe")
-                held[:j] &= 1
-                notin = self._spread_bytes(held[:j])[..., None]
-            passes.append(notin)
+            np.right_shift(missed, shifts[v:v + j], out=held[:j],
+                           casting="unsafe")
+            held[:j] &= 1
+            notin = self._spread_bytes(held[:j])[..., None]
             np.bitwise_or(ext[v:v + j, None], notin, out=sub[:j])
             if out is None:
                 out = np.bitwise_and.reduce(sub[:j])
@@ -265,8 +254,6 @@ class Block:
                 # one world needs no reduction, which would allocate a
                 # fresh result
                 out &= sub[0] if j == 1 else np.bitwise_and.reduce(sub[:j])
-        if keep:
-            self._notins[key] = passes
         return out.view(self.dtype)
 
     def _leq(self, left: Group, right: Group) -> np.ndarray:

@@ -208,12 +208,6 @@ _AGREEMENT_CASES = [
     ("[{a,b} <= {a}]", SearchBounds(FrameClass.S5, 2, 2)),
     ("[{a} <= {a,b}]", SearchBounds(FrameClass.S5, 2, 2)),
     ("[{a} # {b}] -> ~[{a} <= {b}]", SearchBounds(FrameClass.S4, 2, 2)),
-    # three boxes over one relation: the second keeps its successor bytes
-    # for the block, one array per pass, and the third reads them
-    ("K{a} K{a} K{a} p -> K{a} p",
-     SearchBounds(FrameClass.KT, 1, 3, atoms=("p",))),
-    ("K{a} p -> K{a} K{a} K{a} p",
-     SearchBounds(FrameClass.KT, 1, 3, atoms=("p",))),
 ]
 
 
