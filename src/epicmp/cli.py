@@ -47,11 +47,11 @@ def _load(path: str) -> KripkeModel:
 
 
 def _frame(name: str) -> FrameClass:
-    try:
-        return FrameClass[name.upper()]
-    except KeyError:
+    frame = FrameClass.__members__.get(name.upper())
+    if frame not in _FRAME_DEFAULT_WORLDS:
         raise _CliError(f"unknown frame class {name!r} "
-                        f"(choose kt, s4 or s5)") from None
+                        f"(choose kt, s4 or s5)")
+    return frame
 
 
 def _cmd_eval(args, out: TextIO, err: TextIO) -> int:

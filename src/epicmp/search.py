@@ -13,9 +13,9 @@ then valuation index.  With n worlds:
 A reflexive relation's code holds its off-diagonal pairs as bits, (i, j)
 at `_bit(n, i, j)`, in the order of (i, j), so codes ascend as the row
 masks packed row 0 lowest do, and renaming the worlds permutes a code's
-bits (`_relabel`).  `_frame_rows` and `_atom_masks` decode the two
-indices, and no other module knows the order.  The pools (`_pool_codes`)
-are:
+bits (`_relabel`).  No other module knows the order; a failure names its
+frame by the agents' pool indices and its valuation by index
+(`_atom_masks`).  The pools (`_pool_codes`) are:
 
     KT  every code, so a KT pool index is its code
     S4  the codes of transitive relations
@@ -24,22 +24,23 @@ are:
 `check_formulas` sweeps the space with numpy for a list of formulas at
 once: one axis walks frames, one enumerates valuations, and
 `semantics.Block` evaluates every connective as bitwise arithmetic on
-words that hold one bit per valuation.  The frame axis holds only the
-frames that no world relabeling makes smaller (`_minimal_frames`).  That
-loses no answer: if a relabeling makes a frame smaller, it maps each
-falsifier on that frame to an isomorphic falsifier earlier in the order,
-so the first countermodel lies on a minimal frame, and a formula that
-holds on every minimal frame holds on every frame.  The sweep runs world
-count outer, then frame span, then the formulas not yet refuted: each
-span's block of frame rows, its joint / common / cdk relations and its
-comparison words are built once and shared by every formula, and a
-formula leaves the sweep at its first failing span.  Spans are walked in
-order with at most two per worker in flight, so memory does not grow with
-the number of spans.  `check_validity` is the one-formula case and
-`check_schema` sweeps all unique instances of a schema together.  The
-first countermodel reported for each formula is the first in enumeration
-order, with the lowest falsifying world as witness, so results are
-reproducible and independent of --jobs chunking.
+words that hold one bit per (frame, valuation) cell, frame-major.  The
+frame axis holds only the frames that no world relabeling makes smaller
+(`_minimal_frames`).  That loses no answer: if a relabeling makes a
+frame smaller, it maps each falsifier on that frame to an isomorphic
+falsifier earlier in the order, so the first countermodel lies on a
+minimal frame, and a formula that holds on every minimal frame holds on
+every frame.  The sweep runs world count outer, then frame span, then
+the formulas not yet refuted: each span's block of frame rows, its
+joint / common / cdk relations and its comparison words are built once
+and shared by every formula, and a formula leaves the sweep at its first
+failing span.  Spans are walked in order with at most two per worker in
+flight, so memory does not grow with the number of spans, and their
+failures are merged in span order.  `check_validity` is the one-formula
+case and `check_schema` sweeps all unique instances of a schema
+together.  The first countermodel reported for each formula is the first
+in enumeration order, with the lowest falsifying world as witness, so
+results are reproducible and independent of --jobs chunking.
 
 `mod_iso` runs the same sweep and counts isomorphism classes instead of
 models: the first falsifying model in enumeration order is always the
@@ -53,7 +54,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -293,14 +293,6 @@ def count_models(bounds: SearchBounds) -> int:
 
 # --- index decoding and the vectorized sweep -----------------------------
 
-def _frame_rows(rel_rows: np.ndarray, n_agents: int, frame_idx: int):
-    """Each agent's pool row at a frame index (a Python int: frame counts
-    outgrow int64)."""
-    n_rels = len(rel_rows)
-    return [rel_rows[(frame_idx // n_rels ** (n_agents - 1 - j)) % n_rels]
-            for j in range(n_agents)]
-
-
 def _atom_masks(val_idx, n: int, n_atoms: int):
     """Each atom's world mask at a valuation index: one Python int or a
     uint32 array of indices."""
@@ -453,21 +445,6 @@ def _block(rel_rows: np.ndarray, bounds: SearchBounds, n: int,
                  atom_ext, (len(span[0]), 1 << (n * len(bounds.atoms))))
 
 
-def _first_failure(block: Block, f: Formula, span: Sequence[np.ndarray],
-                   n_rels: int) -> tuple[int, int, int] | None:
-    """(frame, valuation, extension mask) of f's first failure in the
-    block of a span, frame-major, with the frame's global index (a Python
-    int), or None if f holds everywhere in it."""
-    hit = block.first_failure(block.evaluate(f))
-    if hit is None:
-        return None
-    local_f, val, mask = hit
-    frame_idx = 0
-    for idx in span:
-        frame_idx = frame_idx * n_rels + int(idx[local_f])
-    return frame_idx, val, mask
-
-
 def _validate_within(f: Formula, bounds: SearchBounds) -> None:
     stray = agent_names(f) - set(bounds.agents)
     if stray:
@@ -480,18 +457,19 @@ def _validate_within(f: Formula, bounds: SearchBounds) -> None:
                           f"not declared in bounds {bounds.atoms}")
 
 
-def _model_at(bounds: SearchBounds, n: int, frame_idx: int,
+def _model_at(bounds: SearchBounds, n: int, frame: tuple[int, ...],
               val_idx: int) -> KripkeModel:
-    """Rebuild the model at a (frame, valuation) index pair."""
-    rows = _frame_rows(frame_relations(bounds.frame, n), bounds.n_agents,
-                       frame_idx)
+    """Rebuild the model at a frame of pool indices and a valuation."""
+    rows = frame_relations(bounds.frame, n)[list(frame)].tolist()
     return KripkeModel(worlds=tuple(f"w{i}" for i in range(n)),
                        agents=bounds.agents,
-                       relations=tuple(Relation(tuple(int(x) for x in r))
-                                       for r in rows),
+                       relations=tuple(Relation(tuple(r)) for r in rows),
                        atoms=bounds.atoms,
                        valuation=tuple(_atom_masks(val_idx, n,
                                                    len(bounds.atoms))))
+
+
+_Failure = tuple[tuple[int, ...], int, int]  # pool indices, valuation, mask
 
 
 def _run_now(fn: Callable, *args) -> Future:
@@ -503,18 +481,18 @@ def _run_now(fn: Callable, *args) -> Future:
 
 def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
                     bounds: SearchBounds, n: int,
-                    jobs: int) -> dict[int, tuple[int, int, int]]:
-    """First failure (frame, valuation, extension mask) over the n-world
-    models of each formula in todo that has one.
+                    jobs: int) -> dict[int, _Failure]:
+    """The first failure over the n-world models of each formula in todo
+    that has one.
 
     Only the frames no relabeling makes smaller are scanned
     (`_minimal_frames`); the first failure always lies on one.  They are
-    cut into spans; each span's block is built once and checked against
-    every formula not yet refuted at a lower span.  Spans are cut and
-    submitted in order, at most two per worker not yet waited for, and the
-    walk stops at the first span by which every formula has failed.  With
-    threads a formula may fail in several spans, and the lowest span's
-    failure is kept, so the answer never depends on `jobs`.
+    cut into spans and submitted in order, at most two per worker not yet
+    waited for, each with the formulas that no merged span has refuted.
+    A span's scan builds its block once and returns its failures, and the
+    results are merged in span order, so each formula keeps its lowest
+    span's failure and the answer never depends on `jobs`.  The walk stops
+    once every formula has failed.
     """
     rel_rows = frame_relations(bounds.frame, n)
     k = len(bounds.atoms)
@@ -523,44 +501,43 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
     atom_ext = {atom: Block.atom_words(mask, n)
                 for atom, mask in zip(bounds.atoms, masks)}
     step = max(1, _CHUNK_CELLS // n_vals)
-    spans = enumerate(_frame_spans(bounds.frame, n, bounds.n_agents, step))
-    first: dict[int, tuple[int, tuple[int, int, int]]] = {}
-    lock = threading.Lock()
+    spans = _frame_spans(bounds.frame, n, bounds.n_agents, step)
 
-    def scan(s: int, span: list[np.ndarray]) -> None:
-        with lock:
-            live = [i for i in todo if i not in first or first[i][0] > s]
-        if not live:
-            return
+    def scan(span: list[np.ndarray], live: tuple[int, ...]
+             ) -> list[tuple[int, _Failure]]:
+        """The first failure in the span of each formula in live that has
+        one, with the frame read off the span's pool indices."""
         block = _block(rel_rows, bounds, n, atom_ext, span)
+        out = []
         for i in live:
-            hit = _first_failure(block, formulas[i], span, len(rel_rows))
+            hit = block.first_failure(block.evaluate(formulas[i]))
             if hit is not None:
-                with lock:
-                    if i not in first or first[i][0] > s:
-                        first[i] = (s, hit)
+                local_f, val, mask = hit
+                frame = tuple(int(idx[local_f]) for idx in span)
+                out.append((i, (frame, val, mask)))
+        return out
 
-    def settled(s: int) -> bool:
-        """Every formula in todo failed at span s or below."""
-        with lock:
-            return all(i in first and first[i][0] <= s for i in todo)
-
-    def sweep(submit: Callable[..., Future], depth: int) -> None:
-        """Scan spans in order until every formula is settled.  One span
-        per worker starts first, because the first spans often settle
-        every formula; after that up to `depth` spans are submitted and
-        not yet waited for.  Spans still in flight at the end cannot
-        change the answer, and a serial walk never runs them, so their
-        results are not read."""
-        ahead = deque(submit(scan, *item) for item in head)
-        s = 0
+    def sweep(submit: Callable[..., Future], depth: int
+              ) -> dict[int, _Failure]:
+        """Scan spans in order until every formula has failed: one span per
+        worker first, because the first spans often refute every formula,
+        then up to `depth` spans submitted and not yet waited for.  At the
+        end, spans not yet started are cancelled; the others cannot change
+        the answer, so their results are not read."""
+        first: dict[int, _Failure] = {}
+        live = tuple(todo)
+        ahead = deque(submit(scan, span, live) for span in head)
         while ahead:
-            ahead.popleft().result()
-            if settled(s):
-                return
-            s += 1
-            for item in itertools.islice(spans, depth - len(ahead)):
-                ahead.append(submit(scan, *item))
+            for i, hit in ahead.popleft().result():
+                first.setdefault(i, hit)
+            live = tuple(i for i in todo if i not in first)
+            if not live:
+                break
+            for span in itertools.islice(spans, depth - len(ahead)):
+                ahead.append(submit(scan, span, live))
+        for fut in ahead:
+            fut.cancel()
+        return first
 
     # workers = min(jobs, cpu_count, number of spans), at least one; only
     # the spans the workers start with are cut here
@@ -572,10 +549,8 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
         # main thread waits for the GIL to hand out the next one: with one,
         # KT/2/4 ran 14% slower under jobs=2 on 2 vCPUs.
         with ThreadPoolExecutor(max_workers=workers) as tpe:
-            sweep(tpe.submit, 2 * workers)
-    else:
-        sweep(_run_now, 1)
-    return {i: hit for i, (_, hit) in first.items()}
+            return sweep(tpe.submit, 2 * workers)
+    return sweep(_run_now, 1)
 
 
 def check_formulas(formulas: Sequence[Formula], bounds: SearchBounds, *,
@@ -597,8 +572,8 @@ def check_formulas(formulas: Sequence[Formula], bounds: SearchBounds, *,
         if not todo:
             break
         hits = _first_failures(formulas, todo, bounds, n, jobs)
-        for i, (frame_idx, val_idx, ext_mask) in hits.items():
-            m = _model_at(bounds, n, frame_idx, val_idx)
+        for i, (frame, val_idx, ext_mask) in hits.items():
+            m = _model_at(bounds, n, frame, val_idx)
             missing = ~ext_mask & ((1 << n) - 1)
             witness = m.worlds[(missing & -missing).bit_length() - 1]
             found[i] = Countermodel(model=m, witness=witness)

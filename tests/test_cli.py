@@ -216,6 +216,21 @@ def test_unknown_agent_is_a_usage_error(command, formula, monkeypatch,
     assert capsys.readouterr() == ("", "error: unknown agent 'z'\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "--frame", "none", "--agents", "1", "-f", "p"),
+    ("corpus", "--frame", "none")])
+def test_frame_none_is_a_usage_error(argv, monkeypatch, capsys):
+    """`none` is a `FrameClass` but no frame class to search or filter
+    claims by: the search must not die on its default world bound, nor
+    the corpus pass zero claims."""
+    monkeypatch.setattr(sys, "argv", ["epicmp", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert exit_.value.code == 2
+    assert capsys.readouterr() == (
+        "", "error: unknown frame class 'none' (choose kt, s4 or s5)\n")
+
+
 # --- corpus ---------------------------------------------------------------
 
 def test_corpus_single_claim():

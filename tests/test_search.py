@@ -472,12 +472,12 @@ def _sweep_at(f, bounds, n):
 
 
 @pytest.mark.parametrize("bounds,text,cell", [
-    (_KT_1_3_PQR, "~p", (0, 64)),
-    (_KT_1_3_PQR, "~(p & q & r)", (0, 73)),
-    (_KT_1_3_PQR, "p -> K{a} q", (0, 64)),
-    (_S5_1_5_PQ, "K{a} p -> (q -> K{a} q)", (1, 97)),
-    (_S5_1_5_PQ, "(K{a} p & q) -> K{a} q", (1, 97)),
-    (_S5_1_5_PQ, "K{a} (p | q) -> (K{a} p | K{a} q)", (1, 34))],
+    (_KT_1_3_PQR, "~p", ((0,), 64)),
+    (_KT_1_3_PQR, "~(p & q & r)", ((0,), 73)),
+    (_KT_1_3_PQR, "p -> K{a} q", ((0,), 64)),
+    (_S5_1_5_PQ, "K{a} p -> (q -> K{a} q)", ((1,), 97)),
+    (_S5_1_5_PQ, "(K{a} p & q) -> K{a} q", ((1,), 97)),
+    (_S5_1_5_PQ, "K{a} (p | q) -> (K{a} p | K{a} q)", ((1,), 34))],
     ids=lambda x: _bounds_id(x) if isinstance(x, SearchBounds) else None)
 def test_first_failure_past_the_first_word(bounds, text, cell):
     """Several uint64 words per cell: at the largest world count, a first
@@ -491,9 +491,9 @@ def test_first_failure_past_the_first_word(bounds, text, cell):
         mp.setattr(os, "cpu_count", lambda: 8)
         for jobs in (1, 2, 8):
             hits = search._first_failures([f], [0], bounds, n, jobs)
-            frame_idx, val_idx, mask = hits[0]
-            assert (frame_idx, val_idx) == cell
-            got = search._model_at(bounds, n, frame_idx, val_idx)
+            frame, val_idx, mask = hits[0]
+            assert (frame, val_idx) == cell
+            got = search._model_at(bounds, n, frame, val_idx)
             assert encode_model(got, bounds.atoms) \
                 == encode_model(m, bounds.atoms)
             missing = ~mask & ((1 << n) - 1)
@@ -525,7 +525,7 @@ def test_an_extension_holds_one_bit_per_valuation(monkeypatch):
     bounds = SearchBounds(FrameClass.KT, 2, 4, atoms=("p",))
     # refuted in the first span
     assert search._first_failures([parse("p")], [0], bounds, 4, 1) \
-        == {0: (0, 0, 0)}
+        == {0: ((0, 0), 0, 0)}
     (one,) = blocks
     n_frames, n_vals = one.shape
     assert (n_frames, n_vals) == (search._CHUNK_CELLS // 16, 16)
@@ -683,6 +683,53 @@ def _inline_pool(requested, submitted):
     return InlinePool
 
 
+def _reversed_pool(ran):
+    """A `ThreadPoolExecutor` stand-in whose tasks run only when a result
+    is first asked for, and then last submitted first: every task not yet
+    run runs at that point.  Records each task's arguments in the order
+    the tasks ran."""
+    pending = []
+
+    class Deferred(Future):
+        def result(self, timeout=None):
+            while pending:
+                fut, fn, args = pending.pop()
+                ran.append(args)
+                fut.set_result(fn(*args))
+            return super().result(timeout)
+
+    class ReversedPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Deferred()
+            pending.append((fut, fn, args))
+            return fut
+
+    return ReversedPool
+
+
+def test_spans_merge_in_order_when_they_finish_out_of_order(monkeypatch):
+    """KT, 1 agent, 3 worlds, atom p: one frame per span, and `p` fails
+    in both spans the two workers start with.  Span 1 (pool index 1)
+    finishes first, yet span 0's frame is the one reported."""
+    ran = []
+    monkeypatch.setattr(search, "ThreadPoolExecutor", _reversed_pool(ran))
+    monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    bounds = SearchBounds(FrameClass.KT, 1, 3, atoms=("p",))
+    hits = search._first_failures([parse("p")], [0], bounds, 3, 2)
+    assert [span[0].tolist() for span, _ in ran] == [[1], [0]]
+    assert hits == {0: ((0,), 0, 0)}
+
+
 def test_jobs_thread_pool_is_clamped(monkeypatch):
     """The pool never asks for more workers than CPUs or spans."""
     requested = []
@@ -718,7 +765,7 @@ def test_span_walk_submits_no_more_spans_than_workers(monkeypatch):
     # 64 reflexive relations per agent, 8 valuations: 720 one-frame spans,
     # one per minimal frame
     hits = search._first_failures([parse("p")], [0], bounds, 3, 2)
-    assert hits == {0: (0, 0, 0)}
+    assert hits == {0: ((0, 0), 0, 0)}
     assert 1 <= len(submitted) <= 2
 
 
@@ -748,7 +795,7 @@ def test_span_walk_memory_does_not_grow_with_the_span_count():
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "{0: (0, 0, 0)}\n"
+    assert proc.stdout == "{0: ((0, 0), 0, 0)}\n"
 
 
 def test_frame_relations_arrays_are_read_only():
