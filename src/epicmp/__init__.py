@@ -1,22 +1,40 @@
 """Model checking and bounded countermodel search for multi-agent
 epistemic logic with pooled (distributed) knowledge, common knowledge,
-group-as-agent common knowledge and group-strength comparison operators."""
+group-as-agent common knowledge and group-strength comparison operators.
 
-from .kripke import (FrameClass, FrameReport, KripkeModel, Relation,
-                     apply_closure, classify_frame, load_model, save_model)
-from .search import (Countermodel, NoCountermodelUpTo, SearchBounds,
-                     check_formulas, check_schema, check_validity)
-from .semantics import extension, satisfies, valid_in_model
-from .syntax import Formula, expand_sugar, parse, render
+The names below load their module on first use (PEP 562), so importing
+the package loads none of them: `semantics` and `search` import numpy,
+and a command that needs neither should not pay for it."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Formula", "parse", "render", "expand_sugar",
-    "KripkeModel", "Relation", "FrameClass", "FrameReport",
-    "load_model", "save_model", "classify_frame", "apply_closure",
-    "satisfies", "valid_in_model", "extension",
-    "SearchBounds", "NoCountermodelUpTo", "Countermodel",
-    "check_validity", "check_formulas", "check_schema",
-    "__version__",
-]
+# exported name -> the module that defines it
+_HOMES = {
+    "Formula": "syntax", "parse": "syntax", "render": "syntax",
+    "expand_sugar": "syntax",
+    "KripkeModel": "kripke", "Relation": "kripke", "FrameClass": "kripke",
+    "FrameReport": "kripke", "load_model": "kripke", "save_model": "kripke",
+    "classify_frame": "kripke", "apply_closure": "kripke",
+    "satisfies": "semantics", "valid_in_model": "semantics",
+    "extension": "semantics",
+    "SearchBounds": "search", "NoCountermodelUpTo": "search",
+    "Countermodel": "search", "check_validity": "search",
+    "check_formulas": "search", "check_schema": "search",
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -10,21 +10,24 @@ output is deterministic regardless of --jobs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from .corpus import CorpusError, REGISTRY, Verdict, run_all, run_claim
-from .kripke import (FrameClass, KripkeModel, ModelError, apply_closure,
-                     classify_frame, load_model, save_model)
-from .search import (BoundsError, NoCountermodelUpTo, SearchBounds,
-                     check_validity, count_models)
-from .semantics import extension, satisfies
+# Only numpy-free modules load here; each command imports the rest
+# (`semantics` and `search` import numpy, `corpus` imports both).
+from .kripke import (BoundsError, CorpusError, FrameClass, KripkeModel,
+                     ModelError, apply_closure, classify_frame, load_model,
+                     save_model)
 from .syntax import FormulaError, atom_names, parse
 
 _FRAME_DEFAULT_WORLDS = {FrameClass.S5: 4, FrameClass.S4: 3,
                          FrameClass.KT: 3}
+
+# A search bound this large gets a size note on any frame.
+_LARGE_SEARCH_MODELS = 10 ** 8
 
 
 class _CliError(Exception):
@@ -55,6 +58,7 @@ def _frame(name: str) -> FrameClass:
 
 
 def _cmd_eval(args, out: TextIO, err: TextIO) -> int:
+    from .semantics import satisfies
     m = _load(args.model)
     f = parse(args.formula)
     result = satisfies(m, args.world, f, strict_atoms=args.strict_atoms)
@@ -63,6 +67,7 @@ def _cmd_eval(args, out: TextIO, err: TextIO) -> int:
 
 
 def _cmd_valid(args, out: TextIO, err: TextIO) -> int:
+    from .semantics import extension
     m = _load(args.model)
     f = parse(args.formula)
     # one evaluation gives both the verdict and the extension
@@ -88,6 +93,8 @@ def _cmd_classify(args, out: TextIO, err: TextIO) -> int:
 
 
 def _cmd_search(args, out: TextIO, err: TextIO) -> int:
+    from .search import (NoCountermodelUpTo, SearchBounds, check_validity,
+                         count_models)
     f = parse(args.formula)
     frame = _frame(args.frame)
     max_worlds = args.max_worlds
@@ -97,9 +104,11 @@ def _cmd_search(args, out: TextIO, err: TextIO) -> int:
                           max_worlds=max_worlds,
                           atoms=tuple(sorted(atom_names(f))),
                           mod_iso=args.mod_iso)
-    if frame in (FrameClass.KT, FrameClass.S4) and max_worlds >= 4:
+    size = count_models(bounds)
+    if (frame in (FrameClass.KT, FrameClass.S4) and max_worlds >= 4
+            or size >= _LARGE_SEARCH_MODELS):
         print(f"note: {frame} enumeration at {max_worlds} worlds is large: "
-              f"up to {count_models(bounds)} models", file=err)
+              f"up to {size} models", file=err)
     outcome = check_validity(f, bounds, jobs=args.jobs)
     if isinstance(outcome, NoCountermodelUpTo):
         print(f"NO COUNTERMODEL up to bound "
@@ -110,6 +119,7 @@ def _cmd_search(args, out: TextIO, err: TextIO) -> int:
 
 
 def _cmd_corpus(args, out: TextIO, err: TextIO) -> int:
+    from .corpus import REGISTRY, Verdict, run_all, run_claim
     frame = _frame(args.frame) if args.frame else None
     if args.id is not None:
         if args.id not in REGISTRY:
@@ -220,6 +230,10 @@ def run_command(argv: Sequence[str], out: TextIO | None = None,
 
 
 def main() -> None:
+    # epicmp calls no BLAS routine, so numpy need not start OpenBLAS's
+    # thread pool; that start is a large share of a short command's time.
+    # Set before any command imports numpy; a user's own setting wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         code = run_command(sys.argv[1:])
     except Exception:

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .kripke import FrameClass, KripkeModel
+from .kripke import CorpusError, FrameClass, KripkeModel
 from .search import (Countermodel, DEFAULT_FORMULA_POOL, NoCountermodelUpTo,
                      SearchBounds, SearchOutcome, _subsets, check_formulas,
                      check_schema, check_validity)
@@ -35,10 +35,6 @@ __all__ = [
     "fixtures", "REGISTRY", "claim_ids", "run_claim", "run_all",
     "claims_table",
 ]
-
-
-class CorpusError(ValueError):
-    pass
 
 
 def fixtures() -> dict[str, KripkeModel]:

@@ -45,6 +45,18 @@ class ModelError(ValueError):
     """Base class for model construction/use errors."""
 
 
+# The search and corpus errors live here, in a module without numpy, so
+# the CLI can map them to exit 2 without loading `search` or `corpus`;
+# those modules re-export them under the same names.
+class BoundsError(ValueError):
+    """Search parameters outside the supported ranges, or a formula that
+    mentions agents/atoms the bounds do not cover."""
+
+
+class CorpusError(ValueError):
+    pass
+
+
 class ModelFormatError(ModelError):
     """Malformed model text; message carries the 1-based line number."""
 

@@ -62,7 +62,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .kripke import FrameClass, KripkeModel, Relation
+from .kripke import BoundsError, FrameClass, KripkeModel, Relation
 from .semantics import Block
 from .syntax import (Atom, CDK, CK, Cmp, DK, Formula, Group, IndK,
                      Supergroup, agent_names, atom_names, fold, parse)
@@ -91,11 +91,6 @@ __all__ = [
     "SchemaInstance",
     "GROUP_PLACEHOLDERS", "FORMULA_PLACEHOLDERS", "DEFAULT_FORMULA_POOL",
 ]
-
-
-class BoundsError(ValueError):
-    """Search parameters outside the supported ranges, or a formula that
-    mentions agents/atoms the bounds do not cover."""
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,30 @@ def test_search_large_reflexive_bound_warns_on_stderr():
     assert "66066 models" in err
 
 
+@pytest.mark.parametrize("frame, agents, worlds, size", [
+    ("s5", "4", "5", 239_794_714_120),
+    ("kt", "3", "3", 134_221_832),
+])
+def test_search_notes_a_large_bound_on_any_frame(frame, agents, worlds,
+                                                  size, monkeypatch):
+    """The size note follows the model count, not only the frame and
+    world bound.  The search itself is stubbed out: only the note is
+    checked here."""
+    import epicmp.search as search
+
+    def no_search(f, bounds, jobs=1):
+        assert search.count_models(bounds) == size
+        return search.NoCountermodelUpTo(bounds, size)
+
+    monkeypatch.setattr(search, "check_validity", no_search)
+    code, out, err = run("search", "--frame", frame, "--agents", agents,
+                         "--max-worlds", worlds, "-f", "p & q -> r")
+    assert (code, out) == (0, f"NO COUNTERMODEL up to bound "
+                              f"({size} models)\n")
+    assert err == (f"note: {frame.upper()} enumeration at {worlds} worlds "
+                   f"is large: up to {size} models\n")
+
+
 def test_search_jobs_output_is_byte_identical():
     for formula in (KS, "C{a,b} p -> D{a} p"):
         for mod_iso in ((), ("--mod-iso",)):
