@@ -26,7 +26,7 @@ from .syntax import FormulaError, atom_names, parse
 _FRAME_DEFAULT_WORLDS = {FrameClass.S5: 4, FrameClass.S4: 3,
                          FrameClass.KT: 3}
 
-# A search bound this large gets a size note on any frame.
+# A search bound this large gets a size note.
 _LARGE_SEARCH_MODELS = 10 ** 8
 
 
@@ -105,8 +105,7 @@ def _cmd_search(args, out: TextIO, err: TextIO) -> int:
                           atoms=tuple(sorted(atom_names(f))),
                           mod_iso=args.mod_iso)
     size = count_models(bounds)
-    if (frame in (FrameClass.KT, FrameClass.S4) and max_worlds >= 4
-            or size >= _LARGE_SEARCH_MODELS):
+    if size >= _LARGE_SEARCH_MODELS:
         print(f"note: {frame} enumeration at {max_worlds} worlds is large: "
               f"up to {size} models", file=err)
     outcome = check_validity(f, bounds, jobs=args.jobs)

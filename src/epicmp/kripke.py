@@ -148,21 +148,21 @@ class Relation:
 
 
 def _closed(rel: Relation, props: Iterable[str]) -> Relation:
-    """Apply closure properties in a fixed order until nothing changes."""
+    """The least relation containing rel with the given properties."""
     wanted = set(props)
     unknown = wanted.difference(CLOSURE_PROPS)
     if unknown:
         raise ModelError(f"unknown closure property: {sorted(unknown)[0]!r}")
-    while True:
-        before = rel
-        if "reflexive" in wanted:
-            rel = rel.reflexive_closure()
-        if "symmetric" in wanted:
-            rel = rel.symmetric_closure()
-        if "transitive" in wanted:
-            rel = rel.transitive_closure()
-        if rel == before:
-            return rel
+    # one pass in this order is closed: the symmetric and transitive
+    # closures keep reflexivity, and the transitive closure of a symmetric
+    # relation is symmetric
+    if "reflexive" in wanted:
+        rel = rel.reflexive_closure()
+    if "symmetric" in wanted:
+        rel = rel.symmetric_closure()
+    if "transitive" in wanted:
+        rel = rel.transitive_closure()
+    return rel
 
 
 class FrameClass(IntEnum):
@@ -345,7 +345,7 @@ def load_model_witness(text: str) -> tuple[KripkeModel, str | None]:
     agents: list[str] | None = None
     worlds: list[str] | None = None
     atoms: list[str] | None = None
-    closure: list[str] = []
+    closure: list[str] | None = None
     edges: dict[str, list[tuple[str, str]]] = {}
     val: dict[str, list[str]] = {}
     witness: str | None = None
@@ -381,6 +381,8 @@ def load_model_witness(text: str) -> tuple[KripkeModel, str | None]:
                 raise ModelFormatError(f"line {lineno}: duplicate atoms:")
             atoms = _split_names(body, lineno, "atom")
         elif key == "closure":
+            if closure is not None:
+                raise ModelFormatError(f"line {lineno}: duplicate closure:")
             closure = body.split()
             for prop in closure:
                 if prop not in CLOSURE_PROPS:
@@ -430,6 +432,8 @@ def load_model_witness(text: str) -> tuple[KripkeModel, str | None]:
                         f"line {lineno}: unknown world {name!r}")
             val[atom] = names
         elif key == "witness":
+            if witness is not None:
+                raise ModelFormatError(f"line {lineno}: duplicate witness:")
             names = _split_names(body, lineno, "world")
             if len(names) != 1:
                 raise ModelFormatError(
@@ -446,7 +450,7 @@ def load_model_witness(text: str) -> tuple[KripkeModel, str | None]:
         m = KripkeModel.from_edges(
             worlds, agents, edges,
             valuation={a: val.get(a, []) for a in atoms},
-            closure=closure)
+            closure=closure or ())
     except ModelError as exc:
         raise ModelFormatError(str(exc)) from exc
     if witness is not None and witness not in worlds:

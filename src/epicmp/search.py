@@ -24,7 +24,7 @@ frame by the agents' pool indices and its valuation by index
 `check_formulas` sweeps the space with numpy for a list of formulas at
 once: one axis walks frames, one enumerates valuations, and
 `semantics.Block` evaluates every connective as bitwise arithmetic on
-words that hold one bit per (frame, valuation) cell, frame-major.  The
+bytes that hold one bit per (frame, valuation) cell, frame-major.  The
 frame axis holds only the frames that no world relabeling makes smaller
 (`_minimal_frames`).  That loses no answer: if a relabeling makes a
 frame smaller, it maps each falsifier on that frame to an isomorphic
@@ -32,7 +32,7 @@ falsifier earlier in the order, so the first countermodel lies on a
 minimal frame, and a formula that holds on every minimal frame holds on
 every frame.  The sweep runs world count outer, then frame span, then
 the formulas not yet refuted: each span's block of frame rows, its
-joint / common / cdk relations and its comparison words are built once
+joint / common / cdk relations and its comparison bytes are built once
 and shared by every formula, and a formula leaves the sweep at its first
 failing span.  Spans are walked in order with at most two per worker in
 flight, so memory does not grow with the number of spans, and their
@@ -74,7 +74,7 @@ MAX_SEARCH_ATOMS = 3
 
 # Frames x valuations per block: 2^17 cells.  An extension holds one bit
 # per cell, n * 16 KiB at most (80 KiB at 5 worlds); with fewer than 8
-# valuations a uint8 word holds several frames, so an atomless span of
+# valuations a byte holds several frames, so an atomless span of
 # 2^17 frames packs into the same n * 16 KiB.  A cached comparison is at
 # most one such extension, and a relation's rows (gathered, joint, common,
 # cdk, and the complement rows a box reads) are F x n bytes: at most

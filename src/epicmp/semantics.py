@@ -4,21 +4,21 @@ A `Block` holds models that share a world count: F frames, each a tuple of
 per-agent relations stored as (F, n) row masks in the rows' own unsigned
 dtype (uint8 in the search), times V valuations.  The bit axis is the
 frame-major (frame, valuation) cell, bit-sliced: an extension holds, for
-each world, words whose bits are the cells, frames first and valuations
-within a frame.  With 8 or more valuations a frame takes W words of the
-smallest unsigned type that holds V bits (or V/64 uint64 words); with
-fewer, one uint8 word holds 8 // V frames.  Extensions are shaped
-(n, G|1, W|1), G groups of words, with the world axis first and broadcast
-on demand.  Each connective is one bitwise operation on those words.  A
-box operator holds at w, for a valuation, when the operand holds there at
-every R-successor v of w: it is the AND over v of `ext[v] | notin[v, w]`,
-where notin[v, w] is all ones on the cells of the frames where v is not a
-successor of w and 0 on the others.  The comparison `[A <= B]` holds at w
-when A's joint row at w is contained in B's: A's pooled information is at
-least as sharp, so anything B jointly knows at w transfers to A.  It does
-not depend on the valuation, so each frame's cells are all ones or 0.
-The strict/mutual/incomparable forms and `K{a}` are evaluated directly
-with the same row tests their desugarings produce.
+each world, bytes whose bits are the cells, frames first and valuations
+within a frame.  With 8 or more valuations a frame takes V / 8 bytes; with
+fewer, one byte holds 8 // V frames.  Every extension is a uint8 array
+shaped (n, W|1, G|1): world, then byte within a group of W bytes, then
+group, each axis broadcast on demand.  Each connective is one bitwise
+operation on those bytes.  A box operator holds at w, for a valuation,
+when the operand holds there at every R-successor v of w: it is the AND
+over v of `ext[v] | notin[v, w]`, where notin[v, w] is all ones on the
+cells of the frames where v is not a successor of w and 0 on the others.
+The comparison `[A <= B]` holds at w when A's joint row at w is contained
+in B's: A's pooled information is at least as sharp, so anything B
+jointly knows at w transfers to A.  It does not depend on the valuation,
+so each frame's cells are all ones or 0.  The strict/mutual/incomparable
+forms and `K{a}` are evaluated directly with the same row tests their
+desugarings produce.
 
 The countermodel search evaluates whole frame spans this way; `satisfies`,
 `valid_in_model` and `extension` evaluate one `KripkeModel` as a block of
@@ -47,24 +47,21 @@ class UnknownAtomError(ModelError):
     pass
 
 
-# Words (groups x words per group) in one pass of a box operator.  A
-# `scan_kt4` span (8,192 frames of 4 worlds, one uint16 word each) then takes
+# Bytes per world in one pass of a box operator: a pass takes k successor
+# worlds of G * W bytes each, k * G * W <= _BOX_CELLS, and at least one.
+# A `scan_kt4` span (8,192 frames of 4 worlds, two bytes each) then takes
 # one successor world per pass: the pass's scratch array is 64 KiB and its
 # successor bytes 32 KiB, below glibc's 128 KiB mmap threshold, so they are
 # reused from the heap instead of being faulted in afresh.  A single model
 # takes every successor at once.
-_BOX_CELLS = 1 << 13
+_BOX_CELLS = 1 << 14
 
 
-def _word_layout(n_vals: int) -> tuple[np.dtype, int, int]:
-    """The word dtype, the words per frame group and the frames per group
-    that hold one bit per (frame, valuation) cell: the smallest unsigned
-    type of at least n_vals bits, else uint64s; with fewer than 8
-    valuations a uint8 word holds 8 // n_vals frames."""
-    bits = 8
-    while bits < min(n_vals, 64):
-        bits *= 2
-    return np.dtype(f"uint{bits}"), -(-n_vals // bits), max(1, bits // n_vals)
+def _word_layout(n_vals: int) -> tuple[int, int]:
+    """The bytes per frame group and the frames per group that hold one
+    bit per (frame, valuation) cell: a frame of 8 or more valuations takes
+    n_vals / 8 bytes, and with fewer one byte holds 8 // n_vals frames."""
+    return -(-n_vals // 8), max(1, 8 // n_vals)
 
 
 class Block:
@@ -76,17 +73,19 @@ class Block:
     for a single model of up to 16 worlds); the joint / common / cdk rows
     keep that dtype.  `atom_ext` maps each atom to its extension as
     `atom_words` builds it, and `shape` is (F, V).  Cell c = f * V + v, for
-    frame f and valuation v, is bit c % B of word c // B, with B bits per
-    word.  The words fall into G groups of W words and P frames each,
-    W * B = P * V: one frame over W words when there are 8 or more
-    valuations (P = 1), else P = 8 // V frames in one uint8 word (W = 1).
-    An extension is shaped (n, G|1, W|1), world axis first, and broadcast
-    on demand.  The last group's cells past frame F are padding, which no
-    first failure reports.  The joint / common / cdk relations, their
-    complement rows and the comparison words live as long as the block;
-    the memo of one formula's subterm extensions is dropped after
-    `evaluate` returns, so memory does not grow with the number of
-    formulas.
+    frame f and valuation v, is bit c % 8 of byte c // 8.  The bytes fall
+    into G groups of W bytes and P frames each, 8 * W = P * V: one frame
+    over W bytes when there are 8 or more valuations (P = 1), else
+    P = 8 // V frames in one byte (W = 1).  An extension is a uint8 array
+    shaped (n, W|1, G|1): world, then byte, then group, each axis
+    broadcast on demand, so an extension that depends only on the frame (a
+    comparison) is (n, 1, G) and one that depends only on the valuation
+    (an atom) is (n, W, 1).  The last group's cells past frame F are
+    padding, which no first failure reports.  The joint / common / cdk
+    relations, their complement rows and the comparison bytes live as
+    long as the block; the memo of one formula's subterm extensions is
+    dropped after `evaluate` returns, so memory does not grow with the
+    number of formulas.
     """
 
     def __init__(self, rows_by_agent: Mapping[str, np.ndarray],
@@ -97,25 +96,21 @@ class Block:
         self.shape = shape
         n_frames, n_vals = shape
         self.n = next(iter(rows_by_agent.values())).shape[1]
-        self.dtype, self.words, self.per_word = _word_layout(n_vals)
-        self.bits = self.dtype.itemsize * 8
+        self.words, self.per_word = _word_layout(n_vals)
         self.groups = -(-n_frames // self.per_word)
-        self.full = self.dtype.type(np.iinfo(self.dtype).max)
-        # the cells of the last group's words that hold frames
+        # the cells of the last group's bytes that hold frames
         tail = (n_frames - (self.groups - 1) * self.per_word) * n_vals
-        self.tail = self.dtype.type((1 << min(tail, self.bits)) - 1)
+        self.tail = np.uint8((1 << min(tail, 8)) - 1)
         # A frame's 0/1 byte becomes a byte with that frame's cells set:
         # the bytes of a group's P frames, read as one little-endian
         # carrier and multiplied by spread, put each frame's bit on its
         # cells in the carrier's top byte (the partial products never
-        # carry).  With P = 1 the carrier is the byte and spread 0xFF, and
-        # the byte sign-extends to the word.
+        # carry).  With P = 1 the carrier is the byte and spread 0xFF.
         self._carrier = np.dtype(f"<u{self.per_word}")
         cells = 8 // self.per_word
         self._spread = self._carrier.type(
             sum(1 << (8 * (self.per_word - 1 - c // cells) + c)
                 for c in range(8)))
-        self._signed = np.dtype(f"int{self.bits}")
         self._joint: dict[Group, np.ndarray] = {}
         self._reach: dict[Supergroup, np.ndarray] = {}
         self._misses: dict[object, np.ndarray] = {}
@@ -124,19 +119,15 @@ class Block:
     @staticmethod
     def atom_words(masks: np.ndarray, n: int) -> np.ndarray:
         """An atom's extension from its world mask at each valuation index
-        (a (V,) integer array), as (n, 1, W) words: the same in every
+        (a (V,) integer array), as (n, W, 1) bytes: the same in every
         group, so with fewer than 8 valuations the V cells repeat for each
-        frame of the word."""
-        dtype, n_words, per_word = _word_layout(len(masks))
-        bits = dtype.itemsize * 8
-        cells = np.tile(masks.astype(np.uint32), per_word)
-        held = ((cells >> np.arange(n, dtype=np.uint32)[:, None]) & 1
-                ).astype(dtype)
-        held = held.reshape(n, n_words, bits) << np.arange(bits, dtype=dtype)
-        return np.bitwise_or.reduce(held, axis=2)[:, None, :]
+        frame of the byte."""
+        cells = np.tile(masks.astype(np.uint32), _word_layout(len(masks))[1])
+        held = (cells >> np.arange(n, dtype=np.uint32)[:, None]) & 1
+        return np.packbits(held, axis=1, bitorder="little")[:, :, None]
 
     def evaluate(self, f: Formula) -> np.ndarray:
-        """f's extension, broadcastable to (n, G, W): a fold, so each
+        """f's extension, broadcastable to (n, W, G): a fold, so each
         subterm is evaluated once, from its children's extensions, and a
         formula of any depth evaluates.  The subterm extensions are
         dropped on return."""
@@ -145,10 +136,10 @@ class Block:
     def world_mask(self, ext: np.ndarray, frame: int, val: int) -> int:
         """The worlds of one frame where ext holds at one valuation, as a
         bitmask."""
-        word, bit = divmod(frame * self.shape[1] + val, self.bits)
-        group, word = divmod(word, self.words)
-        # a broadcast axis of length 1 stands for every group or word
-        cells = ext[:, group % ext.shape[1], word % ext.shape[2]]
+        byte, bit = divmod(frame * self.shape[1] + val, 8)
+        group, byte = divmod(byte, self.words)
+        # a broadcast axis of length 1 stands for every byte or group
+        cells = ext[:, byte % ext.shape[1], group % ext.shape[2]]
         return sum((c >> bit & 1) << w for w, c in enumerate(cells.tolist()))
 
     def first_failure(self, ext: np.ndarray) -> tuple[int, int, int] | None:
@@ -156,28 +147,27 @@ class Block:
         misses a world, frames first and then valuations ascending, or
         None if ext holds everywhere."""
         fail = np.invert(np.bitwise_and.reduce(ext, axis=0))
-        if len(fail) == self.groups:
-            fail[-1] &= self.tail
+        if fail.shape[1] == self.groups:
+            fail[:, -1] &= self.tail
         if not fail.any():
             return None
-        # a broadcast group axis fails first in group 0, a broadcast word
-        # axis in word 0
-        group, word = divmod(int(np.argmax(fail != 0)), fail.shape[1])
-        low = int(fail[group, word])
-        cell = (group * self.words + word) * self.bits \
+        # group-major, as the cells run; a broadcast group axis fails
+        # first in group 0, a broadcast byte axis in byte 0
+        group, byte = divmod(int(np.argmax(fail.T != 0)), fail.shape[0])
+        low = int(fail[byte, group])
+        cell = (group * self.words + byte) * 8 \
             + (low & -low).bit_length() - 1
         frame, val = divmod(cell, self.shape[1])
         return frame, val, self.world_mask(ext, frame, val)
 
     def _spread_bytes(self, held: np.ndarray) -> np.ndarray:
         """held, a C-contiguous (..., G * P) uint8 array of one 0/1 byte
-        per frame (any byte past frame F), as (..., G) int8 bytes with all
-        cells set of each frame whose byte is 1: the words themselves when
-        a word holds several frames, else bytes of all ones or 0 that
-        sign-extend to the words.  Works in place on held."""
+        per frame (any byte past frame F), as the (..., G) bytes with all
+        cells set of each frame whose byte is 1.  Works in place on held,
+        and returns a view of it."""
         carried = held.view(self._carrier)
         carried *= self._spread
-        return held.view(np.int8)[..., self.per_word - 1::self.per_word]
+        return held[..., self.per_word - 1::self.per_word]
 
     def joint(self, group: Group) -> np.ndarray:
         out = self._joint.get(group)
@@ -228,25 +218,22 @@ class Block:
         # at world w: the AND over successor worlds v of ext[v] | notin[v, w],
         # where notin[v, w] is all ones on the frames where v is not a
         # successor of w.  k worlds v per pass, reduced over the leading
-        # axis; signed words sign-extend the notin bytes.  Each pass spreads
-        # them from the relation's complement rows into one scratch array:
-        # caching them held n x n bytes per frame, which pushed a
-        # `scan_kt4` span's heap past what glibc keeps between spans
-        # (12,700 minor faults per pass, not 0).
+        # axis.  Each pass spreads them from the relation's complement rows
+        # into one scratch array: caching them held n x n bytes per frame,
+        # which pushed a `scan_kt4` span's heap past what glibc keeps
+        # between spans (12,700 minor faults per pass, not 0).
         missed = self._missed(key, rows)
         k = min(self.n, max(1, _BOX_CELLS // (self.groups * self.words)))
         shifts = np.arange(self.n, dtype=missed.dtype)[:, None, None]
-        ext = ext.view(self._signed)
         held = np.empty((k, *missed.shape), dtype=np.uint8)
-        sub = np.empty((k, self.n, self.groups, ext.shape[2]),
-                       dtype=self._signed)
+        sub = np.empty((k, self.n, ext.shape[1], self.groups), dtype=np.uint8)
         out = None
         for v in range(0, self.n, k):
             j = min(k, self.n - v)
             np.right_shift(missed, shifts[v:v + j], out=held[:j],
                            casting="unsafe")
             held[:j] &= 1
-            notin = self._spread_bytes(held[:j])[..., None]
+            notin = self._spread_bytes(held[:j])[:, :, None]
             np.bitwise_or(ext[v:v + j, None], notin, out=sub[:j])
             if out is None:
                 out = np.bitwise_and.reduce(sub[:j])
@@ -254,7 +241,7 @@ class Block:
                 # one world needs no reduction, which would allocate a
                 # fresh result
                 out &= sub[0] if j == 1 else np.bitwise_and.reduce(sub[:j])
-        return out.view(self.dtype)
+        return out
 
     def _leq(self, left: Group, right: Group) -> np.ndarray:
         # A's joint row is inside B's iff it is inside each member's row,
@@ -270,13 +257,11 @@ class Block:
         if out is None:
             a, b = self.joint(left), self.rows_by_agent[agent]
             # one row test per frame and world, world axis first, so the
-            # operators read the words contiguously
+            # operators read the bytes contiguously
             held = np.zeros((self.n, self.groups * self.per_word),
                             dtype=np.uint8)
             held.view(bool)[:, :len(a)] = ((a & np.invert(b)) == 0).T
-            out = np.empty((self.n, self.groups, 1), dtype=self.dtype)
-            np.copyto(out[:, :, 0].view(self._signed),
-                      self._spread_bytes(held))
+            out = np.ascontiguousarray(self._spread_bytes(held))[:, None]
             self._leqs[(left, agent)] = out
         return out
 
@@ -286,20 +271,20 @@ class Block:
             return leq
         geq = self._leq(f.right, f.left)
         if f.op is CmpOp.LT:
-            return leq & (geq ^ self.full)
+            return leq & ~geq
         if f.op is CmpOp.EQV:
             return leq & geq
-        return (leq ^ self.full) & (geq ^ self.full)
+        return ~(leq | geq)
 
 
 # each node's extension in block b, from its children's
 _EXT = {
     Atom: lambda b, f: b.atom_ext[f.name],
-    Not: lambda b, f, sub: sub ^ b.full,
+    Not: lambda b, f, sub: ~sub,
     And: lambda b, f, left, right: left & right,
     Or: lambda b, f, left, right: left | right,
-    Imp: lambda b, f, left, right: (left ^ b.full) | right,
-    Iff: lambda b, f, left, right: (left ^ right) ^ b.full,
+    Imp: lambda b, f, left, right: ~left | right,
+    Iff: lambda b, f, left, right: ~(left ^ right),
     DK: lambda b, f, sub: b._box(f.group, b.joint(f.group), sub),
     IndK: lambda b, f, sub: b._box(Group([f.agent]),
                                    b.rows_by_agent[f.agent], sub),

@@ -77,6 +77,29 @@ def test_unknown_closure_property():
         apply_closure(fixtures()["fig3"], ("serial",))
 
 
+_PROPERTY_CHECKS = {"reflexive": Relation.is_reflexive,
+                    "symmetric": Relation.is_symmetric,
+                    "transitive": Relation.is_transitive}
+
+
+@pytest.mark.parametrize("props", [
+    c for k in range(4) for c in itertools.combinations(_PROPERTY_CHECKS, k)],
+    ids=lambda props: "-".join(props) or "none")
+def test_one_closure_pass_has_every_property_asked_for(props):
+    """Every relation on up to 3 worlds, closed under each subset of the
+    properties in one pass, contains the relation and has each property
+    asked for."""
+    for n in (1, 2, 3):
+        worlds = tuple(f"w{i}" for i in range(n))
+        for rows in itertools.product(range(1 << n), repeat=n):
+            r = Relation(rows)
+            m = KripkeModel(worlds, ("a",), (r,), (), ())
+            closed = apply_closure(m, props).relation("a")
+            assert all(c | row == c for c, row in zip(closed.rows, rows))
+            for prop in props:
+                assert _PROPERTY_CHECKS[prop](closed), (rows, prop)
+
+
 # --- relation predicates --------------------------------------------------
 
 def test_euclidean_without_symmetry():
@@ -316,6 +339,22 @@ rel a: (s,t)
 """
     m = load_model(text)
     assert rel_pairs(m.relation("a")) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("text, line, section", [
+    ("agents: a\nworlds: s t\natoms:\nclosure: reflexive\n"
+     "closure: symmetric\nrel a: (s,t)\n", 5, "closure"),
+    ("agents: a\nworlds: s t\natoms:\nclosure:\nclosure: reflexive\n",
+     5, "closure"),
+    ("agents: a\nworlds: s t\natoms:\nwitness: s\nwitness: t\n",
+     5, "witness")], ids=["closure-twice", "closure-after-an-empty-one",
+                          "witness-twice"])
+def test_load_rejects_a_second_closure_or_witness(text, line, section):
+    """A second `closure:` or `witness:` line is an error, as a second
+    line of every other header section is, not a silent replacement."""
+    with pytest.raises(ModelFormatError,
+                       match=f"^line {line}: duplicate {section}:$"):
+        load_model_witness(text)
 
 
 def test_load_accepts_comments_and_blanks():

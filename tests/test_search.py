@@ -1,8 +1,8 @@
 """Bounded-search tests: enumeration sizes against closed forms, ordering,
 dedup-by-isomorphism and its Burnside count, agreement between the array
 scanner and a plain per-model sweep (`conftest.enumerate_models`) with the
-pair-set oracle (for every size of valuation word, and past the first
-word), the relation pools and their world relabelings (against
+pair-set oracle (for every number of valuation bytes per frame, and past
+the first byte), the relation pools and their world relabelings (against
 `conftest.relation_pool` and `conftest.relabel_rows`), the orbit-minimal
 frames the scanner walks (against a brute-force
 `conftest.lex_min_frames`), the thread pool and the lazy span walk, and
@@ -275,11 +275,11 @@ _MINIMAL_SWEEP_BOUNDS = [
     SearchBounds(FrameClass.KT, 1, 3, atoms=("p",)),
     SearchBounds(FrameClass.S4, 2, 3, atoms=("p",)),
     SearchBounds(FrameClass.S5, 3, 3, atoms=("p",)),
-    # An extension holds one bit per (frame, valuation) cell: one uint8
-    # word holds 8, 4 or 2 frames of 1, 2 or 4 valuations, and a frame of
-    # 8, 16, 32 or 64 valuations takes one uint8, uint16, uint32 or uint64
-    # word.  The bounds above hold 4 and 8 valuations at their largest
-    # world count, these 1, 2, 16, 32 and 64.
+    # An extension holds one bit per (frame, valuation) cell: one byte
+    # holds 8, 4 or 2 frames of 1, 2 or 4 valuations, and a frame of 8,
+    # 16, 32 or 64 valuations takes 1, 2, 4 or 8 bytes.  The bounds above
+    # hold 4 and 8 valuations at their largest world count, these 1, 2, 16,
+    # 32 and 64.
     SearchBounds(FrameClass.KT, 2, 2),
     SearchBounds(FrameClass.S5, 2, 1, atoms=("p",)),
     SearchBounds(FrameClass.S5, 1, 4, atoms=("p",)),
@@ -452,12 +452,14 @@ def test_the_walk_memo_holds_one_bit_per_pool_relation(monkeypatch):
     assert retained <= len(entries) * row + sparse + overhead
 
 
-# --- several valuation words per cell ------------------------------------
+# --- several valuation bytes per frame -----------------------------------
 
-# 512 and 1,024 valuations at the largest world count: 8 and 16 uint64
-# words per world and frame
+# 512 and 1,024 valuations at the largest world count: 64 and 128 bytes
+# per world and frame.  On the two-agent bound a comparison, the same in
+# every byte of a frame, meets an atom, the same in every frame.
 _KT_1_3_PQR = SearchBounds(FrameClass.KT, 1, 3, atoms=("p", "q", "r"))
 _S5_1_5_PQ = SearchBounds(FrameClass.S5, 1, 5, atoms=("p", "q"))
+_S5_2_3_PQR = SearchBounds(FrameClass.S5, 2, 3, atoms=("p", "q", "r"))
 
 
 def _sweep_at(f, bounds, n):
@@ -471,33 +473,51 @@ def _sweep_at(f, bounds, n):
     return None, None
 
 
+def _cell_of(m, bounds):
+    """The (pool indices, valuation index) that name m within bounds."""
+    pool = frame_relations(bounds.frame, m.n_worlds).tolist()
+    frame = tuple(pool.index(list(r.rows)) for r in m.relations)
+    val_idx = 0
+    for mask in m.valuation:
+        val_idx = val_idx << m.n_worlds | mask
+    return frame, val_idx
+
+
 @pytest.mark.parametrize("bounds,text,cell", [
     (_KT_1_3_PQR, "~p", ((0,), 64)),
     (_KT_1_3_PQR, "~(p & q & r)", ((0,), 73)),
     (_KT_1_3_PQR, "p -> K{a} q", ((0,), 64)),
     (_S5_1_5_PQ, "K{a} p -> (q -> K{a} q)", ((1,), 97)),
     (_S5_1_5_PQ, "(K{a} p & q) -> K{a} q", ((1,), 97)),
-    (_S5_1_5_PQ, "K{a} (p | q) -> (K{a} p | K{a} q)", ((1,), 34))],
+    (_S5_1_5_PQ, "K{a} (p | q) -> (K{a} p | K{a} q)", ((1,), 34)),
+    (_S5_2_3_PQR, "[{a} <= {b}] -> (p -> q)", None),
+    (_S5_2_3_PQR, "~[{a} <= {b}] | r", None),
+    (_S5_2_3_PQR, "[{a} <= {b}] | ~p", None),
+    (_S5_2_3_PQR, "[{a} <= {b}] | ~(p & q)", None),
+    (_S5_2_3_PQR, "[{b} <= {a}] | (p -> q)", None)],
     ids=lambda x: _bounds_id(x) if isinstance(x, SearchBounds) else None)
 def test_first_failure_past_the_first_word(bounds, text, cell):
-    """Several uint64 words per cell: at the largest world count, a first
-    failure in the second word (valuation 64 and up) or at a later frame
-    is decoded to the per-model sweep's model and witness, and so is the
-    search's first countermodel."""
+    """Several bytes per frame: at the largest world count, a first
+    failure past the first byte (valuation 8 and up) or at a later frame
+    is decoded to the per-model sweep's model and witness, in spans of one
+    frame and in one span of every frame, and so is the search's first
+    countermodel.  The cells pinned here are the sweep's."""
     n, f = bounds.max_worlds, parse(text)
     m, w = _sweep_at(f, bounds, n)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_CHUNK_CELLS", 8)
-        mp.setattr(os, "cpu_count", lambda: 8)
-        for jobs in (1, 2, 8):
-            hits = search._first_failures([f], [0], bounds, n, jobs)
-            frame, val_idx, mask = hits[0]
-            assert (frame, val_idx) == cell
-            got = search._model_at(bounds, n, frame, val_idx)
-            assert encode_model(got, bounds.atoms) \
-                == encode_model(m, bounds.atoms)
-            missing = ~mask & ((1 << n) - 1)
-            assert got.worlds[(missing & -missing).bit_length() - 1] == w
+    assert cell in (None, _cell_of(m, bounds))
+    for cells in (8, search._CHUNK_CELLS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_CHUNK_CELLS", cells)
+            mp.setattr(os, "cpu_count", lambda: 8)
+            for jobs in (1, 2, 8):
+                hits = search._first_failures([f], [0], bounds, n, jobs)
+                frame, val_idx, mask = hits[0]
+                assert (frame, val_idx) == _cell_of(m, bounds)
+                got = search._model_at(bounds, n, frame, val_idx)
+                assert encode_model(got, bounds.atoms) \
+                    == encode_model(m, bounds.atoms)
+                missing = ~mask & ((1 << n) - 1)
+                assert got.worlds[(missing & -missing).bit_length() - 1] == w
     _check_every_jobs(f, bounds, _sweep(f, bounds))
 
 
@@ -511,9 +531,9 @@ def test_several_words_hold_everywhere(bounds):
 
 
 def test_an_extension_holds_one_bit_per_valuation(monkeypatch):
-    """KT, 2 agents, 4 worlds, atom p: every extension over a span holds at
-    most n * V / 8 bytes per frame (8, one uint16 per world), where one
-    uint32 world mask per valuation would take 64."""
+    """KT, 2 agents, 4 worlds, atom p: every extension over a span is
+    bytes and holds at most n * V / 8 of them per frame (8, two per
+    world), where one uint32 world mask per valuation would take 64."""
     blocks = []
     block = search._block
 
@@ -532,11 +552,12 @@ def test_an_extension_holds_one_bit_per_valuation(monkeypatch):
     for text in ("p", "~p", "K{a} p -> p", "[{a} <= {b}]",
                  "D{a,b} p & ~C{a,b} ~p", "[{a} # {b}] | CD[{a};{b}] p"):
         ext = one.evaluate(parse(text))
+        assert ext.dtype == np.uint8
         assert ext.nbytes <= n_frames * 4 * n_vals // 8
 
 
 def test_an_atomless_extension_packs_eight_frames_per_byte(monkeypatch):
-    """KT, 3 agents, 3 worlds, no atoms: one valuation, so a uint8 word
+    """KT, 3 agents, 3 worlds, no atoms: one valuation, so a byte
     holds 8 frames and an extension over the span of all 43,968 minimal
     frames holds at most n * F / 8 bytes (one byte per world and frame
     would take n * F)."""
@@ -559,14 +580,15 @@ def test_an_atomless_extension_packs_eight_frames_per_byte(monkeypatch):
                  "C{a,b} [{a} <= {b}] -> [{b} == {c}]",
                  "CD[{a};{b,c}] ~[{a} <= {c}]"):
         ext = one.evaluate(parse(text))
+        assert ext.dtype == np.uint8
         assert ext.nbytes <= -(-3 * n_frames // 8)
 
 
-# --- frames packed into a word --------------------------------------------
+# --- frames packed into a byte --------------------------------------------
 
-# KT, 2 agents, up to 3 worlds, no atoms: one valuation, so a uint8 word
+# KT, 2 agents, up to 3 worlds, no atoms: one valuation, so a byte
 # holds 8 frames.  Blocks of 10 and 13 cells cut spans of up to 10 and 13
-# frames, neither a multiple of 8, so a span's last word holds padding
+# frames, neither a multiple of 8, so a span's last byte holds padding
 # cells past the span's last frame.
 _KT_2_3 = SearchBounds(FrameClass.KT, 2, 3)
 
@@ -585,7 +607,7 @@ def test_padding_past_the_last_frame_never_fails(text, cells):
     "~[{a} <= {b}]", "[{b} <= {a}]", "[{a} <= {b}] | [{b} <= {a}]",
     "[{a} <= {b}] -> K{a} [{a} <= {b}]"])
 def test_first_failure_in_a_packed_span(text, cells):
-    """A packed span's first failure, in its first word or a later one,
+    """A packed span's first failure, in its first byte or a later one,
     is the per-model sweep's first countermodel and witness."""
     f = parse(text)
     _check_every_jobs(f, _KT_2_3, _sweep(f, _KT_2_3), cells)
@@ -593,7 +615,7 @@ def test_first_failure_in_a_packed_span(text, cells):
 
 def test_first_failure_in_the_second_word_of_a_span(monkeypatch):
     """On 2 worlds the 10 minimal frames make one span, and this formula
-    first fails at frame 8: the first cell of the span's second word."""
+    first fails at frame 8: the first cell of the span's second byte."""
     hits = []
     first_failure = semantics.Block.first_failure
 
