@@ -30,17 +30,31 @@ frame axis holds only the frames that no world relabeling makes smaller
 frame smaller, it maps each falsifier on that frame to an isomorphic
 falsifier earlier in the order, so the first countermodel lies on a
 minimal frame, and a formula that holds on every minimal frame holds on
-every frame.  The sweep runs world count outer, then frame span, then
-the formulas not yet refuted: each span's block of frame rows, its
-joint / common / cdk relations and its comparison bytes are built once
-and shared by every formula, and a formula leaves the sweep at its first
+every frame.
+
+Each sweep covers one world count and walks frame spans, then the
+formulas not yet refuted: each span's block of frame rows, its joint /
+common / cdk relations and its comparison bytes are built once and
+shared by every formula, and a formula leaves the sweep at its first
 failing span.  Spans are walked in order with at most two per worker in
 flight, so memory does not grow with the number of spans, and their
-failures are merged in span order.  `check_validity` is the one-formula
-case and `check_schema` sweeps all unique instances of a schema
-together.  The first countermodel reported for each formula is the first
-in enumeration order, with the lowest falsifying world as witness, so
-results are reproducible and independent of --jobs chunking.
+failures are merged in span order.
+
+The largest world count is swept first, for every formula.  Every
+operator at a world reads only the worlds it reaches (D, K, C, CD) or
+that world's own rows (comparisons), so a model and its disjoint union
+with other worlds agree on the original worlds (Blackburn, de Rijke &
+Venema, *Modal Logic*, 2001, Props. 2.3 and 2.6).  KT, S4 and S5 all
+admit an isolated reflexive world, so a countermodel with fewer worlds,
+padded with such worlds, is a countermodel at the largest count: a
+formula that holds there holds at every smaller count.  Only the
+formulas the first sweep refutes are swept again, at 1, 2, ... worlds,
+each until its first failing count.  `check_validity` is the
+one-formula case and `check_schema` sweeps all unique instances of a
+schema together.  The first countermodel reported for each formula is
+the first in enumeration order, with the lowest falsifying world as
+witness, so results are reproducible and independent of --jobs
+chunking.
 
 `mod_iso` runs the same sweep and counts isomorphism classes instead of
 models: the first falsifying model in enumeration order is always the
@@ -548,32 +562,49 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
     return sweep(_run_now, 1)
 
 
+def _countermodel(bounds: SearchBounds, n: int,
+                  failure: _Failure) -> Countermodel:
+    """The model of an n-world failure, with its lowest falsifying world
+    as witness."""
+    frame, val_idx, ext_mask = failure
+    m = _model_at(bounds, n, frame, val_idx)
+    missing = ~ext_mask & ((1 << n) - 1)
+    return Countermodel(model=m,
+                        witness=m.worlds[(missing & -missing).bit_length() - 1])
+
+
 def check_formulas(formulas: Sequence[Formula], bounds: SearchBounds, *,
                    jobs: int = 1) -> list[SearchOutcome]:
-    """`check_validity` for each formula, in one shared sweep.
+    """`check_validity` for each formula, in shared sweeps.
 
     Every formula is validated against the bounds first, in order.  The
-    sweep then runs world count outer, then frame span, then the formulas
-    not yet refuted: it builds each frame block once and checks every such
-    formula against it.  Each formula keeps its own first countermodel and
-    witness, exactly as a search of its own would report them.
+    first sweep runs at `max_worlds` worlds, for every formula.  A smaller
+    countermodel filled up to `max_worlds` with isolated reflexive worlds,
+    every atom false there, is still one (a disjoint union: Blackburn, de
+    Rijke & Venema, *Modal Logic*, 2001, Props. 2.3 and 2.6), so only the
+    formulas that sweep refutes are swept again, at 1, 2, ... worlds, each
+    until its first failing world count.  Each formula keeps its own first
+    countermodel and witness, exactly as a search of its own would report
+    them.
     """
     for f in formulas:
         _validate_within(f, bounds)
+    top = bounds.max_worlds
+    refuted = _first_failures(formulas, range(len(formulas)), bounds, top,
+                              jobs)
     found: dict[int, Countermodel] = {}
-    checked = 0
-    for n in range(1, bounds.max_worlds + 1):
-        todo = [i for i in range(len(formulas)) if i not in found]
+    todo = sorted(refuted)
+    for n in range(1, top):
         if not todo:
             break
-        hits = _first_failures(formulas, todo, bounds, n, jobs)
-        for i, (frame, val_idx, ext_mask) in hits.items():
-            m = _model_at(bounds, n, frame, val_idx)
-            missing = ~ext_mask & ((1 << n) - 1)
-            witness = m.worlds[(missing & -missing).bit_length() - 1]
-            found[i] = Countermodel(model=m, witness=witness)
-        checked += _models_at(bounds, n)
-    none = NoCountermodelUpTo(bounds=bounds, models_checked=checked)
+        for i, hit in _first_failures(formulas, todo, bounds, n,
+                                      jobs).items():
+            found[i] = _countermodel(bounds, n, hit)
+        todo = [i for i in todo if i not in found]
+    for i in todo:
+        found[i] = _countermodel(bounds, top, refuted[i])
+    none = NoCountermodelUpTo(bounds=bounds,
+                              models_checked=count_models(bounds))
     return [found.get(i, none) for i in range(len(formulas))]
 
 

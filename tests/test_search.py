@@ -5,8 +5,9 @@ pair-set oracle (for every number of valuation bytes per frame, and past
 the first byte), the relation pools and their world relabelings (against
 `conftest.relation_pool` and `conftest.relabel_rows`), the orbit-minimal
 frames the scanner walks (against a brute-force
-`conftest.lex_min_frames`), the thread pool and the lazy span walk, and
-schema instantiation (whose instances share one scan, checked against the
+`conftest.lex_min_frames`), the largest world count swept first and the
+smaller ones only for what it refutes, the thread pool and the lazy span
+walk, and schema instantiation (whose instances share one scan, checked against the
 per-model sweep too)."""
 
 import itertools
@@ -29,10 +30,9 @@ from conftest import (canonicalize, encode_model, enumerate_models,
 from epicmp.kripke import FrameClass, classify_frame
 from epicmp.search import (AGENT_POOL, BoundsError, Countermodel,
                            DEFAULT_FORMULA_POOL, MAX_SEARCH_WORLDS,
-                           NoCountermodelUpTo,
-                           SearchBounds, check_schema, check_validity,
-                           count_models, frame_relations,
-                           instantiate_schema)
+                           NoCountermodelUpTo, SearchBounds, check_formulas,
+                           check_schema, check_validity, count_models,
+                           frame_relations, instantiate_schema)
 from epicmp.semantics import satisfies
 from epicmp.syntax import Group, parse
 
@@ -332,9 +332,90 @@ def test_minimal_frame_sweep_agrees_with_per_model_sweep(bounds):
     check()
 
 
+# --- world counts: the largest first -------------------------------------
+
+# fails first at 3 worlds on KT, and at 4 worlds too
+_REFUTED_BELOW_TOP = parse("K{a} p -> K{a} K{a} p")
+# an agent must see four worlds at once, one per valuation of p and q
+_REFUTED_ONLY_AT_TOP = parse("~(~K{a}~(p & q) & ~K{a}~(p & ~q) "
+                             "& ~K{a}~(~p & q) & ~K{a}~(~p & ~q))")
+
+
+def test_a_formula_refuted_below_the_top_keeps_its_smallest_countermodel():
+    """KT, 1 agent, 4 worlds: the 4-world sweep refutes the formula, and
+    the sweeps below it find its first countermodel, at 3 worlds."""
+    f = _REFUTED_BELOW_TOP
+    bounds = SearchBounds(FrameClass.KT, 1, 4, atoms=("p",))
+    assert 0 in search._first_failures([f], [0], bounds, 4, 1)
+    want = _sweep(f, bounds)
+    assert want[0].n_worlds == 3
+    _check_every_jobs(f, bounds, want)
+
+
+def test_a_formula_refuted_only_at_the_top_keeps_its_top_failure():
+    """S5, 1 agent, p and q: the formula holds on all 356 models up to 3
+    worlds, so its first countermodel is the 4-world sweep's."""
+    f = _REFUTED_ONLY_AT_TOP
+    below = SearchBounds(FrameClass.S5, 1, 3, atoms=("p", "q"))
+    assert _sweep(f, below) == (None, None, 356)
+    assert check_validity(f, below) == NoCountermodelUpTo(
+        bounds=below, models_checked=356)
+    bounds = SearchBounds(FrameClass.S5, 1, 4, atoms=("p", "q"))
+    want = _sweep(f, bounds)
+    assert want[0].n_worlds == 4
+    _check_every_jobs(f, bounds, want)
+
+
+_MIXED_BOUNDS = SearchBounds(FrameClass.KT, 1, 4, atoms=("p", "q"))
+_MIXED_VALID = [parse("p -> p"), parse("K{a} p -> p"),
+                parse("K{a} (p | q) -> p | q")]
+# refuted first at 3, 4 and 1 worlds, between formulas that hold
+_MIXED = [_MIXED_VALID[0], _REFUTED_BELOW_TOP, _MIXED_VALID[1],
+          _REFUTED_ONLY_AT_TOP, parse("p"), _MIXED_VALID[2]]
+
+
+def test_a_mixed_batch_gives_each_formula_its_own_outcome(monkeypatch):
+    """One batch of formulas that hold and formulas refuted at 1, 3 and 4
+    worlds gives each the outcome of its own search, with one frame per
+    span and 1, 2 or 8 threads."""
+    monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    alone = [check_validity(f, _MIXED_BOUNDS) for f in _MIXED]
+    assert [o.model.n_worlds if isinstance(o, Countermodel) else None
+            for o in alone] == [None, 3, None, 4, 1, None]
+    for jobs in (1, 2, 8):
+        assert check_formulas(_MIXED, _MIXED_BOUNDS, jobs=jobs) == alone
+
+
+def test_lower_world_counts_sweep_only_the_refuted_formulas(monkeypatch):
+    """A batch that holds is swept at 4 worlds alone.  Below 4 worlds the
+    sweeps carry only the formulas the 4-world sweep refuted, in formula
+    order, each until its first failing world count, and stop once every
+    one has failed."""
+    calls = []
+    first_failures = search._first_failures
+
+    def spy(formulas, todo, bounds, n, jobs):
+        calls.append((n, list(todo)))
+        return first_failures(formulas, todo, bounds, n, jobs)
+
+    monkeypatch.setattr(search, "_first_failures", spy)
+    check_formulas(_MIXED_VALID, _MIXED_BOUNDS)
+    assert calls == [(4, [0, 1, 2])]
+    calls.clear()
+    check_formulas(_MIXED, _MIXED_BOUNDS)
+    assert calls == [(4, [0, 1, 2, 3, 4, 5]), (1, [1, 3, 4]), (2, [1, 3]),
+                     (3, [1, 3])]
+    calls.clear()
+    check_formulas([parse("p"), _MIXED_VALID[0]], _MIXED_BOUNDS)
+    assert calls == [(4, [0, 1]), (1, [0])]
+
+
 def test_valid_sweep_gathers_only_the_minimal_frames(monkeypatch):
     """KT, 2 agents, 4 worlds: 703,760 of the 16,777,216 frames are
-    minimal, and a formula that holds everywhere gathers exactly those."""
+    minimal, and a formula that holds everywhere gathers exactly those.
+    It holds at 4 worlds, so no smaller world count is swept, yet
+    models_checked still counts the models of 1 to 4 worlds."""
     gathered = {}
     block = search._block
 
@@ -347,8 +428,7 @@ def test_valid_sweep_gathers_only_the_minimal_frames(monkeypatch):
     out = check_validity(parse("p -> p"), bounds)
     assert out == NoCountermodelUpTo(bounds=bounds,
                                      models_checked=268_468_290)
-    assert gathered == {n: len(lex_min_frames(FrameClass.KT, n, 2))
-                        for n in (1, 2, 3)} | {4: 703_760}
+    assert gathered == {4: 703_760}
 
 
 def test_frame_walk_memory_stays_below_a_relabeling_table():
@@ -757,8 +837,8 @@ def test_jobs_thread_pool_is_clamped(monkeypatch):
     requested = []
     monkeypatch.setattr(search, "ThreadPoolExecutor",
                         _inline_pool(requested, []))
-    # one frame per span at 3 worlds: 1 span at 1 world, 2 at 2 worlds and
-    # 16 (the minimal frames) at 3 worlds
+    # one frame per span at 3 worlds: 16 spans, one per minimal frame.  The
+    # formula holds there, so the 1- and 2-world sweeps never run
     monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
     bounds = SearchBounds(FrameClass.KT, 1, 3, atoms=("p",))
     f = parse("D{a} p -> p")
@@ -767,7 +847,7 @@ def test_jobs_thread_pool_is_clamped(monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert check_validity(f, bounds, jobs=10**6) == serial
-    assert requested == [2, 4]
+    assert requested == [4]
 
     requested.clear()
     monkeypatch.setattr(os, "cpu_count", lambda: None)

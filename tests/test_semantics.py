@@ -1,19 +1,21 @@
 """Evaluator tests: frozen model facts, agreement with the pair-set oracle
 (also on 9-16-world models), desugaring soundness, operator oracles, and
-semantic properties that hold on every model."""
+semantic properties that hold on every model, among them that isolated
+worlds leave every extension on the other worlds as it was."""
 
 import itertools
 
 import numpy as np
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import epicmp.semantics as semantics
 from conftest import enumerate_models, kt_models, model_formula_pairs, \
     models, oracle_extension, rel_pairs, s5_models
 from epicmp.corpus import fixtures
-from epicmp.kripke import (FrameClass, KripkeModel, UnknownWorldError,
-                           load_model)
+from epicmp.kripke import (FrameClass, KripkeModel, Relation,
+                           UnknownWorldError, classify_frame, load_model)
 from epicmp.search import SearchBounds
 from epicmp.semantics import (UnknownAtomError, extension, satisfies,
                               valid_in_model)
@@ -363,3 +365,35 @@ def test_satisfaction_invariant_under_relabeling(figs):
         f = parse(text)
         for w in fig3.worlds:
             assert satisfies(fig3, w, f) == satisfies(relabeled, w, f)
+
+
+def _with_isolated_worlds(m, k):
+    """m joined by k reflexive worlds that see only themselves and where
+    every atom is false."""
+    n = m.n_worlds
+    rows = tuple(Relation(rel.rows + tuple(1 << j for j in range(n, n + k)))
+                 for rel in m.relations)
+    return KripkeModel(worlds=m.worlds + tuple(f"w{j}"
+                                               for j in range(n, n + k)),
+                       agents=m.agents, relations=rows, atoms=m.atoms,
+                       valuation=m.valuation)
+
+
+@settings(max_examples=60)
+@given(model_formula_pairs(), st.integers(1, 2))
+def test_isolated_reflexive_worlds_change_no_extension(mf, k):
+    """Every operator at a world reads only the worlds it reaches and its
+    own rows, so joining isolated reflexive worlds with every atom false
+    leaves each formula's extension on the original worlds as it was.  A
+    model of KT, S4 or S5 so joined is one of the same class, which is
+    why a formula that holds at the search's largest world count holds at
+    every smaller one, and `search.check_formulas` sweeps the smaller
+    counts only for the formulas refuted at the largest."""
+    m, f = mf
+    big = _with_isolated_worlds(m, k)
+    assert classify_frame(big).overall is classify_frame(m).overall
+    for g in [f] + _one_operator_formulas(m.agents):
+        want = oracle_extension(m, g)
+        assert extension(m, g) == want, g
+        assert oracle_extension(big, g) & set(m.worlds) == want, g
+        assert extension(big, g) & set(m.worlds) == want, g
