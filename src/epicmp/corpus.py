@@ -12,6 +12,8 @@ A claim pairs a formula or schema with search bounds and an expected
 verdict: VALID_UP_TO_BOUND means every instantiation must come back
 NoCountermodelUpTo; COUNTERMODEL means a designated fixture world falsifies
 the formula directly and a bounded search must find a countermodel too.
+Either way, a claim runs as one ``check_formulas`` call over its distinct
+formulas: its built formulas, its schema's instances or its one formula.
 ``run_claim``/``run_all`` execute them and report PASS/FAIL; claims are
 named ``<frame>-<slug>`` (AX- for axiom schemes, P/OBS for the numbered
 claims they reproduce).
@@ -25,8 +27,7 @@ from typing import Callable, Mapping
 
 from .kripke import CorpusError, FrameClass, KripkeModel
 from .search import (Countermodel, DEFAULT_FORMULA_POOL, NoCountermodelUpTo,
-                     SearchBounds, SearchOutcome, _subsets, check_formulas,
-                     check_schema, check_validity)
+                     SearchBounds, _assignments, _subsets, check_formulas)
 from .semantics import satisfies
 from .syntax import (And, CK, Formula, Group, Imp, IndK, parse, render)
 
@@ -352,26 +353,16 @@ def claim_ids() -> tuple[str, ...]:
 
 # --- execution -----------------------------------------------------------
 
-def _instance_outcomes(claim: CorpusClaim, jobs: int) \
-        -> list[tuple[Formula, SearchOutcome]]:
-    """(formula, outcome) per unique instantiated formula."""
+def _formulas(claim: CorpusClaim) -> list[Formula]:
+    """The claim's distinct formulas, in the order first built: its built
+    formulas, its schema's instances or its one formula."""
     if claim.build_formulas is not None:
-        unique = list(dict.fromkeys(claim.build_formulas()))
-        return list(zip(unique, check_formulas(unique, claim.bounds,
-                                               jobs=jobs)))
+        return list(dict.fromkeys(claim.build_formulas()))
     if claim.schema is not None:
-        kw = {}
-        if claim.formula_pool is not None:
-            kw["formula_pool"] = claim.formula_pool
-        instances = check_schema(claim.schema, claim.bounds, claim.pool,
-                                 constraint=claim.constraint, jobs=jobs, **kw)
-        seen = {}
-        for inst in instances:
-            seen.setdefault(inst.formula, inst.outcome)
-        return list(seen.items())
+        return list(dict.fromkeys(inst for _, _, inst in _assignments(
+            claim.schema, claim.pool, claim.formula_pool, claim.constraint)))
     assert claim.formula is not None
-    return [(claim.formula, check_validity(claim.formula, claim.bounds,
-                                           jobs=jobs))]
+    return [claim.formula]
 
 
 def _check_facts(claim: CorpusClaim, models: Mapping[str, KripkeModel],
@@ -393,58 +384,47 @@ def run_claim(claim_id: str, *, jobs: int = 1) -> ClaimReport:
         raise CorpusError(f"unknown claim id {claim_id!r}")
     start = time.perf_counter()
     details: list[str] = []
-    countermodel: Countermodel | None = None
-    models_checked = 0
-    n_instances = 0
-
-    if claim.expected == Verdict.VALID_UP_TO_BOUND:
-        outcomes = _instance_outcomes(claim, jobs)
-        n_instances = len(outcomes)
-        for formula, outcome in outcomes:
-            if isinstance(outcome, NoCountermodelUpTo):
-                models_checked += outcome.models_checked
-            else:
-                if countermodel is None:
-                    countermodel = outcome
-                details.append(
-                    f"unexpected countermodel for {render(formula)} "
-                    f"({outcome.model.n_worlds} worlds, "
-                    f"witness {outcome.witness})")
-    else:
+    refute = claim.expected == Verdict.COUNTERMODEL
+    if refute:
         _check_facts(claim, fixtures(), details)
-        outcomes = _instance_outcomes(claim, jobs)
-        n_instances = len(outcomes)
-        found: Countermodel | None = None
-        for formula, outcome in outcomes:
-            if isinstance(outcome, Countermodel):
-                if found is None:
-                    found = outcome
-            else:
-                models_checked += outcome.models_checked
-        if found is None:
-            details.append("search found no countermodel within bounds")
+    formulas = _formulas(claim)
+    outcomes = dict(zip(formulas, check_formulas(formulas, claim.bounds,
+                                                 jobs=jobs)))
+    models_checked = 0
+    countermodel: Countermodel | None = None
+    for formula, outcome in outcomes.items():
+        if isinstance(outcome, NoCountermodelUpTo):
+            models_checked += outcome.models_checked
+            continue
+        if countermodel is None:
+            countermodel = outcome
+        if not refute:
+            details.append(
+                f"unexpected countermodel for {render(formula)} "
+                f"({outcome.model.n_worlds} worlds, "
+                f"witness {outcome.witness})")
+    if refute and countermodel is None:
+        details.append("search found no countermodel within bounds")
+    elif refute and claim.formula is not None:
+        own = outcomes[claim.formula]
+        if isinstance(own, NoCountermodelUpTo):
+            details.append(
+                f"search found no countermodel to "
+                f"{render(claim.formula)} within bounds")
         else:
-            countermodel = found
-            if claim.formula is not None:
-                own = dict(outcomes)[claim.formula]
-                if isinstance(own, NoCountermodelUpTo):
-                    details.append(
-                        f"search found no countermodel to "
-                        f"{render(claim.formula)} within bounds")
-                else:
-                    countermodel = own
-                    if satisfies(own.model, own.witness, claim.formula):
-                        details.append("countermodel fails to falsify at "
-                                       "its witness")
-                    if claim.expect_min_worlds is not None and \
-                            own.model.n_worlds != claim.expect_min_worlds:
-                        details.append(
-                            f"smallest countermodel has "
-                            f"{own.model.n_worlds} worlds, expected "
-                            f"{claim.expect_min_worlds}")
+            countermodel = own
+            if satisfies(own.model, own.witness, claim.formula):
+                details.append("countermodel fails to falsify at "
+                               "its witness")
+            if claim.expect_min_worlds is not None and \
+                    own.model.n_worlds != claim.expect_min_worlds:
+                details.append(
+                    f"smallest countermodel has "
+                    f"{own.model.n_worlds} worlds, expected "
+                    f"{claim.expect_min_worlds}")
 
     return ClaimReport(claim_id=claim.id, ok=not details,
-                       expected=claim.expected, n_instances=n_instances,
+                       expected=claim.expected, n_instances=len(formulas),
                        models_checked=models_checked,
                        elapsed=time.perf_counter() - start,
                        details=tuple(details), countermodel=countermodel)

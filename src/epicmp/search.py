@@ -678,18 +678,33 @@ def instantiate_schema(schema: Formula, group_map: Mapping[str, Group],
     return fold(schema, step)
 
 
-def _placeholders_in(schema: Formula) -> tuple[list[str], list[str]]:
-    groups = [p for p in GROUP_PLACEHOLDERS if p in agent_names(schema)]
-    formulas = [p for p in FORMULA_PLACEHOLDERS if p in atom_names(schema)]
-    return groups, formulas
-
-
 def _subsets(pool: Sequence[str]) -> list[Group]:
     out = []
     for mask in range(1, 1 << len(pool)):
         out.append(Group(pool[i] for i in range(len(pool))
                          if mask >> i & 1))
     return out
+
+
+def _assignments(schema: Formula, pool: Sequence[str],
+                 formula_pool: Sequence[Formula] | None,
+                 constraint: Callable[[dict[str, Group]], bool] | None
+                 ) -> Iterator[tuple[dict[str, Group], dict[str, Formula],
+                                     Formula]]:
+    """(group map, formula map, instance) for each placeholder assignment
+    that `constraint` accepts, in `check_schema`'s order."""
+    if formula_pool is None:
+        formula_pool = DEFAULT_FORMULA_POOL
+    gp = [p for p in GROUP_PLACEHOLDERS if p in agent_names(schema)]
+    fp = [p for p in FORMULA_PLACEHOLDERS if p in atom_names(schema)]
+    for groups in itertools.product(_subsets(pool), repeat=len(gp)):
+        group_map = dict(zip(gp, groups))
+        if constraint is not None and not constraint(group_map):
+            continue
+        for formulas in itertools.product(formula_pool, repeat=len(fp)):
+            formula_map = dict(zip(fp, formulas))
+            yield (group_map, formula_map,
+                   instantiate_schema(schema, group_map, formula_map))
 
 
 def check_schema(schema: Formula, bounds: SearchBounds, pool: Sequence[str],
@@ -706,20 +721,7 @@ def check_schema(schema: Formula, bounds: SearchBounds, pool: Sequence[str],
     each frame block is built once for the whole schema rather than once
     per instance; every instance still gets its own first countermodel.
     """
-    if formula_pool is None:
-        formula_pool = DEFAULT_FORMULA_POOL
-    gp, fp = _placeholders_in(schema)
-    subsets = _subsets(pool)
-    assigned: list[tuple[dict[str, Group], dict[str, Formula], Formula]] = []
-    for groups in itertools.product(subsets, repeat=len(gp)):
-        group_map = dict(zip(gp, groups))
-        if constraint is not None and not constraint(group_map):
-            continue
-        for formulas in itertools.product(formula_pool, repeat=len(fp)):
-            formula_map = dict(zip(fp, formulas))
-            assigned.append((group_map, formula_map,
-                             instantiate_schema(schema, group_map,
-                                                formula_map)))
+    assigned = list(_assignments(schema, pool, formula_pool, constraint))
     unique = list(dict.fromkeys(inst for _, _, inst in assigned))
     results = dict(zip(unique, check_formulas(unique, bounds, jobs=jobs)))
     return [SchemaInstance(group_map=tuple(sorted(group_map.items())),

@@ -101,6 +101,32 @@ def test_countermodel_claims_search_their_formula_once(monkeypatch):
                                                      claim.bounds)[0]
 
 
+def test_each_claim_is_one_check_formulas_call(monkeypatch):
+    """run_claim reaches the search through one check_formulas call per
+    claim, over the claim's distinct formulas, and through no other entry
+    point."""
+    calls = []
+
+    def recording(formulas, bounds, **kw):
+        calls.append(list(formulas))
+        return check_formulas(formulas, bounds, **kw)
+
+    def unreachable(*args, **kw):
+        raise AssertionError("run_claim left the check_formulas path")
+
+    monkeypatch.setattr(corpus, "check_formulas", recording)
+    for name in ("check_schema", "check_validity"):
+        monkeypatch.setattr(search, name, unreachable)
+        monkeypatch.setattr(corpus, name, unreachable, raising=False)
+    for claim_id in REGISTRY:
+        calls.clear()
+        report = run_claim(claim_id)
+        assert len(calls) == 1, claim_id
+        formulas = calls[0]
+        assert len(set(formulas)) == len(formulas) == report.n_instances, \
+            claim_id
+
+
 # --- representative runs --------------------------------------------------
 
 def test_run_claim_unknown_id():

@@ -981,6 +981,12 @@ def test_schema_custom_formula_pool_and_failing_instances():
             assert isinstance(i.outcome, Countermodel)
 
 
+def test_schema_with_an_empty_formula_pool_has_no_instances():
+    bounds = SearchBounds(FrameClass.KT, 1, 2, atoms=("p", "q"))
+    assert check_schema(parse("D{A} phi"), bounds, ("a",),
+                        formula_pool=[]) == []
+
+
 def test_schema_identical_instances_share_one_outcome():
     schema = parse("D{A,B} phi -> D{A,B} phi")
     bounds = SearchBounds(FrameClass.KT, 2, 2, atoms=("p",))
