@@ -195,8 +195,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("corpus", help="run the built-in claim registry")
-    p.add_argument("--id", default=None, help="run a single claim")
-    p.add_argument("--frame", default=None, help="only claims on this frame")
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--id", help="run a single claim")
+    only.add_argument("--frame", help="only claims on this frame")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_corpus)
 

@@ -286,11 +286,10 @@ class KripkeModel:
             mask = 0
             for name in valuation[atom]:
                 mask |= 1 << _idx(name)
-            masks.append((atom, mask))
+            masks.append(mask)
         return cls(worlds=worlds, agents=tuple(agents),
-                   relations=tuple(relations),
-                   atoms=tuple(a for a, _ in masks),
-                   valuation=tuple(m for _, m in masks))
+                   relations=tuple(relations), atoms=tuple(valuation),
+                   valuation=tuple(masks))
 
 
 def classify_frame(m: KripkeModel) -> FrameReport:
@@ -327,9 +326,11 @@ _PAIR_RE = re.compile(r"\(\s*([A-Za-z][A-Za-z0-9_]*)\s*,"
                       r"\s*([A-Za-z][A-Za-z0-9_]*)\s*\)")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
-# section order ranks; rel and val may repeat but may not interleave backwards
-_SECTION_RANK = {"agents": 0, "worlds": 1, "atoms": 2, "closure": 3,
-                 "rel": 4, "val": 5, "witness": 6}
+# each section's order rank and the kind of name it lists or heads; rel and
+# val may repeat but may not interleave backwards
+_SECTIONS = {"agents": (0, "agent"), "worlds": (1, "world"),
+             "atoms": (2, "atom"), "closure": (3, None), "rel": (4, "agent"),
+             "val": (5, "atom"), "witness": (6, "world")}
 
 
 def _split_names(body: str, lineno: int, kind: str) -> list[str]:
@@ -340,15 +341,32 @@ def _split_names(body: str, lineno: int, kind: str) -> list[str]:
     return names
 
 
+def _known(names: Sequence[str], known: Sequence[str], kind: str,
+           lineno: int) -> Sequence[str]:
+    for name in names:
+        if name not in known:
+            raise ModelFormatError(f"line {lineno}: unknown {kind} {name!r}")
+    return names
+
+
+def _pairs(body: str, lineno: int,
+           worlds: Sequence[str]) -> list[tuple[str, str]]:
+    pairs = []
+    while body:
+        mm = _PAIR_RE.match(body)
+        if mm is None:
+            raise ModelFormatError(
+                f"line {lineno}: expected '(s,t)' pairs, got {body!r}")
+        pairs.append(_known(mm.group(1, 2), worlds, "world", lineno))
+        body = body[mm.end():].lstrip()
+    return pairs
+
+
 def load_model_witness(text: str) -> tuple[KripkeModel, str | None]:
     """Parse model text; returns the model and the witness world, if any."""
-    agents: list[str] | None = None
-    worlds: list[str] | None = None
-    atoms: list[str] | None = None
-    closure: list[str] | None = None
-    edges: dict[str, list[tuple[str, str]]] = {}
-    val: dict[str, list[str]] = {}
-    witness: str | None = None
+    header: dict[str, Sequence[str]] = {}
+    # rel / val line bodies by agent / atom
+    lines: dict[str, dict[str, Sequence]] = {"rel": {}, "val": {}}
     rank = -1
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -360,100 +378,55 @@ def load_model_witness(text: str) -> tuple[KripkeModel, str | None]:
             raise ModelFormatError(f"line {lineno}: expected 'section: ...'")
         head = head.strip()
         body = body.strip()
-        key = head.split()[0] if head else ""
-        if key not in _SECTION_RANK:
+        parts = head.split()
+        key = parts[0] if parts else ""
+        if key not in _SECTIONS:
             raise ModelFormatError(f"line {lineno}: unknown section {head!r}")
-        if _SECTION_RANK[key] < rank:
+        if _SECTIONS[key][0] < rank:
             raise ModelFormatError(
                 f"line {lineno}: {key!r} section out of order")
-        rank = _SECTION_RANK[key]
+        rank, kind = _SECTIONS[key]
 
-        if key == "agents":
-            if agents is not None:
-                raise ModelFormatError(f"line {lineno}: duplicate agents:")
-            agents = _split_names(body, lineno, "agent")
-        elif key == "worlds":
-            if worlds is not None:
-                raise ModelFormatError(f"line {lineno}: duplicate worlds:")
-            worlds = _split_names(body, lineno, "world")
-        elif key == "atoms":
-            if atoms is not None:
-                raise ModelFormatError(f"line {lineno}: duplicate atoms:")
-            atoms = _split_names(body, lineno, "atom")
-        elif key == "closure":
-            if closure is not None:
-                raise ModelFormatError(f"line {lineno}: duplicate closure:")
-            closure = body.split()
-            for prop in closure:
-                if prop not in CLOSURE_PROPS:
-                    raise ModelFormatError(
-                        f"line {lineno}: unknown closure property {prop!r}")
-        elif key == "rel":
-            parts = head.split()
+        if key in lines:
             if len(parts) != 2:
                 raise ModelFormatError(
-                    f"line {lineno}: expected 'rel <agent>:'")
-            agent = parts[1]
-            if agents is None or agent not in agents:
+                    f"line {lineno}: expected '{key} <{kind}>:'")
+            name = parts[1]
+            _known([name], header.get(kind + "s", ()), kind, lineno)
+            if name in lines[key]:
                 raise ModelFormatError(
-                    f"line {lineno}: unknown agent {agent!r}")
-            if agent in edges:
-                raise ModelFormatError(
-                    f"line {lineno}: duplicate rel line for {agent!r}")
-            pairs = []
-            rest = body
-            while rest:
-                mm = _PAIR_RE.match(rest)
-                if mm is None:
-                    raise ModelFormatError(
-                        f"line {lineno}: expected '(s,t)' pairs, "
-                        f"got {rest!r}")
-                for name in mm.group(1, 2):
-                    if worlds is None or name not in worlds:
-                        raise ModelFormatError(
-                            f"line {lineno}: unknown world {name!r}")
-                pairs.append((mm.group(1), mm.group(2)))
-                rest = rest[mm.end():].lstrip()
-            edges[agent] = pairs
-        elif key == "val":
-            parts = head.split()
-            if len(parts) != 2:
-                raise ModelFormatError(f"line {lineno}: expected 'val <atom>:'")
-            atom = parts[1]
-            if atoms is None or atom not in atoms:
-                raise ModelFormatError(f"line {lineno}: unknown atom {atom!r}")
-            if atom in val:
-                raise ModelFormatError(
-                    f"line {lineno}: duplicate val line for {atom!r}")
-            names = _split_names(body, lineno, "world")
-            for name in names:
-                if worlds is None or name not in worlds:
-                    raise ModelFormatError(
-                        f"line {lineno}: unknown world {name!r}")
-            val[atom] = names
-        elif key == "witness":
-            if witness is not None:
-                raise ModelFormatError(f"line {lineno}: duplicate witness:")
-            names = _split_names(body, lineno, "world")
-            if len(names) != 1:
+                    f"line {lineno}: duplicate {key} line for {name!r}")
+            worlds = header.get("worlds", ())
+            lines[key][name] = (
+                _pairs(body, lineno, worlds) if key == "rel" else
+                _known(_split_names(body, lineno, "world"), worlds, "world",
+                       lineno))
+        else:
+            if key in header:
+                raise ModelFormatError(f"line {lineno}: duplicate {key}:")
+            if kind is None:
+                names = _known(body.split(), CLOSURE_PROPS,
+                               "closure property", lineno)
+            else:
+                names = _split_names(body, lineno, kind)
+            if key == "witness" and len(names) != 1:
                 raise ModelFormatError(
                     f"line {lineno}: witness takes one world")
-            witness = names[0]
+            header[key] = names
 
-    for label, value in (("agents", agents), ("worlds", worlds),
-                         ("atoms", atoms)):
-        if value is None:
+    for label in ("agents", "worlds", "atoms"):
+        if label not in header:
             raise ModelFormatError(f"missing {label}: section")
-    assert agents is not None and worlds is not None and atoms is not None
 
     try:
         m = KripkeModel.from_edges(
-            worlds, agents, edges,
-            valuation={a: val.get(a, []) for a in atoms},
-            closure=closure or ())
+            header["worlds"], header["agents"], lines["rel"],
+            valuation={a: lines["val"].get(a, []) for a in header["atoms"]},
+            closure=header.get("closure", ()))
     except ModelError as exc:
         raise ModelFormatError(str(exc)) from exc
-    if witness is not None and witness not in worlds:
+    witness = header.get("witness", [None])[0]
+    if witness is not None and witness not in header["worlds"]:
         raise ModelFormatError(f"witness names unknown world {witness!r}")
     return m, witness
 

@@ -69,23 +69,24 @@ class Block:
     evaluated against it.
 
     `rows_by_agent` maps each agent to its (F, n) relation rows, in any
-    unsigned dtype wide enough for n worlds (uint8 in the search, uint32
-    for a single model of up to 16 worlds); the joint / common / cdk rows
-    keep that dtype.  `atom_ext` maps each atom to its extension as
-    `atom_words` builds it, and `shape` is (F, V).  Cell c = f * V + v, for
-    frame f and valuation v, is bit c % 8 of byte c // 8.  The bytes fall
-    into G groups of W bytes and P frames each, 8 * W = P * V: one frame
-    over W bytes when there are 8 or more valuations (P = 1), else
-    P = 8 // V frames in one byte (W = 1).  An extension is a uint8 array
-    shaped (n, W|1, G|1): world, then byte, then group, each axis
-    broadcast on demand, so an extension that depends only on the frame (a
-    comparison) is (n, 1, G) and one that depends only on the valuation
-    (an atom) is (n, W, 1).  The last group's cells past frame F are
-    padding, which no first failure reports.  The joint / common / cdk
-    relations, their complement rows and the comparison bytes live as
-    long as the block; the memo of one formula's subterm extensions is
-    dropped after `evaluate` returns, so memory does not grow with the
-    number of formulas.
+    unsigned dtype wide enough for n worlds (uint8 in the search, uint32 for
+    a single model of up to 16 worlds); the joint / common / cdk rows keep
+    that dtype.  `atom_ext` maps each atom to its extension as `atom_words`
+    builds it, and `shape` is (F, V).  Cell c = f * V + v, for frame f and
+    valuation v, is bit c % 8 of byte c // 8, as `np.packbits` packs bits
+    little-endian: `atom_words` and `_spread_bytes` both pack cells with it.
+    The bytes fall into G groups of W bytes and P frames each,
+    8 * W = P * V: one frame over W bytes when there are 8 or more
+    valuations (P = 1), else P = 8 // V frames in one byte (W = 1).  An
+    extension is a uint8 array shaped (n, W|1, G|1): world, then byte, then
+    group, each axis broadcast on demand, so an extension that depends only
+    on the frame (a comparison) is (n, 1, G) and one that depends only on
+    the valuation (an atom) is (n, W, 1).  The last group's cells past frame
+    F are padding, which no first failure reports.  The joint / common / cdk
+    relations, their complement rows (one table per relation, named by a
+    group or a supergroup) and the comparison bytes live as long as the
+    block; the memo of one formula's subterm extensions is dropped after
+    `evaluate` returns, so memory does not grow with the number of formulas.
     """
 
     def __init__(self, rows_by_agent: Mapping[str, np.ndarray],
@@ -101,19 +102,9 @@ class Block:
         # the cells of the last group's bytes that hold frames
         tail = (n_frames - (self.groups - 1) * self.per_word) * n_vals
         self.tail = np.uint8((1 << min(tail, 8)) - 1)
-        # A frame's 0/1 byte becomes a byte with that frame's cells set:
-        # the bytes of a group's P frames, read as one little-endian
-        # carrier and multiplied by spread, put each frame's bit on its
-        # cells in the carrier's top byte (the partial products never
-        # carry).  With P = 1 the carrier is the byte and spread 0xFF.
-        self._carrier = np.dtype(f"<u{self.per_word}")
-        cells = 8 // self.per_word
-        self._spread = self._carrier.type(
-            sum(1 << (8 * (self.per_word - 1 - c // cells) + c)
-                for c in range(8)))
         self._joint: dict[Group, np.ndarray] = {}
         self._reach: dict[Supergroup, np.ndarray] = {}
-        self._misses: dict[object, np.ndarray] = {}
+        self._misses: dict[Group | Supergroup, np.ndarray] = {}
         self._leqs: dict[tuple[Group, str], np.ndarray] = {}
 
     @staticmethod
@@ -161,13 +152,17 @@ class Block:
         return frame, val, self.world_mask(ext, frame, val)
 
     def _spread_bytes(self, held: np.ndarray) -> np.ndarray:
-        """held, a C-contiguous (..., G * P) uint8 array of one 0/1 byte
-        per frame (any byte past frame F), as the (..., G) bytes with all
-        cells set of each frame whose byte is 1.  Works in place on held,
-        and returns a view of it."""
-        carried = held.view(self._carrier)
-        carried *= self._spread
-        return held[..., self.per_word - 1::self.per_word]
+        """held, a (..., G * P) uint8 array of one 0/1 byte per frame (any
+        byte past frame F), as the (..., G) bytes with all cells set of
+        each frame whose byte is 1, packed as `atom_words` packs cells
+        (0 - 1 = 0xFF when a frame fills whole bytes)."""
+        if self.per_word == 1:
+            return np.negative(held)
+        # np.repeat copies even when V = 1, which took 8 times as long as
+        # the packing on the registry's atomless blocks
+        if self.shape[1] > 1:
+            held = np.repeat(held, self.shape[1], axis=-1)
+        return np.packbits(held, axis=-1, bitorder="little")
 
     def joint(self, group: Group) -> np.ndarray:
         out = self._joint.get(group)
@@ -187,8 +182,7 @@ class Block:
         return rows
 
     def common(self, group: Group) -> np.ndarray:
-        # the group's members, each as a group of one, pooling nothing
-        return self.cdk(Supergroup(Group([a]) for a in group.agents))
+        return self.cdk(_singletons(group))
 
     def cdk(self, groups: Supergroup) -> np.ndarray:
         out = self._reach.get(groups)
@@ -200,21 +194,22 @@ class Block:
             self._reach[groups] = out
         return out
 
-    def _missed(self, key: object, rows: np.ndarray) -> np.ndarray:
-        """A relation's complement rows, world axis first, as a
-        (n, G * P) array: bit v of [w, f] is 1 where world v is not an
-        R-successor of w in frame f, and 0 past frame F.  Built once per
-        relation and block."""
-        out = self._misses.get(key)
+    def _missed(self, name: Group | Supergroup) -> np.ndarray:
+        """The complement rows of the relation name names (a group's joint
+        relation, a supergroup's cdk closure), world axis first, as
+        (n, G * P): bit v of [w, f] is 1 where world v is not a successor
+        of w in frame f, and 0 past frame F.  Built once per name."""
+        out = self._misses.get(name)
         if out is None:
+            rows = (self.joint(name) if isinstance(name, Group)
+                    else self.cdk(name))
             out = np.zeros((self.n, self.groups * self.per_word),
                            dtype=rows.dtype)
             np.invert(rows.T, out=out[:, :len(rows)])
-            self._misses[key] = out
+            self._misses[name] = out
         return out
 
-    def _box(self, key: object, rows: np.ndarray,
-             ext: np.ndarray) -> np.ndarray:
+    def _box(self, name: Group | Supergroup, ext: np.ndarray) -> np.ndarray:
         # at world w: the AND over successor worlds v of ext[v] | notin[v, w],
         # where notin[v, w] is all ones on the frames where v is not a
         # successor of w.  k worlds v per pass, reduced over the leading
@@ -222,7 +217,7 @@ class Block:
         # into one scratch array: caching them held n x n bytes per frame,
         # which pushed a `scan_kt4` span's heap past what glibc keeps
         # between spans (12,700 minor faults per pass, not 0).
-        missed = self._missed(key, rows)
+        missed = self._missed(name)
         k = min(self.n, max(1, _BOX_CELLS // (self.groups * self.words)))
         shifts = np.arange(self.n, dtype=missed.dtype)[:, None, None]
         held = np.empty((k, *missed.shape), dtype=np.uint8)
@@ -261,7 +256,7 @@ class Block:
             held = np.zeros((self.n, self.groups * self.per_word),
                             dtype=np.uint8)
             held.view(bool)[:, :len(a)] = ((a & np.invert(b)) == 0).T
-            out = np.ascontiguousarray(self._spread_bytes(held))[:, None]
+            out = self._spread_bytes(held)[:, None]
             self._leqs[(left, agent)] = out
         return out
 
@@ -277,6 +272,11 @@ class Block:
         return ~(leq | geq)
 
 
+def _singletons(group: Group) -> Supergroup:
+    """C{G} as CD over G's members, each a group of one, pooling nothing."""
+    return Supergroup(Group([a]) for a in group.agents)
+
+
 # each node's extension in block b, from its children's
 _EXT = {
     Atom: lambda b, f: b.atom_ext[f.name],
@@ -285,12 +285,10 @@ _EXT = {
     Or: lambda b, f, left, right: left | right,
     Imp: lambda b, f, left, right: ~left | right,
     Iff: lambda b, f, left, right: ~(left ^ right),
-    DK: lambda b, f, sub: b._box(f.group, b.joint(f.group), sub),
-    IndK: lambda b, f, sub: b._box(Group([f.agent]),
-                                   b.rows_by_agent[f.agent], sub),
-    CK: lambda b, f, sub: b._box(("common", f.group), b.common(f.group),
-                                 sub),
-    CDK: lambda b, f, sub: b._box(("cdk", f.groups), b.cdk(f.groups), sub),
+    DK: lambda b, f, sub: b._box(f.group, sub),
+    IndK: lambda b, f, sub: b._box(Group([f.agent]), sub),
+    CK: lambda b, f, sub: b._box(_singletons(f.group), sub),
+    CDK: lambda b, f, sub: b._box(f.groups, sub),
     Cmp: Block._cmp,
 }
 

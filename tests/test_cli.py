@@ -280,6 +280,15 @@ def test_corpus_unknown_id():
     assert "NOPE" in err
 
 
+def test_corpus_id_with_frame_is_a_usage_error():
+    """`--frame` filters the registry and `--id` names one claim, so
+    together one of them would be ignored."""
+    code, out, err = run("corpus", "--id", "KT-MONO", "--frame", "s5")
+    assert (code, out) == (2, "")
+    assert err == ("error: epicmp corpus: argument --frame: not allowed "
+                   "with argument --id\n")
+
+
 # --- close ----------------------------------------------------------------
 
 RAW = """\

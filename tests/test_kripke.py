@@ -5,6 +5,7 @@ the evaluator in `epicmp.semantics`; here they are read off a one-model
 block and checked against fixture facts and the pair-set oracles."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -403,6 +404,62 @@ def test_load_rejects_unknown_witness():
 def test_load_requires_header_sections():
     with pytest.raises(ModelFormatError, match="missing atoms"):
         load_model("agents: a\nworlds: s\nrel a: (s,s)\n")
+
+
+_HEAD = "agents: a\nworlds: s t\natoms: p\n"
+
+
+_LOAD_ERRORS = [
+    ("agents a\n", "line 1: expected 'section: ...'"),
+    ("agents: a\nfoo bar: x\n", "line 2: unknown section 'foo bar'"),
+    (": a\n", "line 1: unknown section ''"),
+    ("worlds: s\nagents: a\n", "line 2: 'agents' section out of order"),
+    ("agents: a\nagents: b\n", "line 2: duplicate agents:"),
+    ("agents: a\nworlds: s\nworlds: t\n", "line 3: duplicate worlds:"),
+    (_HEAD + "atoms: q\n", "line 4: duplicate atoms:"),
+    (_HEAD + "closure:\nclosure:\n", "line 5: duplicate closure:"),
+    (_HEAD + "witness: s\nwitness: s\n", "line 5: duplicate witness:"),
+    ("agents: a 1b\n", "line 1: bad agent name '1b'"),
+    ("agents: a\nworlds: s t-u\n", "line 2: bad world name 't-u'"),
+    ("agents: a\nworlds: s\natoms: p _q\n", "line 3: bad atom name '_q'"),
+    (_HEAD + "closure: reflexive euclidean\n",
+     "line 4: unknown closure property 'euclidean'"),
+    (_HEAD + "rel: (s,t)\n", "line 4: expected 'rel <agent>:'"),
+    (_HEAD + "rel a b: (s,t)\n", "line 4: expected 'rel <agent>:'"),
+    (_HEAD + "rel b: (s,t)\n", "line 4: unknown agent 'b'"),
+    ("worlds: s\natoms:\nrel a: (s,s)\n", "line 3: unknown agent 'a'"),
+    (_HEAD + "rel a: (s,t)\nrel a: (t,s)\n",
+     "line 5: duplicate rel line for 'a'"),
+    (_HEAD + "rel a: (s,t) s->t\n",
+     "line 4: expected '(s,t)' pairs, got 's->t'"),
+    (_HEAD + "rel a: (s,u) (s,\n", "line 4: unknown world 'u'"),
+    ("agents: a\natoms:\nrel a: (s,s)\n", "line 3: unknown world 's'"),
+    (_HEAD + "val: s\n", "line 4: expected 'val <atom>:'"),
+    (_HEAD + "val p q: s\n", "line 4: expected 'val <atom>:'"),
+    (_HEAD + "val q: s\n", "line 4: unknown atom 'q'"),
+    ("agents: a\nworlds: s\nval p: s\n", "line 3: unknown atom 'p'"),
+    (_HEAD + "val p: s\nval p: t\n", "line 5: duplicate val line for 'p'"),
+    (_HEAD + "val p: u 1v\n", "line 4: bad world name '1v'"),
+    (_HEAD + "val p: s u\n", "line 4: unknown world 'u'"),
+    (_HEAD + "witness: 1s\n", "line 4: bad world name '1s'"),
+    (_HEAD + "witness: s t\n", "line 4: witness takes one world"),
+    (_HEAD + "witness:\n", "line 4: witness takes one world"),
+    ("worlds: s\natoms:\n", "missing agents: section"),
+    ("agents: a\natoms:\n", "missing worlds: section"),
+    ("agents: a\nworlds: s\n", "missing atoms: section"),
+    ("agents: a\nworlds:\natoms:\n", "need 1..16 worlds, got 0"),
+    ("agents: a a\nworlds: s\natoms:\n", "duplicate agent name"),
+    (_HEAD + "witness: u\n", "witness names unknown world 'u'"),
+]
+
+
+@pytest.mark.parametrize("text, message", _LOAD_ERRORS,
+                         ids=[message for _, message in _LOAD_ERRORS])
+def test_load_error_message_per_raise_site(text, message):
+    """Each way a model text can be malformed has its own message: the
+    exact text, with the line number where the reader stopped."""
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
+        load_model_witness(text)
 
 
 # --- canonical encoding ---------------------------------------------------

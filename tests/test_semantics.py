@@ -195,6 +195,20 @@ def test_group_relations_keep_the_dtype_of_their_rows(dtype):
     assert block.common(ab).tolist() == [[0b111, 0b111, 0b111]]
 
 
+def test_boxes_over_one_relation_share_one_complement_table():
+    """A box's complement rows are kept per relation, not per operator:
+    C{a,b} is CD[{a};{b}], and K{a} is D{a}."""
+    rows = {"a": np.array([[0b011, 0b011, 0b100]], dtype=np.uint8),
+            "b": np.array([[0b001, 0b110, 0b110]], dtype=np.uint8)}
+    p = semantics.Block.atom_words(np.array([0b011]), 3)
+    block = semantics.Block(rows, {"p": p}, (1, 1))
+    for same, tables in ((("C{a,b} p", "CD[{a};{b}] p"), 1),
+                         (("K{a} p", "D{a} p"), 2)):
+        left, right = (block.evaluate(parse(text)) for text in same)
+        assert (left == right).all()
+        assert len(block._misses) == tables
+
+
 # --- atoms and worlds -----------------------------------------------------
 
 def test_undeclared_atom_defaults_to_false(figs):
