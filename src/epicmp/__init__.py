@@ -21,7 +21,7 @@ _HOMES = {
     "extension": "semantics",
     "SearchBounds": "search", "NoCountermodelUpTo": "search",
     "Countermodel": "search", "check_validity": "search",
-    "check_formulas": "search", "check_schema": "search",
+    "check_formulas": "search",
 }
 
 __all__ = [*_HOMES, "__version__"]

@@ -14,6 +14,9 @@ NoCountermodelUpTo; COUNTERMODEL means a designated fixture world falsifies
 the formula directly and a bounded search must find a countermodel too.
 Either way, a claim runs as one ``check_formulas`` call over its distinct
 formulas: its built formulas, its schema's instances or its one formula.
+A schema's group placeholders A/B/C/E range over the non-empty subsets of
+the claim's agent pool and phi/psi/chi over its formula pool, and
+``instantiate_schema`` substitutes them.
 ``run_claim``/``run_all`` execute them and report PASS/FAIL; claims are
 named ``<frame>-<slug>`` (AX- for axiom schemes, P/OBS for the numbered
 claims they reproduce).
@@ -21,20 +24,24 @@ claims they reproduce).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .kripke import CorpusError, FrameClass, KripkeModel
-from .search import (Countermodel, DEFAULT_FORMULA_POOL, NoCountermodelUpTo,
-                     SearchBounds, _assignments, _subsets, check_formulas)
+from .search import (Countermodel, NoCountermodelUpTo, SearchBounds,
+                     check_formulas)
 from .semantics import satisfies
-from .syntax import (And, CK, Formula, Group, Imp, IndK, parse, render)
+from .syntax import (And, Atom, CDK, CK, Cmp, DK, Formula, Group, Imp, IndK,
+                     Supergroup, agent_names, atom_names, fold, parse, render)
 
 __all__ = [
     "Verdict", "CorpusClaim", "ClaimReport", "CorpusError",
     "fixtures", "REGISTRY", "claim_ids", "run_claim", "run_all",
-    "claims_table",
+    "claims_table", "instantiate_schema",
+    "GROUP_PLACEHOLDERS", "FORMULA_PLACEHOLDERS", "DEFAULT_FORMULA_POOL",
 ]
 
 
@@ -69,6 +76,64 @@ class Verdict:
     COUNTERMODEL = "COUNTERMODEL"
 
 
+# --- schema instantiation ------------------------------------------------
+
+GROUP_PLACEHOLDERS = ("A", "B", "C", "E")
+FORMULA_PLACEHOLDERS = ("phi", "psi", "chi")
+
+DEFAULT_FORMULA_POOL: tuple[Formula, ...] = (
+    parse("p"), parse("~p"), parse("p & q"), parse("D{a} p"),
+)
+
+
+def _subst_group(g: Group, group_map: Mapping[str, Group]) -> Group:
+    if len(g.agents) == 1:
+        return group_map.get(g.agents[0], g)
+    agents: list[str] = []
+    for a in g.agents:
+        if a in group_map:
+            agents.extend(group_map[a].agents)
+        else:
+            agents.append(a)
+    return Group(agents)
+
+
+# each node that names a placeholder, from its instantiated children and
+# the group and formula maps; the other nodes rebuild from their children
+_SUBST = {
+    Atom: lambda f, gm, fm: fm.get(f.name, f),
+    DK: lambda f, gm, fm, sub: DK(_subst_group(f.group, gm), sub),
+    CK: lambda f, gm, fm, sub: CK(_subst_group(f.group, gm), sub),
+    CDK: lambda f, gm, fm, sub: CDK(
+        Supergroup(_subst_group(g, gm) for g in f.groups.groups), sub),
+    IndK: lambda f, gm, fm, sub: (DK(gm[f.agent], sub) if f.agent in gm
+                                  else f.rebuild(sub)),
+    Cmp: lambda f, gm, fm: Cmp(f.op, _subst_group(f.left, gm),
+                               _subst_group(f.right, gm)),
+}
+
+
+def instantiate_schema(schema: Formula, group_map: Mapping[str, Group],
+                       formula_map: Mapping[str, Formula]) -> Formula:
+    """Substitute placeholder group members (unioning) and placeholder
+    atoms; non-placeholder names pass through unchanged."""
+    def step(f: Formula, *subs: Formula) -> Formula:
+        subst = _SUBST.get(type(f))
+        if subst is None:
+            return f.rebuild(*subs)
+        return subst(f, group_map, formula_map, *subs)
+
+    return fold(schema, step)
+
+
+def _subsets(pool: Sequence[str]) -> list[Group]:
+    out = []
+    for mask in range(1, 1 << len(pool)):
+        out.append(Group(pool[i] for i in range(len(pool))
+                         if mask >> i & 1))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class CorpusClaim:
     id: str
@@ -77,7 +142,7 @@ class CorpusClaim:
     bounds: SearchBounds
     schema: Formula | None = None     # checked over all instantiations
     pool: tuple[str, ...] = ()        # agent pool for group placeholders
-    formula_pool: tuple[Formula, ...] | None = None
+    formula_pool: tuple[Formula, ...] = DEFAULT_FORMULA_POOL
     constraint: Callable[[dict[str, Group]], bool] | None = None
     build_formulas: Callable[[], tuple[Formula, ...]] | None = None
     formula: Formula | None = None    # single closed formula
@@ -130,31 +195,16 @@ def _subgroup(gm: dict[str, Group]) -> bool:
     return set(gm["B"].agents) <= set(gm["A"].agents)
 
 
-def _conj(parts: list[Formula]) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+def _each_knows(group: Group, phi: Formula) -> Formula:
+    return functools.reduce(And, [IndK(ag, phi) for ag in group.agents])
 
 
-def _fixpoint_formulas() -> tuple[Formula, ...]:
-    out = []
-    for group in _subsets(_AB):
-        for phi in DEFAULT_FORMULA_POOL:
-            ck = CK(group, phi)
-            each = _conj([IndK(ag, ck) for ag in group.agents])
-            out.append(Imp(ck, And(phi, each)))
-    return tuple(out)
-
-
-def _induction_formulas() -> tuple[Formula, ...]:
-    out = []
-    for group in _subsets(_AB):
-        for phi in DEFAULT_FORMULA_POOL:
-            each = _conj([IndK(ag, phi) for ag in group.agents])
-            premise = CK(group, Imp(phi, each))
-            out.append(Imp(premise, Imp(phi, CK(group, phi))))
-    return tuple(out)
+def _built(build: Callable[[Group, Formula], Formula]
+           ) -> Callable[[], tuple[Formula, ...]]:
+    """A claim's formula builder: build(group, phi) for each group of
+    agents a, b and each formula of the default pool, group slowest."""
+    return lambda: tuple(build(group, phi) for group in _subsets(_AB)
+                         for phi in DEFAULT_FORMULA_POOL)
 
 
 def _claims() -> list[CorpusClaim]:
@@ -208,12 +258,15 @@ def _claims() -> list[CorpusClaim]:
         id="KT-AX-FIXPOINT",
         statement="common knowledge unfolds one step for every member",
         expected=Verdict.VALID_UP_TO_BOUND, bounds=_KT2PQ,
-        build_formulas=_fixpoint_formulas))
+        build_formulas=_built(lambda group, phi: Imp(
+            CK(group, phi), And(phi, _each_knows(group, CK(group, phi)))))))
     c.append(CorpusClaim(
         id="KT-AX-INDUCTION",
         statement="a commonly known invariant is common knowledge",
         expected=Verdict.VALID_UP_TO_BOUND, bounds=_KT2PQ,
-        build_formulas=_induction_formulas))
+        build_formulas=_built(lambda group, phi: Imp(
+            CK(group, Imp(phi, _each_knows(group, phi))),
+            Imp(phi, CK(group, phi))))))
     # introspection and known superiority on stronger frames
     valid("S4-AX-POSINTRO", "positive introspection",
           "D{A} phi -> D{A} D{A} phi", _S4_2PQ)
@@ -353,14 +406,30 @@ def claim_ids() -> tuple[str, ...]:
 
 # --- execution -----------------------------------------------------------
 
+def _instances(claim: CorpusClaim) -> Iterator[Formula]:
+    """The claim's schema instantiated at each placeholder assignment that
+    its constraint accepts, the first placeholder varying slowest."""
+    schema = claim.schema
+    assert schema is not None
+    gp = [p for p in GROUP_PLACEHOLDERS if p in agent_names(schema)]
+    fp = [p for p in FORMULA_PLACEHOLDERS if p in atom_names(schema)]
+    for groups in itertools.product(_subsets(claim.pool), repeat=len(gp)):
+        group_map = dict(zip(gp, groups))
+        if claim.constraint is not None and not claim.constraint(group_map):
+            continue
+        for formulas in itertools.product(claim.formula_pool,
+                                          repeat=len(fp)):
+            yield instantiate_schema(schema, group_map,
+                                     dict(zip(fp, formulas)))
+
+
 def _formulas(claim: CorpusClaim) -> list[Formula]:
     """The claim's distinct formulas, in the order first built: its built
     formulas, its schema's instances or its one formula."""
     if claim.build_formulas is not None:
         return list(dict.fromkeys(claim.build_formulas()))
     if claim.schema is not None:
-        return list(dict.fromkeys(inst for _, _, inst in _assignments(
-            claim.schema, claim.pool, claim.formula_pool, claim.constraint)))
+        return list(dict.fromkeys(_instances(claim)))
     assert claim.formula is not None
     return [claim.formula]
 
@@ -430,13 +499,11 @@ def run_claim(claim_id: str, *, jobs: int = 1) -> ClaimReport:
                        details=tuple(details), countermodel=countermodel)
 
 
-def run_all(*, frame: FrameClass | None = None, id_prefix: str | None = None,
+def run_all(*, frame: FrameClass | None = None,
             jobs: int = 1) -> list[ClaimReport]:
     reports = []
     for claim in REGISTRY.values():
         if frame is not None and claim.frame != frame:
-            continue
-        if id_prefix is not None and not claim.id.startswith(id_prefix):
             continue
         reports.append(run_claim(claim.id, jobs=jobs))
     return reports

@@ -425,6 +425,9 @@ def load_model_witness(text: str) -> tuple[KripkeModel, str | None]:
             closure=header.get("closure", ()))
     except ModelError as exc:
         raise ModelFormatError(str(exc)) from exc
+    # the valuation mapping keeps one entry per repeated atom name
+    if len(m.atoms) != len(header["atoms"]):
+        raise ModelFormatError("duplicate atom name")
     witness = header.get("witness", [None])[0]
     if witness is not None and witness not in header["worlds"]:
         raise ModelFormatError(f"witness names unknown world {witness!r}")

@@ -50,8 +50,7 @@ padded with such worlds, is a countermodel at the largest count: a
 formula that holds there holds at every smaller count.  Only the
 formulas the first sweep refutes are swept again, at 1, 2, ... worlds,
 each until its first failing count.  `check_validity` is the
-one-formula case and `check_schema` sweeps all unique instances of a
-schema together.  The first countermodel reported for each formula is
+one-formula case.  The first countermodel reported for each formula is
 the first in enumeration order, with the lowest falsifying world as
 witness, so results are reproducible and independent of --jobs
 chunking.
@@ -78,8 +77,7 @@ import numpy as np
 
 from .kripke import BoundsError, FrameClass, KripkeModel, Relation
 from .semantics import Block
-from .syntax import (Atom, CDK, CK, Cmp, DK, Formula, Group, IndK,
-                     Supergroup, agent_names, atom_names, fold, parse)
+from .syntax import Formula, agent_names, atom_names
 
 AGENT_POOL = ("a", "b", "c", "d")
 MAX_SEARCH_WORLDS = 5
@@ -101,9 +99,7 @@ __all__ = [
     "AGENT_POOL", "MAX_SEARCH_WORLDS", "MAX_SEARCH_AGENTS",
     "MAX_SEARCH_ATOMS", "BoundsError", "SearchBounds", "NoCountermodelUpTo",
     "Countermodel", "SearchOutcome", "count_models",
-    "check_validity", "check_formulas", "check_schema", "instantiate_schema",
-    "SchemaInstance",
-    "GROUP_PLACEHOLDERS", "FORMULA_PLACEHOLDERS", "DEFAULT_FORMULA_POOL",
+    "check_validity", "check_formulas",
 ]
 
 
@@ -618,113 +614,3 @@ def check_validity(f: Formula, bounds: SearchBounds, *,
     counts isomorphism classes instead of models.
     """
     return check_formulas([f], bounds, jobs=jobs)[0]
-
-
-# --- schema instantiation ------------------------------------------------
-
-GROUP_PLACEHOLDERS = ("A", "B", "C", "E")
-FORMULA_PLACEHOLDERS = ("phi", "psi", "chi")
-
-DEFAULT_FORMULA_POOL: tuple[Formula, ...] = (
-    parse("p"), parse("~p"), parse("p & q"), parse("D{a} p"),
-)
-
-
-@dataclass(frozen=True)
-class SchemaInstance:
-    group_map: tuple[tuple[str, Group], ...]
-    formula_map: tuple[tuple[str, Formula], ...]
-    formula: Formula
-    outcome: SearchOutcome
-
-
-def _subst_group(g: Group, group_map: Mapping[str, Group]) -> Group:
-    if len(g.agents) == 1:
-        return group_map.get(g.agents[0], g)
-    agents: list[str] = []
-    for a in g.agents:
-        if a in group_map:
-            agents.extend(group_map[a].agents)
-        else:
-            agents.append(a)
-    return Group(agents)
-
-
-# each node that names a placeholder, from its instantiated children and
-# the group and formula maps; the other nodes rebuild from their children
-_SUBST = {
-    Atom: lambda f, gm, fm: fm.get(f.name, f),
-    DK: lambda f, gm, fm, sub: DK(_subst_group(f.group, gm), sub),
-    CK: lambda f, gm, fm, sub: CK(_subst_group(f.group, gm), sub),
-    CDK: lambda f, gm, fm, sub: CDK(
-        Supergroup(_subst_group(g, gm) for g in f.groups.groups), sub),
-    IndK: lambda f, gm, fm, sub: (DK(gm[f.agent], sub) if f.agent in gm
-                                  else f.rebuild(sub)),
-    Cmp: lambda f, gm, fm: Cmp(f.op, _subst_group(f.left, gm),
-                               _subst_group(f.right, gm)),
-}
-
-
-def instantiate_schema(schema: Formula, group_map: Mapping[str, Group],
-                       formula_map: Mapping[str, Formula]) -> Formula:
-    """Substitute placeholder group members (unioning) and placeholder
-    atoms; non-placeholder names pass through unchanged."""
-    def step(f: Formula, *subs: Formula) -> Formula:
-        subst = _SUBST.get(type(f))
-        if subst is None:
-            return f.rebuild(*subs)
-        return subst(f, group_map, formula_map, *subs)
-
-    return fold(schema, step)
-
-
-def _subsets(pool: Sequence[str]) -> list[Group]:
-    out = []
-    for mask in range(1, 1 << len(pool)):
-        out.append(Group(pool[i] for i in range(len(pool))
-                         if mask >> i & 1))
-    return out
-
-
-def _assignments(schema: Formula, pool: Sequence[str],
-                 formula_pool: Sequence[Formula] | None,
-                 constraint: Callable[[dict[str, Group]], bool] | None
-                 ) -> Iterator[tuple[dict[str, Group], dict[str, Formula],
-                                     Formula]]:
-    """(group map, formula map, instance) for each placeholder assignment
-    that `constraint` accepts, in `check_schema`'s order."""
-    if formula_pool is None:
-        formula_pool = DEFAULT_FORMULA_POOL
-    gp = [p for p in GROUP_PLACEHOLDERS if p in agent_names(schema)]
-    fp = [p for p in FORMULA_PLACEHOLDERS if p in atom_names(schema)]
-    for groups in itertools.product(_subsets(pool), repeat=len(gp)):
-        group_map = dict(zip(gp, groups))
-        if constraint is not None and not constraint(group_map):
-            continue
-        for formulas in itertools.product(formula_pool, repeat=len(fp)):
-            formula_map = dict(zip(fp, formulas))
-            yield (group_map, formula_map,
-                   instantiate_schema(schema, group_map, formula_map))
-
-
-def check_schema(schema: Formula, bounds: SearchBounds, pool: Sequence[str],
-                 *, formula_pool: Sequence[Formula] | None = None,
-                 constraint: Callable[[dict[str, Group]], bool] | None = None,
-                 jobs: int = 1) -> list[SchemaInstance]:
-    """Check every instantiation of a schema.
-
-    Group placeholders (A/B/C/E) range over all non-empty subsets of pool;
-    formula placeholders (phi/psi/chi) over formula_pool.  `constraint`
-    filters group assignments.  Instantiations that produce the same
-    formula share one outcome.  The unique instances are validated against
-    the bounds in order and then checked in one `check_formulas` sweep, so
-    each frame block is built once for the whole schema rather than once
-    per instance; every instance still gets its own first countermodel.
-    """
-    assigned = list(_assignments(schema, pool, formula_pool, constraint))
-    unique = list(dict.fromkeys(inst for _, _, inst in assigned))
-    results = dict(zip(unique, check_formulas(unique, bounds, jobs=jobs)))
-    return [SchemaInstance(group_map=tuple(sorted(group_map.items())),
-                           formula_map=tuple(sorted(formula_map.items())),
-                           formula=inst, outcome=results[inst])
-            for group_map, formula_map, inst in assigned]

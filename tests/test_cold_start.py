@@ -196,7 +196,7 @@ _HOMES = {
                "apply_closure"),
     "semantics": ("satisfies", "valid_in_model", "extension"),
     "search": ("SearchBounds", "NoCountermodelUpTo", "Countermodel",
-               "check_validity", "check_formulas", "check_schema"),
+               "check_validity", "check_formulas"),
 }
 
 

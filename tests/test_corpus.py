@@ -1,17 +1,24 @@
 """Claim-registry tests: fixture integrity, registry shape, witness facts,
-and a few representative claim runs (the full sweep lives in the
-acceptance module)."""
+a schema's instances (their order, constraint, formula pool and
+duplicates, and their one sweep against a plain per-model sweep with the
+pair-set oracle) and a few representative claim runs (the full sweep
+lives in the acceptance module)."""
 
+import os
+import sys
 from pathlib import Path
 
 import pytest
 
 import epicmp.corpus as corpus
 import epicmp.search as search
-from epicmp.corpus import (REGISTRY, CorpusError, Verdict, claims_table,
-                           fixtures, run_all, run_claim)
+from conftest import encode_model, enumerate_models, oracle_extension
+from epicmp.corpus import (DEFAULT_FORMULA_POOL, REGISTRY, CorpusClaim,
+                           CorpusError, Verdict, claims_table, fixtures,
+                           run_all, run_claim)
 from epicmp.kripke import FrameClass, classify_frame, load_model
-from epicmp.search import check_formulas
+from epicmp.search import (Countermodel, NoCountermodelUpTo, SearchBounds,
+                           check_formulas)
 from epicmp.semantics import satisfies
 from epicmp.syntax import parse
 
@@ -115,9 +122,8 @@ def test_each_claim_is_one_check_formulas_call(monkeypatch):
         raise AssertionError("run_claim left the check_formulas path")
 
     monkeypatch.setattr(corpus, "check_formulas", recording)
-    for name in ("check_schema", "check_validity"):
-        monkeypatch.setattr(search, name, unreachable)
-        monkeypatch.setattr(corpus, name, unreachable, raising=False)
+    monkeypatch.setattr(search, "check_validity", unreachable)
+    monkeypatch.setattr(corpus, "check_validity", unreachable, raising=False)
     for claim_id in REGISTRY:
         calls.clear()
         report = run_claim(claim_id)
@@ -125,6 +131,144 @@ def test_each_claim_is_one_check_formulas_call(monkeypatch):
         formulas = calls[0]
         assert len(set(formulas)) == len(formulas) == report.n_instances, \
             claim_id
+
+
+# --- schema instances -----------------------------------------------------
+
+def _schema_claim(schema: str, bounds: SearchBounds,
+                  pool: tuple[str, ...] = ("a", "b"), **kw) -> CorpusClaim:
+    return CorpusClaim(id=f"{bounds.frame}-TEST", statement="a test schema",
+                       expected=Verdict.VALID_UP_TO_BOUND, bounds=bounds,
+                       schema=parse(schema), pool=pool, **kw)
+
+
+def test_schema_sweep_counts_order_and_verdicts():
+    bounds = SearchBounds(FrameClass.KT, 2, 2, atoms=("p", "q"))
+    claim = _schema_claim("D{B} phi -> D{A,B} phi", bounds)
+    assert len(list(corpus._instances(claim))) \
+        == 3 * 3 * len(DEFAULT_FORMULA_POOL)
+    formulas = corpus._formulas(claim)
+    # the union of A and B takes five values over the nine assignments:
+    # {a} and {a,b} with B={a}, {b} and {a,b} with B={b}, {a,b} with B={a,b}
+    assert len(formulas) == 5 * len(DEFAULT_FORMULA_POOL)
+    # A varies slowest and phi fastest
+    assert formulas[:5] == [parse("D{a} p -> D{a} p"),
+                            parse("D{a} ~p -> D{a} ~p"),
+                            parse("D{a} (p & q) -> D{a} (p & q)"),
+                            parse("D{a} D{a} p -> D{a} D{a} p"),
+                            parse("D{b} p -> D{a,b} p")]
+    assert all(isinstance(outcome, NoCountermodelUpTo)
+               for outcome in check_formulas(formulas, bounds))
+
+
+def test_schema_constraint_filters_assignments():
+    bounds = SearchBounds(FrameClass.KT, 2, 2, atoms=("p", "q"))
+    claim = _schema_claim(
+        "D{B} phi -> D{A,B} phi", bounds,
+        constraint=lambda gm: not set(gm["A"].agents) & set(gm["B"].agents))
+    pool = ("p", "~p", "p & q", "D{a} p")
+    # only A={a}, B={b} and then A={b}, B={a} are disjoint
+    assert corpus._formulas(claim) \
+        == [parse(f"D{{b}} ({phi}) -> D{{a,b}} ({phi})") for phi in pool] \
+        + [parse(f"D{{a}} ({phi}) -> D{{a,b}} ({phi})") for phi in pool]
+
+
+def test_schema_custom_formula_pool_and_failing_instances():
+    bounds = SearchBounds(FrameClass.S5, 2, 2, atoms=("p",))
+    claim = _schema_claim("D{A} phi -> D{B} phi", bounds,
+                          formula_pool=(parse("p"),))
+    formulas = corpus._formulas(claim)
+    assert len(formulas) == 9
+    for f, outcome in zip(formulas, check_formulas(formulas, bounds)):
+        a, b = set(f.left.group.agents), set(f.right.group.agents)
+        if a <= b:  # B pools everything A pools, so A's knowledge carries
+            assert isinstance(outcome, NoCountermodelUpTo)
+        else:
+            assert isinstance(outcome, Countermodel)
+
+
+def test_schema_with_an_empty_formula_pool_has_no_instances():
+    bounds = SearchBounds(FrameClass.KT, 1, 2, atoms=("p", "q"))
+    claim = _schema_claim("D{A} phi", bounds, pool=("a",), formula_pool=())
+    assert corpus._formulas(claim) == []
+
+
+def test_schema_identical_instances_share_one_outcome():
+    """Assignments that instantiate to the same formula, such as A={a},
+    B={b} and A={b}, B={a}, give it once, so it is searched once."""
+    bounds = SearchBounds(FrameClass.KT, 2, 2, atoms=("p",))
+    claim = _schema_claim("D{A,B} phi -> D{A,B} phi", bounds,
+                          formula_pool=(parse("p"),))
+    assert len(list(corpus._instances(claim))) == 9
+    assert corpus._formulas(claim) == [parse("D{a} p -> D{a} p"),
+                                       parse("D{a,b} p -> D{a,b} p"),
+                                       parse("D{b} p -> D{b} p")]
+
+
+def _first_falsifiers(formulas, bounds):
+    """First falsifying model and its lowest falsifying world per formula,
+    by one plain sweep over enumerate_models and the pair-set oracle."""
+    first = {}
+    for m in enumerate_models(bounds):
+        for f in formulas:
+            if f not in first:
+                holds = oracle_extension(m, f)
+                missing = [w for w in m.worlds if w not in holds]
+                if missing:
+                    first[f] = (m, missing[0])
+        if len(first) == len(formulas):
+            break
+    return first
+
+
+def test_schema_sweep_matches_per_model_oracle_for_every_jobs(monkeypatch):
+    bounds = SearchBounds(FrameClass.S5, 2, 3, atoms=("p",))
+    claim = _schema_claim(
+        "D{A} D{B} phi -> D{B} D{A} psi", bounds,
+        formula_pool=(parse("p"), parse("~p"), parse("D{a} p")))
+    formulas = corpus._formulas(claim)
+    # one frame per span: 2 spans at 2 worlds and 25 at 3, so threads
+    # split those world counts; a short switch interval makes them
+    # interleave often
+    monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = [check_formulas(formulas, bounds, jobs=jobs)
+                for jobs in (1, 2, 8)]
+    finally:
+        sys.setswitchinterval(interval)
+    first = _first_falsifiers(formulas, bounds)
+    # an S5 pool holds one relation per set partition: 1, 2 and 5 of them
+    # at 1, 2 and 3 worlds
+    valid_count = sum(bell ** 2 << n for n, bell in ((1, 1), (2, 2), (3, 5)))
+    refuted_at = set()
+    for f, outcome in zip(formulas, runs[0]):
+        if f in first:
+            m, w = first[f]
+            assert isinstance(outcome, Countermodel)
+            assert encode_model(outcome.model, bounds.atoms) \
+                == encode_model(m, bounds.atoms)
+            assert outcome.witness == w
+            refuted_at.add(m.n_worlds)
+        else:
+            assert outcome == NoCountermodelUpTo(
+                bounds=bounds, models_checked=valid_count)
+    # the schema mixes valid instances with ones refuted at 1, 2 and 3
+    # worlds, so instances leave the sweep at different world counts
+    assert refuted_at == {1, 2, 3}
+    assert len(first) < len(formulas)
+    for other in runs[1:]:
+        assert len(other) == len(formulas)
+        for a, b in zip(runs[0], other):
+            if isinstance(a, Countermodel):
+                assert isinstance(b, Countermodel)
+                assert encode_model(a.model, bounds.atoms) \
+                    == encode_model(b.model, bounds.atoms)
+                assert a.witness == b.witness
+            else:
+                assert b == a
 
 
 # --- representative runs --------------------------------------------------
@@ -162,10 +306,10 @@ def test_run_claim_minimum_countermodel_size_is_enforced():
 
 
 def test_run_all_filters_compose():
-    reports = run_all(id_prefix="S5-OBS4")
-    assert [r.claim_id for r in reports] == ["S5-OBS4A", "S5-OBS4B"]
+    reports = run_all(frame=FrameClass.S4)
+    assert [r.claim_id for r in reports] \
+        == [c for c in REGISTRY if c.startswith("S4-")]
     assert all(r.ok for r in reports)
-    assert run_all(frame=FrameClass.KT, id_prefix="S5-") == []
     only_s4 = [c.id for c in REGISTRY.values()
                if c.frame is FrameClass.S4]
     assert only_s4 == [c for c in REGISTRY if c.startswith("S4-")]

@@ -449,6 +449,7 @@ _LOAD_ERRORS = [
     ("agents: a\nworlds: s\n", "missing atoms: section"),
     ("agents: a\nworlds:\natoms:\n", "need 1..16 worlds, got 0"),
     ("agents: a a\nworlds: s\natoms:\n", "duplicate agent name"),
+    ("agents: a\nworlds: s t\natoms: p p\nval p: s\n", "duplicate atom name"),
     (_HEAD + "witness: u\n", "witness names unknown world 'u'"),
 ]
 

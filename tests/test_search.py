@@ -7,8 +7,9 @@ the first byte), the relation pools and their world relabelings (against
 frames the scanner walks (against a brute-force
 `conftest.lex_min_frames`), the largest world count swept first and the
 smaller ones only for what it refutes, the thread pool and the lazy span
-walk, and schema instantiation (whose instances share one scan, checked against the
-per-model sweep too)."""
+walk, and placeholder substitution (`corpus.instantiate_schema`, which
+also stands comparisons in for atoms here).  A schema's instances, checked
+in one sweep, are tested in `test_corpus.py`."""
 
 import itertools
 import math
@@ -27,12 +28,12 @@ import epicmp.semantics as semantics
 from conftest import (canonicalize, encode_model, enumerate_models,
                       formulas_over, lex_min_frames, oracle_extension,
                       relabel_rows, relation_pool)
+from epicmp.corpus import instantiate_schema
 from epicmp.kripke import FrameClass, classify_frame
 from epicmp.search import (AGENT_POOL, BoundsError, Countermodel,
-                           DEFAULT_FORMULA_POOL, MAX_SEARCH_WORLDS,
-                           NoCountermodelUpTo, SearchBounds, check_formulas,
-                           check_schema, check_validity, count_models,
-                           frame_relations, instantiate_schema)
+                           MAX_SEARCH_WORLDS, NoCountermodelUpTo,
+                           SearchBounds, check_formulas, check_validity,
+                           count_models, frame_relations)
 from epicmp.semantics import satisfies
 from epicmp.syntax import Group, parse
 
@@ -940,132 +941,7 @@ def test_formula_outside_bounds_is_rejected():
         check_validity(parse("D{a} q"), bounds)
 
 
-# --- schema instantiation -------------------------------------------------
-
-def test_schema_sweep_counts_order_and_verdicts():
-    schema = parse("D{B} phi -> D{A,B} phi")
-    bounds = SearchBounds(FrameClass.KT, 2, 2, atoms=("p", "q"))
-    inst = check_schema(schema, bounds, pool=("a", "b"))
-    assert len(inst) == 3 * 3 * len(DEFAULT_FORMULA_POOL)
-    assert all(isinstance(i.outcome, NoCountermodelUpTo) for i in inst)
-    first = inst[0]
-    assert first.group_map == (("A", Group(["a"])), ("B", Group(["a"])))
-    assert first.formula_map == (("phi", DEFAULT_FORMULA_POOL[0]),)
-    assert first.formula == parse("D{a} p -> D{a} p")
-
-
-def test_schema_constraint_filters_assignments():
-    schema = parse("D{B} phi -> D{A,B} phi")
-    bounds = SearchBounds(FrameClass.KT, 2, 2, atoms=("p", "q"))
-    inst = check_schema(
-        schema, bounds, pool=("a", "b"),
-        constraint=lambda gm: not set(gm["A"].agents) & set(gm["B"].agents))
-    maps = {i.group_map for i in inst}
-    assert maps == {(("A", Group(["a"])), ("B", Group(["b"]))),
-                    (("A", Group(["b"])), ("B", Group(["a"])))}
-    assert len(inst) == 2 * len(DEFAULT_FORMULA_POOL)
-
-
-def test_schema_custom_formula_pool_and_failing_instances():
-    schema = parse("D{A} phi -> D{B} phi")
-    bounds = SearchBounds(FrameClass.S5, 2, 2, atoms=("p",))
-    inst = check_schema(schema, bounds, pool=("a", "b"),
-                        formula_pool=[parse("p")])
-    assert len(inst) == 9
-    for i in inst:
-        a = set(dict(i.group_map)["A"].agents)
-        b = set(dict(i.group_map)["B"].agents)
-        if a <= b:  # B pools everything A pools, so A's knowledge carries
-            assert isinstance(i.outcome, NoCountermodelUpTo)
-        else:
-            assert isinstance(i.outcome, Countermodel)
-
-
-def test_schema_with_an_empty_formula_pool_has_no_instances():
-    bounds = SearchBounds(FrameClass.KT, 1, 2, atoms=("p", "q"))
-    assert check_schema(parse("D{A} phi"), bounds, ("a",),
-                        formula_pool=[]) == []
-
-
-def test_schema_identical_instances_share_one_outcome():
-    schema = parse("D{A,B} phi -> D{A,B} phi")
-    bounds = SearchBounds(FrameClass.KT, 2, 2, atoms=("p",))
-    inst = check_schema(schema, bounds, pool=("a", "b"),
-                        formula_pool=[parse("p")])
-    by_formula = {}
-    for i in inst:
-        by_formula.setdefault(i.formula, []).append(i.outcome)
-    # e.g. A={a},B={b} and A={b},B={a} instantiate to the same formula
-    assert any(len(v) > 1 for v in by_formula.values())
-    for outcomes in by_formula.values():
-        assert all(o is outcomes[0] for o in outcomes)
-
-
-def _first_falsifiers(formulas, bounds):
-    """First falsifying model and its lowest falsifying world per formula,
-    by one plain sweep over enumerate_models and the pair-set oracle."""
-    first = {}
-    for m in enumerate_models(bounds):
-        for f in formulas:
-            if f not in first:
-                holds = oracle_extension(m, f)
-                missing = [w for w in m.worlds if w not in holds]
-                if missing:
-                    first[f] = (m, missing[0])
-        if len(first) == len(formulas):
-            break
-    return first
-
-
-def test_schema_sweep_matches_per_model_oracle_for_every_jobs(monkeypatch):
-    schema = parse("D{A} D{B} phi -> D{B} D{A} psi")
-    bounds = SearchBounds(FrameClass.S5, 2, 3, atoms=("p",))
-    pool = [parse("p"), parse("~p"), parse("D{a} p")]
-    # one frame per span: 2 spans at 2 worlds and 25 at 3, so threads
-    # split those world counts; a short switch interval makes them
-    # interleave often
-    monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        runs = [check_schema(schema, bounds, pool=("a", "b"),
-                             formula_pool=pool, jobs=jobs)
-                for jobs in (1, 2, 8)]
-    finally:
-        sys.setswitchinterval(interval)
-    first = _first_falsifiers(list(dict.fromkeys(i.formula
-                                                 for i in runs[0])),
-                              bounds)
-    valid_count = sum(_bell(n) ** 2 << n for n in range(1, 4))
-    refuted_at = set()
-    for inst in runs[0]:
-        if inst.formula in first:
-            m, w = first[inst.formula]
-            assert isinstance(inst.outcome, Countermodel)
-            assert encode_model(inst.outcome.model, bounds.atoms) \
-                == encode_model(m, bounds.atoms)
-            assert inst.outcome.witness == w
-            refuted_at.add(m.n_worlds)
-        else:
-            assert inst.outcome == NoCountermodelUpTo(
-                bounds=bounds, models_checked=valid_count)
-    # the schema mixes valid instances with ones refuted at 1, 2 and 3
-    # worlds, so instances leave the sweep at different world counts
-    assert refuted_at == {1, 2, 3}
-    assert len(first) < len(runs[0])
-    for other in runs[1:]:
-        assert [(i.group_map, i.formula_map, i.formula) for i in other] \
-            == [(i.group_map, i.formula_map, i.formula) for i in runs[0]]
-        for a, b in zip(runs[0], other):
-            if isinstance(a.outcome, Countermodel):
-                assert isinstance(b.outcome, Countermodel)
-                assert encode_model(a.outcome.model, bounds.atoms) \
-                    == encode_model(b.outcome.model, bounds.atoms)
-                assert a.outcome.witness == b.outcome.witness
-            else:
-                assert b.outcome == a.outcome
-
+# --- placeholder substitution -------------------------------------------
 
 def test_instantiate_schema_unions_group_placeholders():
     schema = parse("D{A,B} phi")

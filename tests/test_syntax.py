@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from epicmp import syntax
-from epicmp.search import instantiate_schema
+from epicmp.corpus import instantiate_schema
 from epicmp.syntax import (And, Atom, CDK, CK, Cmp, CmpOp, DK,
                            EmptyGroupError, Formula, FormulaError, Group, Iff,
                            Imp, IndK, LexError, Not, Or, ParseError,
