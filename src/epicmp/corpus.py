@@ -12,8 +12,10 @@ A claim pairs a formula or schema with search bounds and an expected
 verdict: VALID_UP_TO_BOUND means every instantiation must come back
 NoCountermodelUpTo; COUNTERMODEL means a designated fixture world falsifies
 the formula directly and a bounded search must find a countermodel too.
-Either way, a claim runs as one ``check_formulas`` call over its distinct
-formulas: its built formulas, its schema's instances or its one formula.
+Either way, a claim is checked through its distinct formulas: its built
+formulas, its schema's instances or its one formula.  ``run_claim`` checks
+them in one ``check_formulas`` call, and ``run_all`` checks the claims
+that share bounds in one call over the union of their formulas.
 A schema's group placeholders A/B/C/E range over the non-empty subsets of
 the claim's agent pool and phi/psi/chi over its formula pool, and
 ``instantiate_schema`` substitutes them.
@@ -32,7 +34,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .kripke import CorpusError, FrameClass, KripkeModel
 from .search import (Countermodel, NoCountermodelUpTo, SearchBounds,
-                     check_formulas)
+                     SearchOutcome, check_formulas)
 from .semantics import satisfies
 from .syntax import (And, Atom, CDK, CK, Cmp, DK, Formula, Group, Imp, IndK,
                      Supergroup, agent_names, atom_names, fold, parse, render)
@@ -447,18 +449,14 @@ def _check_facts(claim: CorpusClaim, models: Mapping[str, KripkeModel],
             details.append(f"expected fact false at {fix}@{world}: {text}")
 
 
-def run_claim(claim_id: str, *, jobs: int = 1) -> ClaimReport:
-    claim = REGISTRY.get(claim_id)
-    if claim is None:
-        raise CorpusError(f"unknown claim id {claim_id!r}")
+def _report(claim: CorpusClaim, details: list[str],
+            outcomes: Mapping[Formula, SearchOutcome],
+            elapsed: float) -> ClaimReport:
+    """The claim's report from the outcome of each of its distinct
+    formulas, in the order built; `elapsed` is the time spent on the
+    claim before this call."""
     start = time.perf_counter()
-    details: list[str] = []
     refute = claim.expected == Verdict.COUNTERMODEL
-    if refute:
-        _check_facts(claim, fixtures(), details)
-    formulas = _formulas(claim)
-    outcomes = dict(zip(formulas, check_formulas(formulas, claim.bounds,
-                                                 jobs=jobs)))
     models_checked = 0
     countermodel: Countermodel | None = None
     for formula, outcome in outcomes.items():
@@ -493,20 +491,64 @@ def run_claim(claim_id: str, *, jobs: int = 1) -> ClaimReport:
                     f"{claim.expect_min_worlds}")
 
     return ClaimReport(claim_id=claim.id, ok=not details,
-                       expected=claim.expected, n_instances=len(formulas),
+                       expected=claim.expected, n_instances=len(outcomes),
                        models_checked=models_checked,
-                       elapsed=time.perf_counter() - start,
+                       elapsed=elapsed + time.perf_counter() - start,
                        details=tuple(details), countermodel=countermodel)
+
+
+def _run_group(bounds: SearchBounds, claims: Sequence[CorpusClaim],
+               jobs: int) -> list[ClaimReport]:
+    """The reports of claims that share bounds, from one `check_formulas`
+    call over the union of their distinct formulas, in the order first
+    built.  A claim's `elapsed` is its own time (fixture checks, formulas
+    and report) plus a share of the call's time in proportion to its
+    formulas."""
+    prepared: list[tuple[list[str], list[Formula]]] = []
+    own = []
+    for claim in claims:
+        start = time.perf_counter()
+        details: list[str] = []
+        if claim.expected == Verdict.COUNTERMODEL:
+            _check_facts(claim, fixtures(), details)
+        prepared.append((details, _formulas(claim)))
+        own.append(time.perf_counter() - start)
+    union = list(dict.fromkeys(f for _, formulas in prepared
+                               for f in formulas))
+    start = time.perf_counter()
+    outcomes = dict(zip(union, check_formulas(union, bounds, jobs=jobs)))
+    share = (time.perf_counter() - start) \
+        / max(1, sum(len(formulas) for _, formulas in prepared))
+    return [_report(claim, details, {f: outcomes[f] for f in formulas},
+                    spent + share * len(formulas))
+            for claim, (details, formulas), spent
+            in zip(claims, prepared, own)]
+
+
+def run_claim(claim_id: str, *, jobs: int = 1) -> ClaimReport:
+    claim = REGISTRY.get(claim_id)
+    if claim is None:
+        raise CorpusError(f"unknown claim id {claim_id!r}")
+    return _run_group(claim.bounds, [claim], jobs)[0]
 
 
 def run_all(*, frame: FrameClass | None = None,
             jobs: int = 1) -> list[ClaimReport]:
-    reports = []
+    """Every claim's report (those of one frame class, given `frame`), in
+    registry order.  The claims that share bounds are checked together,
+    one group at a time, so each span's block and walk serve the whole
+    group, and a group's formulas are dropped before the next group is
+    built.  The `elapsed` of a group's claims adds up to the group's time,
+    so the column adds up to the run."""
+    groups: dict[SearchBounds, list[CorpusClaim]] = {}
     for claim in REGISTRY.values():
-        if frame is not None and claim.frame != frame:
-            continue
-        reports.append(run_claim(claim.id, jobs=jobs))
-    return reports
+        if frame is None or claim.frame == frame:
+            groups.setdefault(claim.bounds, []).append(claim)
+    reports = {report.claim_id: report
+               for bounds, claims in groups.items()
+               for report in _run_group(bounds, claims, jobs)}
+    return [reports[claim_id] for claim_id in REGISTRY
+            if claim_id in reports]
 
 
 def claims_table() -> str:

@@ -35,10 +35,15 @@ every frame.
 Each sweep covers one world count and walks frame spans, then the
 formulas not yet refuted: each span's block of frame rows, its joint /
 common / cdk relations and its comparison bytes are built once and
-shared by every formula, and a formula leaves the sweep at its first
-failing span.  Spans are walked in order with at most two per worker in
-flight, so memory does not grow with the number of spans, and their
-failures are merged in span order.
+shared by every formula.  The live formulas are one batch: a span
+evaluates each distinct subterm among them once, in one walk over their
+union DAG that drops each extension after its last reader
+(`semantics.schedule`, worked out again only when a formula leaves).  A
+formula whose extension has every bit set holds on the whole span, so
+only the others are searched for their first failing cell, and a
+formula leaves the sweep at its first failing span.  Spans are walked in
+order with at most two per worker in flight, so memory does not grow
+with the number of spans, and their failures are merged in span order.
 
 The largest world count is swept first, for every formula.  Every
 operator at a world reads only the worlds it reaches (D, K, C, CD) or
@@ -76,7 +81,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .kripke import BoundsError, FrameClass, KripkeModel, Relation
-from .semantics import Block
+from .semantics import Block, schedule
 from .syntax import Formula, agent_names, atom_names
 
 AGENT_POOL = ("a", "b", "c", "d")
@@ -475,6 +480,8 @@ def _model_at(bounds: SearchBounds, n: int, frame: tuple[int, ...],
 
 
 _Failure = tuple[tuple[int, ...], int, int]  # pool indices, valuation, mask
+# a walk over distinct formulas, and the indices each of them holds
+_Batch = tuple[tuple, Mapping[Formula, list[int]]]
 
 
 def _run_now(fn: Callable, *args) -> Future:
@@ -494,10 +501,11 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
     (`_minimal_frames`); the first failure always lies on one.  They are
     cut into spans and submitted in order, at most two per worker not yet
     waited for, each with the formulas that no merged span has refuted.
-    A span's scan builds its block once and returns its failures, and the
-    results are merged in span order, so each formula keeps its lowest
-    span's failure and the answer never depends on `jobs`.  The walk stops
-    once every formula has failed.
+    A span's scan builds its block once, evaluates the distinct live
+    formulas in one walk (`semantics.schedule`) and returns its failures,
+    and the results are merged in span order, so each formula keeps its
+    lowest span's failure and the answer never depends on `jobs`.  The
+    walk stops once every formula has failed.
     """
     rel_rows = frame_relations(bounds.frame, n)
     k = len(bounds.atoms)
@@ -508,18 +516,27 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
     step = max(1, _CHUNK_CELLS // n_vals)
     spans = _frame_spans(bounds.frame, n, bounds.n_agents, step)
 
-    def scan(span: list[np.ndarray], live: tuple[int, ...]
+    def batch(live: tuple[int, ...]) -> _Batch:
+        """The walk over the distinct formulas in live, and the indices in
+        live that each of them holds."""
+        where: dict[Formula, list[int]] = {}
+        for i in live:
+            where.setdefault(formulas[i], []).append(i)
+        return schedule(where), where
+
+    def scan(span: list[np.ndarray], live: _Batch
              ) -> list[tuple[int, _Failure]]:
-        """The first failure in the span of each formula in live that has
+        """The first failure in the span of each live formula that has
         one, with the frame read off the span's pool indices."""
+        steps, where = live
         block = _block(rel_rows, bounds, n, atom_ext, span)
         out = []
-        for i in live:
-            hit = block.first_failure(block.evaluate(formulas[i]))
+        for f, ext in block.extensions(steps):
+            hit = block.first_failure(ext)
             if hit is not None:
                 local_f, val, mask = hit
                 frame = tuple(int(idx[local_f]) for idx in span)
-                out.append((i, (frame, val, mask)))
+                out += ((i, (frame, val, mask)) for i in where[f])
         return out
 
     def sweep(submit: Callable[..., Future], depth: int
@@ -530,13 +547,16 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
         end, spans not yet started are cancelled; the others cannot change
         the answer, so their results are not read."""
         first: dict[int, _Failure] = {}
-        live = tuple(todo)
+        live = batch(tuple(todo))
         ahead = deque(submit(scan, span, live) for span in head)
         while ahead:
+            known = len(first)
             for i, hit in ahead.popleft().result():
                 first.setdefault(i, hit)
-            live = tuple(i for i in todo if i not in first)
-            if not live:
+            if len(first) > known:
+                # a new walk only when a formula has left
+                live = batch(tuple(i for i in todo if i not in first))
+            if not live[1]:
                 break
             for span in itertools.islice(spans, depth - len(ahead)):
                 ahead.append(submit(scan, span, live))

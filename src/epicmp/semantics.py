@@ -30,17 +30,18 @@ undeclared atom is false everywhere, or an UnknownAtomError with
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections import Counter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .kripke import KripkeModel, ModelError, UnknownAgentError
 from .syntax import (Atom, CK, CDK, Cmp, CmpOp, DK, Formula, Iff, Imp, IndK,
                      And, Group, Not, Or, Supergroup, agent_names,
-                     atom_names, fold)
+                     atom_names, post_order)
 
-__all__ = ["Block", "satisfies", "valid_in_model", "extension",
-           "UnknownAtomError"]
+__all__ = ["Block", "schedule", "satisfies", "valid_in_model",
+           "extension", "UnknownAtomError"]
 
 
 class UnknownAtomError(ModelError):
@@ -85,8 +86,10 @@ class Block:
     F are padding, which no first failure reports.  The joint / common / cdk
     relations, their complement rows (one table per relation, named by a
     group or a supergroup) and the comparison bytes live as long as the
-    block; the memo of one formula's subterm extensions is dropped after
-    `evaluate` returns, so memory does not grow with the number of formulas.
+    block.  A batch of formulas is evaluated as one walk over its union DAG
+    (`schedule`): each distinct subterm once, and each subterm's extension
+    is dropped after its last consumer, so memory follows the extensions
+    live at one step of the walk, not the number of formulas.
     """
 
     def __init__(self, rows_by_agent: Mapping[str, np.ndarray],
@@ -117,12 +120,26 @@ class Block:
         held = (cells >> np.arange(n, dtype=np.uint32)[:, None]) & 1
         return np.packbits(held, axis=1, bitorder="little")[:, :, None]
 
+    def extensions(self, steps: Sequence[_Step]
+                   ) -> Iterator[tuple[Formula, np.ndarray]]:
+        """Each formula of a batch with its extension, broadcastable to
+        (n, W, G), in the order `schedule` reaches them: each distinct
+        subterm is evaluated once, from its children's extensions, and
+        dropped after its last consumer.  A formula's extension is yielded
+        as soon as it is computed; a formula that nothing later reads is
+        dropped when the walk resumes."""
+        memo: dict[Formula, np.ndarray] = {}
+        get = memo.__getitem__
+        for g, ext_of, root, drops in steps:
+            ext = memo[g] = ext_of(self, g, *map(get, g.children))
+            if root:
+                yield g, ext
+            for d in drops:
+                del memo[d]
+
     def evaluate(self, f: Formula) -> np.ndarray:
-        """f's extension, broadcastable to (n, W, G): a fold, so each
-        subterm is evaluated once, from its children's extensions, and a
-        formula of any depth evaluates.  The subterm extensions are
-        dropped on return."""
-        return fold(f, lambda g, *subs: _EXT[type(g)](self, g, *subs))
+        """f's extension: the batch of one."""
+        return next(self.extensions(schedule([f])))[1]
 
     def world_mask(self, ext: np.ndarray, frame: int, val: int) -> int:
         """The worlds of one frame where ext holds at one valuation, as a
@@ -137,6 +154,10 @@ class Block:
         """(frame, valuation, world mask) of the first cell where ext
         misses a world, frames first and then valuations ascending, or
         None if ext holds everywhere."""
+        # one reduction settles an extension with every bit set, padding
+        # included: most formulas a search checks hold on the whole span
+        if np.bitwise_and.reduce(ext, axis=None) == 0xFF:
+            return None
         fail = np.invert(np.bitwise_and.reduce(ext, axis=0))
         if fail.shape[1] == self.groups:
             fail[:, -1] &= self.tail
@@ -291,6 +312,42 @@ _EXT = {
     CDK: lambda b, f, sub: b._box(f.groups, sub),
     Cmp: Block._cmp,
 }
+
+
+# one step of a batch's walk: the subterm, its evaluator (`_EXT`), whether
+# it is a formula of the batch, and the subterms last read by this step
+_Step = tuple[Formula, Callable, bool, tuple[Formula, ...]]
+
+
+def schedule(formulas: Iterable[Formula]) -> tuple[_Step, ...]:
+    """The walk `Block.extensions` makes over a batch of formulas: their
+    union DAG in post-order (`post_order`), each step naming the subterms
+    whose last consumer it is (Aho, Lam, Sethi & Ullman, *Compilers*, 2nd
+    ed., 2006, 6.1 and 9.2.5).  A formula that no later step reads is
+    dropped at its own step.  The walk depends only on the formulas, so a
+    search builds it once for every span that checks the same batch."""
+    roots = dict.fromkeys(formulas)
+    order = post_order(roots)
+    if len(roots) > 1:
+        # the formulas that read one shared subterm are walked next to
+        # each other, so it is dropped soon: sorted by the first shared
+        # subterm each reaches, the registry's 1,055 atomless KT formulas
+        # on 3 agents hold at most 27 fresh extensions at once, not 127
+        reads = Counter(c for g in order for c in g.children)
+        first: dict[Formula, int] = {}
+        for i, g in enumerate(order):
+            k = i if reads[g] + (g in roots) > 1 else len(order)
+            for c in g.children:
+                if first[c] < k:
+                    k = first[c]
+            first[g] = k
+        order = post_order(sorted(roots, key=first.__getitem__))
+    last = {c: i for i, g in enumerate(order) for c in g.children}
+    drops: list[list[Formula]] = [[] for _ in order]
+    for i, g in enumerate(order):
+        drops[last.get(g, i)].append(g)
+    return tuple((g, _EXT[type(g)], g in roots, tuple(d))
+                 for g, d in zip(order, drops))
 
 
 def _extension_mask(m: KripkeModel, f: Formula, strict_atoms: bool) -> int:

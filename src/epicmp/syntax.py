@@ -26,9 +26,11 @@ desugar to `<=` via expand_sugar, and `K{a}` desugars to `D{a}`.
 
 Nodes are interned: building a node that already exists returns the
 existing object, so equal formulas are identical and compare and hash in
-constant time.  `fold` is the one walk over a formula: it visits each
-distinct subformula once, in post-order from an explicit stack, and
-`expand_sugar`, schema instantiation and evaluation are folds.  The
+constant time.  `post_order` is the one walk over formulas: it lists
+each distinct subformula of a batch once, children first, from an
+explicit stack.  `fold` runs a step over one formula's walk, and
+`expand_sugar` and schema instantiation are folds; evaluation runs a
+batch's walk (`semantics.schedule`).  The
 parser and `render` keep explicit stacks too, and `atom_names` and
 `agent_names` read what each node caches, so no formula operation
 recurses on depth.
@@ -50,7 +52,8 @@ __all__ = [
     "Formula", "Atom", "Not", "And", "Or", "Imp", "Iff",
     "DK", "CK", "CDK", "IndK", "Cmp", "CmpOp", "Group", "Supergroup",
     "FormulaError", "LexError", "ParseError", "EmptyGroupError",
-    "parse", "render", "fold", "expand_sugar", "atom_names", "agent_names",
+    "parse", "render", "post_order", "fold", "expand_sugar", "atom_names",
+    "agent_names",
 ]
 
 
@@ -566,24 +569,44 @@ def render(f: Formula) -> str:
 
 # --- the walk -------------------------------------------------------------
 
+def post_order(formulas: Iterable[Formula]) -> list[Formula]:
+    """The distinct subformulas of the formulas, each formula included,
+    each once and after its children: the formulas' union DAG in
+    post-order, left to right, found with an explicit stack, so formulas
+    of any depth are walked."""
+    seen: set[Formula] = set()
+    order: list[Formula] = []
+    for root in formulas:
+        if root in seen:
+            continue
+        seen.add(root)
+        # each node on the stack with its children not yet entered; a
+        # node is entered once, and left after its last child
+        stack = [(root, iter(root.children))]
+        while stack:
+            g, kids = stack[-1]
+            for c in kids:
+                if c not in seen:
+                    seen.add(c)
+                    if c.children:
+                        stack.append((c, iter(c.children)))
+                        break
+                    order.append(c)
+            else:
+                stack.pop()
+                order.append(g)
+    return order
+
+
 def fold(f: Formula, step: Callable):
     """step(f, *results), where each child's result is its own fold.
-    Each distinct subformula is folded once, children first, in an order
-    found with an explicit stack, so a formula of any depth folds.  The
-    order is cached on f without f, so f holds no reference cycle."""
+    Each distinct subformula is folded once, children first
+    (`post_order`), so a formula of any depth folds.  The order is cached
+    on f without f, so f holds no reference cycle."""
     if not isinstance(f, Formula):
         raise TypeError(f"not a formula node: {f!r}")
     if f._order is None:
-        seen, order, todo = {f}, [], [*reversed(f.children)]
-        while todo:
-            g = todo.pop()
-            subs = [c for c in reversed(g.children) if c not in seen]
-            if subs:
-                todo += g, *subs
-            elif g not in seen:
-                seen.add(g)
-                order.append(g)
-        object.__setattr__(f, "_order", tuple(order))
+        object.__setattr__(f, "_order", tuple(post_order(f.children)))
     done: dict[Formula, object] = {}
     result = done.__getitem__
     for g in f._order:

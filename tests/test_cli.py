@@ -12,6 +12,7 @@ PATH, that script is run through the same assertions too."""
 
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -272,6 +273,18 @@ def test_corpus_single_claim():
     assert (code, err) == (0, "")
     assert "S5-OBS4A" in out and "PASS" in out
     assert out.rstrip().endswith("all claims passed (1/1)")
+
+
+@pytest.mark.parametrize("frame", [(), ("--frame", "s5")])
+def test_corpus_jobs_output_is_byte_identical(frame):
+    """Every byte but the time column is the same under any --jobs."""
+    runs = []
+    for jobs in ("1", "2", "8"):
+        code, out, err = run("corpus", *frame, "--jobs", jobs)
+        assert (code, err) == (0, "")
+        runs.append(re.sub(r" +\d+\.\d\ds$", " TIME", out, flags=re.M))
+    assert runs[0].count(" TIME\n") == (53 if not frame else 22)
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_corpus_unknown_id():

@@ -6,6 +6,7 @@ lives in the acceptance module)."""
 
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,34 @@ def test_each_claim_is_one_check_formulas_call(monkeypatch):
         formulas = calls[0]
         assert len(set(formulas)) == len(formulas) == report.n_instances, \
             claim_id
+
+
+def test_run_all_is_one_check_formulas_call_per_bounds(monkeypatch):
+    """run_all checks the claims that share bounds in one check_formulas
+    call over their distinct formulas, in the order first built, and
+    splits each call's time over its claims, so the time column adds up
+    to no more than the run."""
+    calls = []
+
+    def recording(formulas, bounds, **kw):
+        calls.append((bounds, list(formulas)))
+        return check_formulas(formulas, bounds, **kw)
+
+    monkeypatch.setattr(corpus, "check_formulas", recording)
+    start = time.perf_counter()
+    reports = run_all()
+    wall = time.perf_counter() - start
+    groups: dict[SearchBounds, list[CorpusClaim]] = {}
+    for claim in REGISTRY.values():
+        groups.setdefault(claim.bounds, []).append(claim)
+    assert len(groups) == 9
+    assert [bounds for bounds, _ in calls] == list(groups)
+    for (_, formulas), claims in zip(calls, groups.values()):
+        assert formulas == list(dict.fromkeys(
+            f for claim in claims for f in corpus._formulas(claim)))
+    assert [r.claim_id for r in reports] == list(REGISTRY)
+    assert all(r.elapsed > 0 for r in reports)
+    assert sum(r.elapsed for r in reports) <= wall
 
 
 # --- schema instances -----------------------------------------------------

@@ -22,6 +22,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epicmp.search as search
 import epicmp.semantics as semantics
@@ -35,7 +36,8 @@ from epicmp.search import (AGENT_POOL, BoundsError, Countermodel,
                            SearchBounds, check_formulas, check_validity,
                            count_models, frame_relations)
 from epicmp.semantics import satisfies
-from epicmp.syntax import Group, parse
+from epicmp.syntax import (And, Cmp, CmpOp, DK, Group, Iff, Imp, Or,
+                           parse, post_order)
 
 
 def _bell(n: int) -> int:
@@ -710,6 +712,134 @@ def test_first_failure_in_the_second_word_of_a_span(monkeypatch):
     assert isinstance(check_validity(f, _KT_2_3), Countermodel)
     shape, (frame, val, _) = hits[-1]
     assert (shape, frame, val) == ((10, 1), 8, 0)
+
+
+# --- batches: one walk over the union DAG --------------------------------
+
+def test_a_batch_walk_drops_each_subterm_after_its_last_reader():
+    """`schedule` lists each distinct subterm of a batch once, after its
+    children, marks the batch's formulas, and drops each subterm exactly
+    once: at its last reader, or at its own step when nothing reads it."""
+    batch = [parse(text) for text in (
+        "[{a} <= {b}] -> D{a} p", "D{a} p", "[{a} <= {b}] -> D{a} p",
+        "D{a} p & [{a} <= {b}]", "~D{b} p")]
+    steps = semantics.schedule(batch)
+    order = [g for g, *_ in steps]
+    assert len(set(order)) == len(order)
+    assert set(order) == set(post_order(batch))
+    pos = {g: i for i, g in enumerate(order)}
+    assert all(pos[c] < pos[g] for g in order for c in g.children)
+    assert {g for g, _, root, _ in steps if root} == set(batch)
+    dropped = {}
+    for i, (*_, drops) in enumerate(steps):
+        for g in drops:
+            assert g not in dropped
+            dropped[g] = i
+    for g in order:
+        readers = [pos[h] for h in order if g in h.children]
+        assert dropped[g] == max(readers, default=pos[g])
+
+
+def _block_of(rows_a, rows_b, n_vals=1):
+    """A Block over 2-world frames with these a and b rows, and with one
+    atom p when n_vals is 4 (valuation v is p's world mask)."""
+    atom_ext = {} if n_vals == 1 else {
+        "p": semantics.Block.atom_words(np.arange(4, dtype=np.uint32), 2)}
+    return semantics.Block({"a": np.array(rows_a, dtype=np.uint8),
+                            "b": np.array(rows_b, dtype=np.uint8)},
+                           atom_ext, (len(rows_a), n_vals))
+
+
+_IDENTITY = [0b01, 0b10]
+# w1 sees w0: a's row at w1 is not inside the identity's
+_W1_SEES_W0 = [0b01, 0b11]
+
+
+@pytest.mark.parametrize("n_frames,n_vals,holds,fails", [
+    # 8 frames a byte: the tenth frame is the second bit of the second
+    # byte, whose last six bits are padding
+    (10, 1, "[{b} <= {a}]", "[{a} <= {b}]"),
+    # 2 frames a byte: the third frame fills half of the second byte, and
+    # fails only where D{a} p holds at w1, at valuation 3
+    (3, 4, "[{b} <= {a}] | p", "~p | ~D{a} p | [{a} <= {b}]")])
+def test_the_failure_test_skips_padding_and_finds_the_last_real_frame(
+        n_frames, n_vals, holds, fails):
+    """A span whose last byte is part filled: a formula that holds on
+    every real cell, but not on the padding, reports no failure, and one
+    whose only failing frame is the last real one reports that frame, its
+    valuation and the world that misses it."""
+    block = _block_of([_IDENTITY] * (n_frames - 1) + [_W1_SEES_W0],
+                      [_IDENTITY] * n_frames, n_vals)
+    assert block.groups == 2
+    exts = dict(block.extensions(semantics.schedule(
+        [parse(holds), parse(fails)])))
+    assert np.bitwise_and.reduce(exts[parse(holds)], axis=None) != 0xFF
+    assert block.first_failure(exts[parse(holds)]) is None
+    frame, val, mask = block.first_failure(exts[parse(fails)])
+    assert (frame, val) == (n_frames - 1, n_vals - 1)
+    missing = ~mask & 0b11
+    assert (missing & -missing).bit_length() - 1 == 1
+    for f, ext in exts.items():
+        assert np.array_equal(*np.broadcast_arrays(ext, block.evaluate(f)))
+
+
+@st.composite
+def _batches(draw, agents, atoms):
+    """1-6 formulas that share work: repeats, a formula next to one of its
+    own subformulas, and one comparison and one box read by several."""
+    formula = formulas_over(agents, atoms=atoms, max_leaves=4)
+    groups = st.sets(st.sampled_from(agents), min_size=1).map(Group)
+    cmp = draw(st.builds(Cmp, st.sampled_from(list(CmpOp)), groups, groups))
+    box = draw(st.builds(DK, groups, formula))
+    batch: list = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.integers(0, 3 if batch else 1))
+        if kind == 0:
+            f = draw(formula)
+        elif kind == 1:
+            op = draw(st.sampled_from((And, Or, Imp, Iff)))
+            f = op(draw(st.sampled_from((cmp, box))), draw(formula))
+        elif kind == 2:
+            f = draw(st.sampled_from(batch))
+        else:
+            f = draw(st.sampled_from(post_order([draw(st.sampled_from(
+                batch))])))
+        batch.append(f)
+    return batch
+
+
+@pytest.mark.parametrize("bounds", [
+    SearchBounds(FrameClass.KT, 2, 2, atoms=("p",)),
+    SearchBounds(FrameClass.S4, 2, 2, atoms=("p",)),
+    SearchBounds(FrameClass.S5, 2, 3, atoms=("p",))], ids=_bounds_id)
+def test_a_batch_gives_each_formula_its_own_search(bounds):
+    """Each formula of a batch with shared subterms gets what
+    check_validity gives it alone, and the per-model sweep with the
+    pair-set oracle, with spans of one to four frames and 1 or 2
+    threads."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(_batches(bounds.agents, bounds.atoms))
+    def check(batch):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_CHUNK_CELLS", 8)
+            mp.setattr(os, "cpu_count", lambda: 8)
+            for jobs in (1, 2):
+                outs = check_formulas(batch, bounds, jobs=jobs)
+                assert outs == [check_validity(f, bounds, jobs=jobs)
+                                for f in batch]
+        for f, out in zip(batch, outs):
+            m, w, checked = _sweep(f, bounds)
+            if m is None:
+                assert out == NoCountermodelUpTo(bounds=bounds,
+                                                 models_checked=checked)
+            else:
+                assert isinstance(out, Countermodel)
+                assert encode_model(out.model, bounds.atoms) \
+                    == encode_model(m, bounds.atoms)
+                assert out.witness == w
+
+    check()
 
 
 # --- two search results pinned in full -----------------------------------
