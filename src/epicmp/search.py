@@ -553,11 +553,11 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
             known = len(first)
             for i, hit in ahead.popleft().result():
                 first.setdefault(i, hit)
+            if len(first) == len(todo):
+                break
             if len(first) > known:
                 # a new walk only when a formula has left
                 live = batch(tuple(i for i in todo if i not in first))
-            if not live[1]:
-                break
             for span in itertools.islice(spans, depth - len(ahead)):
                 ahead.append(submit(scan, span, live))
         for fut in ahead:
