@@ -22,28 +22,42 @@ frame by the agents' pool indices and its valuation by index
     S5  the codes of equivalences (one per set partition of the worlds)
 
 `check_formulas` sweeps the space with numpy for a list of formulas at
-once: one axis walks frames, one enumerates valuations, and
-`semantics.Block` evaluates every connective as bitwise arithmetic on
-bytes that hold one bit per (frame, valuation) cell, frame-major.  The
-frame axis holds only the frames that no world relabeling makes smaller
-(`_minimal_frames`).  That loses no answer: if a relabeling makes a
-frame smaller, it maps each falsifier on that frame to an isomorphic
-falsifier earlier in the order, so the first countermodel lies on a
-minimal frame, and a formula that holds on every minimal frame holds on
-every frame.
+once, and `semantics.Block` evaluates every connective as bitwise
+arithmetic on bytes that hold one bit per (frame, valuation) cell.  A
+frame is a prefix (the pool indices of every agent but the last) and a
+last-agent index, and the frames a block holds are a product: a run of
+prefixes, each against a range of the last agent's indices.  A subterm is
+evaluated on the axes of what it reads, once per prefix, once per
+last-agent frame or once per frame.
 
-Each sweep covers one world count and walks frame spans, then the
-formulas not yet refuted: each span's block of frame rows, its joint /
-common / cdk relations and its comparison bytes are built once and
-shared by every formula.  The live formulas are one batch: a span
-evaluates each distinct subterm among them once, in one walk over their
-union DAG that drops each extension after its last reader
-(`semantics.schedule`, worked out again only when a formula leaves).  A
-formula whose extension has every bit set holds on the whole span, so
-only the others are searched for their first failing cell, and a
-formula leaves the sweep at its first failing span.  Spans are walked in
-order with at most two per worker in flight, so memory does not grow
-with the number of spans, and their failures are merged in span order.
+Only frames that no world relabeling makes smaller matter: if a
+relabeling makes a frame smaller, it maps each falsifier on that frame to
+an isomorphic falsifier earlier in the order, so the first countermodel
+lies on a minimal frame, and a formula that holds on every minimal frame
+holds on every frame.  The walk yields the prefixes of the minimal frames
+(`_prefixes`), and each is swept against the last agent's whole pool
+(`_last_indices`): the first failing cell of a prefix's row lies on a
+minimal frame anyway, since a relabeling that fixes the prefix and maps
+the row's first failure lower would map it to an earlier failure in the
+same row (McKay, "Isomorph-free exhaustive generation", *J. Algorithms*
+26, 1998).  The other frames of the row are evaluated and never
+reported.  With one agent there is no prefix, and the row holds only the
+minimal frames: that filter saves a factor of up to n!.
+
+Each sweep covers one world count and walks spans of prefixes, then the
+formulas not yet refuted: each span's block of rows, its joint / common /
+cdk relations and its comparison bytes are built once and shared by every
+formula.  The live formulas are one batch: a span evaluates each distinct
+subterm among them once, in one walk over their union DAG that drops
+each extension after its last reader (`semantics.schedule`, worked out
+again only when a formula leaves).  When every span holds the last
+agent's whole pool, a subterm that reads no prefix agent is the same in
+each span, and is evaluated once per sweep.  A formula whose extension
+has every bit set holds on the whole span, so only the others are
+searched for their first failing cell, and a formula leaves the sweep at
+its first failing span.  Spans are walked in order with at most two per
+worker in flight, so memory does not grow with the number of spans, and
+their failures are merged in span order.
 
 The largest world count is swept first, for every formula.  Every
 operator at a world reads only the worlds it reaches (D, K, C, CD) or
@@ -89,15 +103,20 @@ MAX_SEARCH_WORLDS = 5
 MAX_SEARCH_AGENTS = len(AGENT_POOL)
 MAX_SEARCH_ATOMS = 3
 
-# Frames x valuations per block: 2^17 cells.  An extension holds one bit
-# per cell, n * 16 KiB at most (80 KiB at 5 worlds); with fewer than 8
-# valuations a byte holds several frames, so an atomless span of
-# 2^17 frames packs into the same n * 16 KiB.  A cached comparison is at
-# most one such extension, and a relation's rows (gathered, joint, common,
-# cdk, and the complement rows a box reads) are F x n bytes: at most
-# 640 KiB, for an atomless span at 5 worlds.  A block shared by every
-# instance of a schema holds dozens of these; at 2^18 cells the registry's
-# peak RSS rose instead of falling.
+# Frames x valuations per block: 2^17 cells.  A span's frames are P
+# prefixes x L last-agent indices: a last-agent row that fits goes whole,
+# 2^17 // (L * V) prefixes to a span, and a longer one (KT/5, 2^20
+# relations) is cut into ranges of 2^17 // V indices, one prefix to a
+# span.  An extension holds one bit per cell, n * 16 KiB at most (80 KiB
+# at 5 worlds); with fewer than 8 valuations a byte holds several frames,
+# so an atomless span packs into the same n * 16 KiB, plus each prefix
+# row's padding to whole bytes.  A cached comparison is at most one such
+# extension; a relation's rows (joint, common, cdk, and the complement
+# rows a box reads) are at most n bytes per frame, 640 KiB for an atomless
+# span at 5 worlds, and a relation that reads only prefix agents or only
+# the last agent is n bytes per prefix or per last-agent index.  A block
+# shared by every instance of a schema holds dozens of these; at 2^18
+# cells the registry's peak RSS rose instead of falling.
 _CHUNK_CELLS = 1 << 17
 
 __all__ = [
@@ -342,9 +361,9 @@ class _Kept(NamedTuple):
 
 
 # (frame, n, relabelings) -> _Kept, one entry per group of relabelings that
-# fixes some prefix.  A KT 2-agent 5-world walk makes 73 entries: 9.1 MB of
-# bits and 2.8 MB of sparse maps (316k kept indices that a relabeling
-# fixes).
+# fixes some part of a prefix; the last agent is swept whole, so it needs
+# none.  A KT 2-agent 5-world walk makes one entry (131 KB of bits and
+# 14 KB of sparse maps), and a KT 3-agent 4-world walk 22 (30 KB in all).
 _KEPT: dict[tuple, _Kept] = {}
 
 
@@ -382,77 +401,101 @@ def _kept(frame: FrameClass, n: int,
     return out
 
 
-def _minimal_frames(frame: FrameClass, n: int, n_agents: int
-                    ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """The n-world frames that no world relabeling makes smaller, in
-    ascending order, as (prefix, last) pairs: the pool indices of all
-    agents but the last, and the ascending array of last-agent indices
-    that complete the prefix to such a frame.
+def _kept_indices(frame: FrameClass, n: int,
+                  perms: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The pool indices, ascending (int64), that a prefix fixed by perms
+    (identity left out) keeps: those that none of perms maps lower."""
+    if not perms:
+        return _pool_range(frame, n)
+    return np.flatnonzero(np.unpackbits(_kept(frame, n, perms).bits,
+                                        count=len(_pool_codes(frame, n))))
+
+
+def _all_relabelings(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every relabeling of n worlds but the identity, which comes first
+    and keeps everything."""
+    return tuple(itertools.permutations(range(n)))[1:]
+
+
+def _prefixes(frame: FrameClass, n: int, n_agents: int
+              ) -> Iterator[tuple[int, ...]]:
+    """The prefixes of the n-world frames that no world relabeling makes
+    smaller, ascending and each once: the pool indices of every agent but
+    the last (one empty prefix for one agent).
 
     Agent j keeps pool index i iff no relabeling that fixes the prefix maps
     i lower; those that also map i onto itself then bound agent j + 1.
     What a prefix keeps depends only on the relabelings that fix it
     (`_kept`), so each group of them is worked out once per process and
-    the walk is lookups plus its yields.  A prefix's last-agent indices are
-    unpacked only when the walk reaches it, so the list of frames is never
-    built."""
-    everything = _pool_range(frame, n)
+    the walk is lookups plus its yields.  The last agent is not walked: a
+    prefix is swept against its whole pool (`_last_indices`)."""
 
     def walk(prefix: tuple[int, ...], perms: tuple[tuple[int, ...], ...]):
-        if not perms:
-            kept, entry = everything, None
-        else:
-            entry = _kept(frame, n, perms)
-            kept = np.flatnonzero(np.unpackbits(entry.bits,
-                                                count=len(everything)))
         if len(prefix) == n_agents - 1:
-            yield prefix, kept
+            yield prefix
             return
-        fixers = {} if entry is None else entry.fixers()
-        for i in kept.tolist():
+        fixers = _kept(frame, n, perms).fixers() if perms else {}
+        for i in _kept_indices(frame, n, perms).tolist():
             yield from walk(prefix + (i,), fixers.get(i, ()))
 
-    # the identity comes first and keeps everything, so it is left out
-    yield from walk((), tuple(itertools.permutations(range(n)))[1:])
+    yield from walk((), _all_relabelings(n))
 
 
-def _frame_spans(frame: FrameClass, n: int, n_agents: int,
-                 step: int) -> Iterator[list[np.ndarray]]:
-    """The minimal frames in ascending order, cut into spans of at most
-    step frames; a span is one int64 pool-index array per agent and may
-    cover several prefixes."""
-    parts: list[tuple[tuple[int, ...], np.ndarray]] = []
-    size = 0
-    for prefix, last in _minimal_frames(frame, n, n_agents):
-        while len(last):
-            take, last = last[:step - size], last[step - size:]
-            parts.append((prefix, take))
-            size += len(take)
-            if size == step:
-                yield _span(parts, n_agents)
-                parts, size = [], 0
-    if parts:
-        yield _span(parts, n_agents)
+def _last_indices(frame: FrameClass, n: int, n_agents: int) -> np.ndarray:
+    """The last agent's pool indices that each prefix is swept against:
+    the whole pool behind a prefix, or for one agent the indices no
+    relabeling maps lower.
+
+    The whole pool loses no answer.  If frame (prefix, b) fails at
+    valuation v and a relabeling that fixes the prefix maps b lower, then
+    (prefix, that image of b) comes earlier and fails at the relabeled
+    valuation.  So the first failing cell in a prefix's row lies on a
+    minimal frame, with the valuation and witness a sweep of the minimal
+    frames alone would report."""
+    if n_agents > 1:
+        return _pool_range(frame, n)
+    return _kept_indices(frame, n, _all_relabelings(n))
 
 
-def _span(parts: list[tuple[tuple[int, ...], np.ndarray]],
-          n_agents: int) -> list[np.ndarray]:
-    """A span's per-agent pool-index arrays from its (prefix, last-agent
-    indices) parts."""
-    lengths = [len(take) for _, take in parts]
-    return [np.repeat([prefix[j] for prefix, _ in parts], lengths)
-            for j in range(n_agents - 1)] \
-        + [np.concatenate([take for _, take in parts])]
+class _Span(NamedTuple):
+    """A run of prefixes, each swept against the last-agent indices
+    last[start:stop] (`_last_indices`): the frames (prefix, last[l]),
+    prefix-major."""
+
+    prefixes: list[tuple[int, ...]]
+    start: int
+    stop: int
 
 
-def _block(rel_rows: np.ndarray, bounds: SearchBounds, n: int,
-           atom_ext: Mapping[str, np.ndarray],
-           span: Sequence[np.ndarray]) -> Block:
-    """The frames of one span x all valuations."""
-    # np.take gathers rows about ten times faster than rel_rows[idx]
-    return Block(dict(zip(bounds.agents,
-                          (np.take(rel_rows, idx, axis=0) for idx in span))),
-                 atom_ext, (len(span[0]), 1 << (n * len(bounds.atoms))))
+def _frame_spans(frame: FrameClass, n: int, n_agents: int, n_last: int,
+                 step: int) -> Iterator[_Span]:
+    """The minimal frames' prefixes in ascending order, each against the
+    n_last last-agent indices, cut into spans of at most step frames.  A
+    row of n_last frames that fits a span goes whole, step // n_last
+    prefixes to a span; a longer one is cut into ranges of step frames,
+    one prefix to a span."""
+    prefixes = _prefixes(frame, n, n_agents)
+    if n_last <= step:
+        while run := list(itertools.islice(prefixes, step // n_last)):
+            yield _Span(run, 0, n_last)
+    else:
+        for prefix in prefixes:
+            for start in range(0, n_last, step):
+                yield _Span([prefix], start, min(start + step, n_last))
+
+
+def _block(rel_rows: np.ndarray, last_rows: np.ndarray, bounds: SearchBounds,
+           n: int, atom_ext: Mapping[str, np.ndarray], span: _Span) -> Block:
+    """The frames of one span x all valuations: one row per prefix for a
+    prefix agent, and a slice of last_rows (the rows of the last agent's
+    indices) for the last, world axis first."""
+    prefixes, start, stop = span
+    rows = {agent: rel_rows[[prefix[j] for prefix in prefixes]].T[:, :, None]
+            for j, agent in enumerate(bounds.agents[:-1])}
+    rows[bounds.agents[-1]] = np.ascontiguousarray(
+        last_rows[start:stop].T)[:, None]
+    return Block(rows, atom_ext,
+                 (len(prefixes), stop - start, 1 << (n * len(bounds.atoms))))
 
 
 def _validate_within(f: Formula, bounds: SearchBounds) -> None:
@@ -484,6 +527,20 @@ _Failure = tuple[tuple[int, ...], int, int]  # pool indices, valuation, mask
 _Batch = tuple[tuple, Mapping[Formula, list[int]]]
 
 
+def _memoized(memo: dict[Formula, np.ndarray], ext_of: Callable) -> Callable:
+    """ext_of, an evaluator of `semantics.schedule`'s steps, that looks its
+    subterm up in memo first and stores there what it evaluates."""
+
+    def once(block: Block, g: Formula, *children: np.ndarray) -> np.ndarray:
+        out = memo.get(g)
+        if out is None:
+            out = memo[g] = ext_of(block, g, *children)
+            out.setflags(write=False)
+        return out
+
+    return once
+
+
 def _run_now(fn: Callable, *args) -> Future:
     """`Executor.submit` without a thread: run fn now."""
     fut: Future = Future()
@@ -497,24 +554,33 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
     """The first failure over the n-world models of each formula in todo
     that has one.
 
-    Only the frames no relabeling makes smaller are scanned
-    (`_minimal_frames`); the first failure always lies on one.  They are
-    cut into spans and submitted in order, at most two per worker not yet
-    waited for, each with the formulas that no merged span has refuted.
-    A span's scan builds its block once, evaluates the distinct live
-    formulas in one walk (`semantics.schedule`) and returns its failures,
-    and the results are merged in span order, so each formula keeps its
-    lowest span's failure and the answer never depends on `jobs`.  The
-    walk stops once every formula has failed.
+    The prefixes of the frames no relabeling makes smaller are swept
+    against the last agent's indices (`_last_indices`); the first failure
+    always lies on a minimal frame.  They are cut into spans
+    (`_frame_spans`) and submitted in order, at most two per worker not
+    yet waited for, each with the formulas that no merged span has
+    refuted.  A span's scan builds its block once, evaluates the distinct
+    live formulas in one walk (`semantics.schedule`) and returns its
+    failures, and the results are merged in span order, so each formula
+    keeps its lowest span's failure and the answer never depends on
+    `jobs`.  The walk stops once every formula has failed.
     """
     rel_rows = frame_relations(bounds.frame, n)
+    last = _last_indices(bounds.frame, n, bounds.n_agents)
+    last_rows = rel_rows if bounds.n_agents > 1 else rel_rows[last]
     k = len(bounds.atoms)
     n_vals = 1 << (n * k)
     masks = _atom_masks(np.arange(n_vals, dtype=np.uint32), n, k)
     atom_ext = {atom: Block.atom_words(mask, n)
                 for atom, mask in zip(bounds.atoms, masks)}
     step = max(1, _CHUNK_CELLS // n_vals)
-    spans = _frame_spans(bounds.frame, n, bounds.n_agents, step)
+    spans = _frame_spans(bounds.frame, n, bounds.n_agents, len(last), step)
+    # When the last agent's row fits a span, every span sweeps all of it, so
+    # a subterm that reads no prefix agent has the same extension in each:
+    # past the spans the workers start with, it is evaluated once and kept
+    # until this call returns.
+    wide: dict[Formula, np.ndarray] | None = {} if len(last) <= step else None
+    prefix_agents = frozenset(bounds.agents[:-1])
 
     def batch(live: tuple[int, ...]) -> _Batch:
         """The walk over the distinct formulas in live, and the indices in
@@ -524,18 +590,30 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
             where.setdefault(formulas[i], []).append(i)
         return schedule(where), where
 
-    def scan(span: list[np.ndarray], live: _Batch
-             ) -> list[tuple[int, _Failure]]:
-        """The first failure in the span of each live formula that has
-        one, with the frame read off the span's pool indices."""
+    def shared(live: _Batch) -> _Batch:
+        """live, with each subterm that reads no prefix agent looked up in
+        `wide` first and stored there (`_memoized`)."""
         steps, where = live
-        block = _block(rel_rows, bounds, n, atom_ext, span)
+        if wide is None:
+            return live
+        return tuple((g, _memoized(wide, ext_of)
+                      if prefix_agents.isdisjoint(agent_names(g)) else ext_of,
+                      root, drops)
+                     for g, ext_of, root, drops in steps), where
+
+    def scan(span: _Span, live: _Batch) -> list[tuple[int, _Failure]]:
+        """The first failure in the span of each live formula that has
+        one, with the frame read off the span's prefix and last-agent
+        index."""
+        steps, where = live
+        block = _block(rel_rows, last_rows, bounds, n, atom_ext, span)
         out = []
         for f, ext in block.extensions(steps):
             hit = block.first_failure(ext)
             if hit is not None:
-                local_f, val, mask = hit
-                frame = tuple(int(idx[local_f]) for idx in span)
+                prefix, local, val, mask = hit
+                frame = span.prefixes[prefix] \
+                    + (int(last[span.start + local]),)
                 out += ((i, (frame, val, mask)) for i in where[f])
         return out
 
@@ -549,6 +627,7 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
         first: dict[int, _Failure] = {}
         live = batch(tuple(todo))
         ahead = deque(submit(scan, span, live) for span in head)
+        is_shared = False
         while ahead:
             known = len(first)
             for i, hit in ahead.popleft().result():
@@ -558,7 +637,10 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
             if len(first) > known:
                 # a new walk only when a formula has left
                 live = batch(tuple(i for i in todo if i not in first))
+                is_shared = False
             for span in itertools.islice(spans, depth - len(ahead)):
+                if not is_shared:
+                    live, is_shared = shared(live), True
                 ahead.append(submit(scan, span, live))
         for fut in ahead:
             fut.cancel()

@@ -1,18 +1,21 @@
 """Truth evaluation of formulas: the one evaluator.
 
-A `Block` holds models that share a world count: F frames, each a tuple of
-per-agent relations stored as (F, n) row masks in the rows' own unsigned
-dtype (uint8 in the search), times V valuations.  The bit axis is the
-frame-major (frame, valuation) cell, bit-sliced: an extension holds, for
-each world, bytes whose bits are the cells, frames first and valuations
-within a frame.  With 8 or more valuations a frame takes V / 8 bytes; with
-fewer, one byte holds 8 // V frames.  Every extension is a uint8 array
-shaped (n, W|1, G|1): world, then byte within a group of W bytes, then
-group, each axis broadcast on demand.  Each connective is one bitwise
-operation on those bytes.  A box operator holds at w, for a valuation,
-when the operand holds there at every R-successor v of w: it is the AND
-over v of `ext[v] | notin[v, w]`, where notin[v, w] is all ones on the
-cells of the frames where v is not a successor of w and 0 on the others.
+A `Block` holds models that share a world count: frames, each a tuple of
+per-agent relations stored as row masks in the rows' own unsigned dtype
+(uint8 in the search), times V valuations.  The frames are a product: P
+prefixes (the relations of every agent but the last) times L relations of
+the last agent.  The bit axis is the (frame, valuation) cell, bit-sliced:
+an extension holds, for each world and prefix, bytes whose bits are the
+cells, last-agent frames first and valuations within a frame.  With 8 or
+more valuations a frame takes V / 8 bytes; with fewer, one byte holds
+8 // V frames.  Every extension is a uint8 array shaped (n, W|1, P|1,
+G|1): world, then byte within a group of W bytes, then prefix, then group,
+each axis broadcast on demand, so a subterm is evaluated once per value of
+what it reads.  Each connective is one bitwise operation on those bytes.
+A box operator holds at w, for a valuation, when the operand holds there
+at every R-successor v of w: it is the AND over v of
+`ext[v] | notin[v, w]`, where notin[v, w] is all ones on the cells of the
+frames where v is not a successor of w and 0 on the others.
 The comparison `[A <= B]` holds at w when A's joint row at w is contained
 in B's: A's pooled information is at least as sharp, so anything B
 jointly knows at w transfers to A.  It does not depend on the valuation,
@@ -22,10 +25,10 @@ desugarings produce.
 
 The countermodel search evaluates whole frame spans this way; `satisfies`,
 `valid_in_model` and `extension` evaluate one `KripkeModel` as a block of
-one frame and one valuation.  They first check the formula against the
-model: an agent the model does not declare is an UnknownAgentError, and an
-undeclared atom is false everywhere, or an UnknownAtomError with
-`strict_atoms=True`.
+one prefix, one frame and one valuation.  They first check the formula
+against the model: an agent the model does not declare is an
+UnknownAgentError, and an undeclared atom is false everywhere, or an
+UnknownAtomError with `strict_atoms=True`.
 """
 
 from __future__ import annotations
@@ -49,44 +52,53 @@ class UnknownAtomError(ModelError):
 
 
 # Bytes per world in one pass of a box operator: a pass takes k successor
-# worlds of G * W bytes each, k * G * W <= _BOX_CELLS, and at least one.
-# A `scan_kt4` span (8,192 frames of 4 worlds, two bytes each) then takes
-# one successor world per pass: the pass's scratch array is 64 KiB and its
-# successor bytes 32 KiB, below glibc's 128 KiB mmap threshold, so they are
-# reused from the heap instead of being faulted in afresh.  A single model
-# takes every successor at once.
+# worlds of the result's W * P * G bytes each (its broadcast axes counted
+# once), k * W * P * G <= _BOX_CELLS, and at least one.  A box over the
+# last agent in a `scan_kt4` span (4,096 frames of 4 worlds, two bytes
+# each) then takes two successor worlds per pass: the pass's scratch array
+# is 64 KiB and its successor bytes 32 KiB, below glibc's 128 KiB mmap
+# threshold, so they are reused from the heap instead of being faulted in
+# afresh.  A single model takes every successor at once.
 _BOX_CELLS = 1 << 14
 
 
-def _word_layout(n_vals: int) -> tuple[int, int]:
-    """The bytes per frame group and the frames per group that hold one
-    bit per (frame, valuation) cell: a frame of 8 or more valuations takes
-    n_vals / 8 bytes, and with fewer one byte holds 8 // n_vals frames."""
-    return -(-n_vals // 8), max(1, 8 // n_vals)
+def _per_word(n_vals: int) -> int:
+    """The frames per group of bytes that hold one bit per (frame,
+    valuation) cell: a frame of 8 or more valuations takes n_vals / 8
+    bytes, and with fewer one byte holds 8 // n_vals frames."""
+    return max(1, 8 // n_vals)
 
 
 class Block:
     """Frames x valuations of one world count, shared by every formula
     evaluated against it.
 
-    `rows_by_agent` maps each agent to its (F, n) relation rows, in any
-    unsigned dtype wide enough for n worlds (uint8 in the search, uint32 for
-    a single model of up to 16 worlds); the joint / common / cdk rows keep
-    that dtype.  `atom_ext` maps each atom to its extension as `atom_words`
-    builds it, and `shape` is (F, V).  Cell c = f * V + v, for frame f and
-    valuation v, is bit c % 8 of byte c // 8, as `np.packbits` packs bits
-    little-endian: `atom_words` and `_spread_bytes` both pack cells with it.
-    The bytes fall into G groups of W bytes and P frames each,
-    8 * W = P * V: one frame over W bytes when there are 8 or more
-    valuations (P = 1), else P = 8 // V frames in one byte (W = 1).  An
-    extension is a uint8 array shaped (n, W|1, G|1): world, then byte, then
-    group, each axis broadcast on demand, so an extension that depends only
-    on the frame (a comparison) is (n, 1, G) and one that depends only on
-    the valuation (an atom) is (n, W, 1).  The last group's cells past frame
-    F are padding, which no first failure reports.  The joint / common / cdk
-    relations, their complement rows (one table per relation, named by a
-    group or a supergroup) and the comparison bytes live as long as the
-    block.  A batch of formulas is evaluated as one walk over its union DAG
+    The frames are a product: P prefixes (the relations of every agent but
+    the last) times L last-agent relations, prefix-major, and `shape` is
+    (P, L, V) with V valuations.  `rows_by_agent` maps each agent to its
+    relation's row masks, world axis first, shaped (n, P|1, L|1): (n, P, 1)
+    for a prefix agent and (n, 1, L) for the last one, in any unsigned
+    dtype wide enough for n worlds (uint8 in the search, uint32 for a
+    single model of up to 16 worlds); the joint / common / cdk rows keep
+    that dtype and broadcast to the axes of the agents they pool.
+    `atom_ext` maps each atom to its extension as `atom_words` builds it.
+    Each prefix has a row of cells: cell c = l * V + v, for last-agent
+    frame l and valuation v, is bit c % 8 of the row's byte c // 8, as
+    `np.packbits` packs bits little-endian (`atom_words` and
+    `_spread_bytes` both pack cells with it).  A row's bytes fall into G
+    groups of W bytes and per_word frames each, 8 * W = per_word * V: one
+    frame over W bytes when there are 8 or more valuations, else 8 // V
+    frames in one byte (W = 1).  An extension
+    is a uint8 array shaped (n, W|1, P|1, G|1): world, byte, prefix and
+    group, each axis broadcast on demand, so each subterm is evaluated on
+    the axes of what it reads: a box over a prefix agent is (n, W, P, 1),
+    once per prefix; a box over the last agent (n, W, 1, G), once per
+    last-agent frame; a comparison between them (n, 1, P, G); an atom
+    (n, W, 1, 1).  Each row's last group's cells past frame L are padding,
+    which no first failure reports.  The joint / common / cdk relations,
+    their complement rows (one table per relation, named by a group or a
+    supergroup) and the comparison bytes live as long as the block.  A
+    batch of formulas is evaluated as one walk over its union DAG
     (`schedule`): each distinct subterm once, and each subterm's extension
     is dropped after its last consumer, so memory follows the extensions
     live at one step of the walk, not the number of formulas.
@@ -94,16 +106,16 @@ class Block:
 
     def __init__(self, rows_by_agent: Mapping[str, np.ndarray],
                  atom_ext: Mapping[str, np.ndarray],
-                 shape: tuple[int, int]):
+                 shape: tuple[int, int, int]):
         self.rows_by_agent = rows_by_agent
         self.atom_ext = atom_ext
         self.shape = shape
-        n_frames, n_vals = shape
-        self.n = next(iter(rows_by_agent.values())).shape[1]
-        self.words, self.per_word = _word_layout(n_vals)
-        self.groups = -(-n_frames // self.per_word)
-        # the cells of the last group's bytes that hold frames
-        tail = (n_frames - (self.groups - 1) * self.per_word) * n_vals
+        _, n_last, n_vals = shape
+        self.n = next(iter(rows_by_agent.values())).shape[0]
+        self.per_word = _per_word(n_vals)
+        self.groups = -(-n_last // self.per_word)
+        # the cells of a row's last group's bytes that hold frames
+        tail = (n_last - (self.groups - 1) * self.per_word) * n_vals
         self.tail = np.uint8((1 << min(tail, 8)) - 1)
         self._joint: dict[Group, np.ndarray] = {}
         self._reach: dict[Supergroup, np.ndarray] = {}
@@ -113,17 +125,17 @@ class Block:
     @staticmethod
     def atom_words(masks: np.ndarray, n: int) -> np.ndarray:
         """An atom's extension from its world mask at each valuation index
-        (a (V,) integer array), as (n, W, 1) bytes: the same in every
-        group, so with fewer than 8 valuations the V cells repeat for each
-        frame of the byte."""
-        cells = np.tile(masks.astype(np.uint32), _word_layout(len(masks))[1])
+        (a (V,) integer array), as (n, W, 1, 1) bytes: the same for every
+        prefix and group, so with fewer than 8 valuations the V cells repeat
+        for each frame of the byte."""
+        cells = np.tile(masks.astype(np.uint32), _per_word(len(masks)))
         held = (cells >> np.arange(n, dtype=np.uint32)[:, None]) & 1
-        return np.packbits(held, axis=1, bitorder="little")[:, :, None]
+        return np.packbits(held, axis=1, bitorder="little")[:, :, None, None]
 
     def extensions(self, steps: Sequence[_Step]
                    ) -> Iterator[tuple[Formula, np.ndarray]]:
         """Each formula of a batch with its extension, broadcastable to
-        (n, W, G), in the order `schedule` reaches them: each distinct
+        (n, W, P, G), in the order `schedule` reaches them: each distinct
         subterm is evaluated once, from its children's extensions, and
         dropped after its last consumer.  A formula's extension is yielded
         as soon as it is computed; a formula that nothing later reads is
@@ -141,48 +153,55 @@ class Block:
         """f's extension: the batch of one."""
         return next(self.extensions(schedule([f])))[1]
 
-    def world_mask(self, ext: np.ndarray, frame: int, val: int) -> int:
+    def world_mask(self, ext: np.ndarray, prefix: int, last: int,
+                   val: int) -> int:
         """The worlds of one frame where ext holds at one valuation, as a
         bitmask."""
-        byte, bit = divmod(frame * self.shape[1] + val, 8)
-        group, byte = divmod(byte, self.words)
-        # a broadcast axis of length 1 stands for every byte or group
-        cells = ext[:, byte % ext.shape[1], group % ext.shape[2]]
+        byte, bit = divmod(last % self.per_word * self.shape[2] + val, 8)
+        # a broadcast axis of length 1 stands for every byte, prefix or
+        # group
+        cells = ext[:, byte % ext.shape[1], prefix % ext.shape[2],
+                    last // self.per_word % ext.shape[3]]
         return sum((c >> bit & 1) << w for w, c in enumerate(cells.tolist()))
 
-    def first_failure(self, ext: np.ndarray) -> tuple[int, int, int] | None:
-        """(frame, valuation, world mask) of the first cell where ext
-        misses a world, frames first and then valuations ascending, or
-        None if ext holds everywhere."""
+    def first_failure(self, ext: np.ndarray
+                      ) -> tuple[int, int, int, int] | None:
+        """(prefix, last-agent frame, valuation, world mask) of the first
+        cell where ext misses a world, prefixes first, then last-agent
+        frames and then valuations ascending, or None if ext holds
+        everywhere."""
         # one reduction settles an extension with every bit set, padding
         # included: most formulas a search checks hold on the whole span
         if np.bitwise_and.reduce(ext, axis=None) == 0xFF:
             return None
         fail = np.invert(np.bitwise_and.reduce(ext, axis=0))
-        if fail.shape[1] == self.groups:
-            fail[:, -1] &= self.tail
+        if fail.shape[2] == self.groups:
+            fail[..., -1] &= self.tail
         if not fail.any():
             return None
-        # group-major, as the cells run; a broadcast group axis fails
-        # first in group 0, a broadcast byte axis in byte 0
-        group, byte = divmod(int(np.argmax(fail.T != 0)), fail.shape[0])
-        low = int(fail[byte, group])
-        cell = (group * self.words + byte) * 8 \
-            + (low & -low).bit_length() - 1
-        frame, val = divmod(cell, self.shape[1])
-        return frame, val, self.world_mask(ext, frame, val)
+        # prefix, group, byte, as the cells run; a broadcast axis fails
+        # first at its index 0
+        prefix, rest = divmod(int(np.argmax(fail.transpose(1, 2, 0) != 0)),
+                              fail.shape[2] * fail.shape[0])
+        group, byte = divmod(rest, fail.shape[0])
+        low = int(fail[byte, prefix, group])
+        frame, val = divmod(byte * 8 + (low & -low).bit_length() - 1,
+                            self.shape[2])
+        last = group * self.per_word + frame
+        return prefix, last, val, self.world_mask(ext, prefix, last, val)
 
     def _spread_bytes(self, held: np.ndarray) -> np.ndarray:
-        """held, a (..., G * P) uint8 array of one 0/1 byte per frame (any
-        byte past frame F), as the (..., G) bytes with all cells set of
-        each frame whose byte is 1, packed as `atom_words` packs cells
-        (0 - 1 = 0xFF when a frame fills whole bytes)."""
-        if self.per_word == 1:
+        """held, a (..., L|1) uint8 array of one 0/1 byte per last-agent
+        frame, as the (..., G|1) bytes with all cells set of each frame
+        whose byte is 1, packed as `atom_words` packs cells, the cells past
+        frame L 0 (0 - 1 = 0xFF when a frame fills whole bytes, or when
+        one byte stands for every frame)."""
+        if self.per_word == 1 or held.shape[-1] == 1:
             return np.negative(held)
         # np.repeat copies even when V = 1, which took 8 times as long as
         # the packing on the registry's atomless blocks
-        if self.shape[1] > 1:
-            held = np.repeat(held, self.shape[1], axis=-1)
+        if self.shape[2] > 1:
+            held = np.repeat(held, self.shape[2], axis=-1)
         return np.packbits(held, axis=-1, bitorder="little")
 
     def joint(self, group: Group) -> np.ndarray:
@@ -197,9 +216,9 @@ class Block:
     def _closure(self, rows: np.ndarray) -> np.ndarray:
         # in the rows' own dtype: a uint8 row stays one byte
         rows = rows | (rows.dtype.type(1)
-                       << np.arange(self.n, dtype=rows.dtype))
+                       << np.arange(self.n, dtype=rows.dtype))[:, None, None]
         for k in range(self.n):
-            rows = rows | ((rows >> k) & 1) * rows[:, k:k + 1]
+            rows = rows | ((rows >> k) & 1) * rows[k:k + 1]
         return rows
 
     def common(self, group: Group) -> np.ndarray:
@@ -217,17 +236,14 @@ class Block:
 
     def _missed(self, name: Group | Supergroup) -> np.ndarray:
         """The complement rows of the relation name names (a group's joint
-        relation, a supergroup's cdk closure), world axis first, as
-        (n, G * P): bit v of [w, f] is 1 where world v is not a successor
-        of w in frame f, and 0 past frame F.  Built once per name."""
+        relation, a supergroup's cdk closure), shaped as the rows are: bit v
+        of [w, p, l] is 1 where world v is not a successor of w in frame
+        (p, l).  Built once per name."""
         out = self._misses.get(name)
         if out is None:
             rows = (self.joint(name) if isinstance(name, Group)
                     else self.cdk(name))
-            out = np.zeros((self.n, self.groups * self.per_word),
-                           dtype=rows.dtype)
-            np.invert(rows.T, out=out[:, :len(rows)])
-            self._misses[name] = out
+            out = self._misses[name] = np.invert(rows)
         return out
 
     def _box(self, name: Group | Supergroup, ext: np.ndarray) -> np.ndarray:
@@ -239,10 +255,14 @@ class Block:
         # which pushed a `scan_kt4` span's heap past what glibc keeps
         # between spans (12,700 minor faults per pass, not 0).
         missed = self._missed(name)
-        k = min(self.n, max(1, _BOX_CELLS // (self.groups * self.words)))
-        shifts = np.arange(self.n, dtype=missed.dtype)[:, None, None]
+        # each broadcast axis is 1 or full
+        shape = (self.n, ext.shape[1], max(ext.shape[2], missed.shape[1]),
+                 ext.shape[3] if missed.shape[2] == 1 else self.groups)
+        k = min(self.n,
+                max(1, _BOX_CELLS // (shape[1] * shape[2] * shape[3])))
+        shifts = np.arange(self.n, dtype=missed.dtype)[:, None, None, None]
         held = np.empty((k, *missed.shape), dtype=np.uint8)
-        sub = np.empty((k, self.n, ext.shape[1], self.groups), dtype=np.uint8)
+        sub = np.empty((k, *shape), dtype=np.uint8)
         out = None
         for v in range(0, self.n, k):
             j = min(k, self.n - v)
@@ -271,15 +291,29 @@ class Block:
     def _leq_agent(self, left: Group, agent: str) -> np.ndarray:
         out = self._leqs.get((left, agent))
         if out is None:
-            a, b = self.joint(left), self.rows_by_agent[agent]
-            # one row test per frame and world, world axis first, so the
-            # operators read the bytes contiguously
-            held = np.zeros((self.n, self.groups * self.per_word),
-                            dtype=np.uint8)
-            held.view(bool)[:, :len(a)] = ((a & np.invert(b)) == 0).T
-            out = self._spread_bytes(held)[:, None]
-            self._leqs[(left, agent)] = out
+            a, outside = self.joint(left), np.invert(self.rows_by_agent[agent])
+            # k prefixes per pass keep a pass's row tests within _BOX_CELLS
+            # bytes per world: an atomless KT/3/4 span tests 32 prefixes x
+            # 4,096 frames, and in one pass it faulted in 2 MiB of scratch
+            # afresh
+            k = max(1, _BOX_CELLS // max(a.shape[2], outside.shape[2]))
+            n_prefixes = max(a.shape[1], outside.shape[1])
+            if n_prefixes <= k:
+                out = self._contained(a, outside)
+            else:
+                out = np.concatenate(
+                    [self._contained(_prefix_run(a, p, k),
+                                     _prefix_run(outside, p, k))
+                     for p in range(0, n_prefixes, k)], axis=1)
+            out = self._leqs[(left, agent)] = out[:, None]
         return out
+
+    def _contained(self, rows: np.ndarray, missing: np.ndarray
+                   ) -> np.ndarray:
+        """Whether each row lies inside the complement of missing, as the
+        bytes `_spread_bytes` packs: one row test per frame and world,
+        world axis first, so the operators read the bytes contiguously."""
+        return self._spread_bytes(((rows & missing) == 0).view(np.uint8))
 
     def _cmp(self, f: Cmp) -> np.ndarray:
         leq = self._leq(f.left, f.right)
@@ -291,6 +325,12 @@ class Block:
         if f.op is CmpOp.EQV:
             return leq & geq
         return ~(leq | geq)
+
+
+def _prefix_run(rows: np.ndarray, start: int, k: int) -> np.ndarray:
+    """Prefixes start to start + k of (n, P|1, L|1) rows; a broadcast
+    prefix axis stands for all of them."""
+    return rows[:, start:start + k] if rows.shape[1] > 1 else rows
 
 
 def _singletons(group: Group) -> Supergroup:
@@ -364,10 +404,10 @@ def _extension_mask(m: KripkeModel, f: Formula, strict_atoms: bool) -> int:
                 raise UnknownAtomError(f"unknown atom {atom!r}")
             mask = 0
         atom_ext[atom] = Block.atom_words(np.array([mask]), m.n_worlds)
-    rows = {agent: np.array([rel.rows], dtype=np.uint32)
+    rows = {agent: np.array(rel.rows, dtype=np.uint32)[:, None, None]
             for agent, rel in zip(m.agents, m.relations)}
-    block = Block(rows, atom_ext, (1, 1))
-    return block.world_mask(block.evaluate(f), 0, 0)
+    block = Block(rows, atom_ext, (1, 1, 1))
+    return block.world_mask(block.evaluate(f), 0, 0, 0)
 
 
 def satisfies(m: KripkeModel, world: str, f: Formula, *,

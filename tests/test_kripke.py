@@ -165,13 +165,14 @@ def test_flags_for_unknown_agent():
 # --- group relations ------------------------------------------------------
 
 def _block(m):
-    rows = {a: np.array([rel.rows], dtype=np.uint32)
+    """m as a block of one frame, each agent's rows world axis first."""
+    rows = {a: np.array(rel.rows, dtype=np.uint32)[:, None, None]
             for a, rel in zip(m.agents, m.relations)}
-    return Block(rows, {}, (1, 1))
+    return Block(rows, {}, (1, 1, 1))
 
 
 def _relation(rows):
-    return Relation(tuple(int(x) for x in rows[0]))
+    return Relation(tuple(int(x) for x in rows[:, 0, 0]))
 
 
 def joint_relation(m, group):

@@ -3,13 +3,15 @@ dedup-by-isomorphism and its Burnside count, agreement between the array
 scanner and a plain per-model sweep (`conftest.enumerate_models`) with the
 pair-set oracle (for every number of valuation bytes per frame, and past
 the first byte), the relation pools and their world relabelings (against
-`conftest.relation_pool` and `conftest.relabel_rows`), the orbit-minimal
-frames the scanner walks (against a brute-force
-`conftest.lex_min_frames`), the largest world count swept first and the
-smaller ones only for what it refutes, the thread pool and the lazy span
-walk, and placeholder substitution (`corpus.instantiate_schema`, which
-also stands comparisons in for atoms here).  A schema's instances, checked
-in one sweep, are tested in `test_corpus.py`."""
+`conftest.relation_pool` and `conftest.relabel_rows`), the prefixes of
+the orbit-minimal frames the scanner walks and the product spans it
+sweeps them in, each prefix against the last agent's whole pool (against
+a brute-force `conftest.lex_min_frames`), the largest world count swept
+first and the smaller ones only for what it refutes, the thread pool, the
+lazy span walk and where it stops, and placeholder substitution
+(`corpus.instantiate_schema`, which also stands comparisons in for atoms
+here).  A schema's instances, checked in one sweep, are tested in
+`test_corpus.py`."""
 
 import itertools
 import math
@@ -253,13 +255,26 @@ def test_scanner_agrees_on_random_formulas(f):
 
 # --- orbit-minimal frames -------------------------------------------------
 
-def _walked_frames(frame, n, n_agents, step):
-    spans = list(search._frame_spans(frame, n, n_agents, step))
-    assert all(len(idx) == len(span[0]) for span in spans for idx in span)
-    assert [len(span[0]) for span in spans[:-1]] == [step] * (len(spans) - 1)
-    assert 1 <= len(spans[-1][0]) <= step
-    return [tuple(int(idx[k]) for idx in span)
-            for span in spans for k in range(len(span[0]))]
+def _swept_frames(frame, n, n_agents, step):
+    """The frames the spans of at most step frames sweep, in order.  A
+    last-agent row that fits goes whole, step // len(row) prefixes to a
+    span, and a longer one is cut into ranges of step frames, one prefix
+    to a span."""
+    last = search._last_indices(frame, n, n_agents).tolist()
+    spans = list(search._frame_spans(frame, n, n_agents, len(last), step))
+    if len(last) <= step:
+        assert all((s.start, s.stop) == (0, len(last)) for s in spans)
+        assert [len(s.prefixes) for s in spans[:-1]] \
+            == [step // len(last)] * (len(spans) - 1)
+        assert 1 <= len(spans[-1].prefixes) <= step // len(last)
+    else:
+        ranges = [(start, min(start + step, len(last)))
+                  for start in range(0, len(last), step)]
+        assert [(s.start, s.stop) for s in spans] \
+            == ranges * (len(spans) // len(ranges))
+        assert all(len(s.prefixes) == 1 for s in spans)
+    return [prefix + (last[i],) for s in spans for prefix in s.prefixes
+            for i in range(s.start, s.stop)]
 
 
 @pytest.mark.parametrize("frame,n_agents,n", [
@@ -267,10 +282,21 @@ def _walked_frames(frame, n, n_agents, step):
                        (1, 2, 3), (1, 2, 3)),
     (FrameClass.S5, 2, 4)])
 def test_frame_walk_is_the_brute_force_lex_min(frame, n_agents, n):
-    expected = lex_min_frames(frame, n, n_agents)
-    # spans of 7 frames cut across prefixes and through long ones
-    assert _walked_frames(frame, n, n_agents, 7) == expected
-    assert _walked_frames(frame, n, n_agents, 1 << 17) == expected
+    """The walk's prefixes are those of the brute-force lex-min frames,
+    ascending and each once.  Each is swept against the whole pool, or
+    with one agent against the lex-min frames themselves, so the swept
+    frames hold every lex-min frame."""
+    minimal = lex_min_frames(frame, n, n_agents)
+    prefixes = list(dict.fromkeys(f[:-1] for f in minimal))
+    last = ([f[0] for f in minimal] if n_agents == 1
+            else list(range(len(relation_pool(frame, n)))))
+    assert list(search._prefixes(frame, n, n_agents)) == prefixes
+    assert search._last_indices(frame, n, n_agents).tolist() == last
+    expected = [prefix + (i,) for prefix in prefixes for i in last]
+    assert set(minimal) <= set(expected)
+    # spans of 7 frames cut through long rows and hold several short ones
+    assert _swept_frames(frame, n, n_agents, 7) == expected
+    assert _swept_frames(frame, n, n_agents, 1 << 17) == expected
 
 
 _MINIMAL_SWEEP_BOUNDS = [
@@ -331,6 +357,93 @@ def test_minimal_frame_sweep_agrees_with_per_model_sweep(bounds):
     def check(f):
         f = instantiate_schema(f, {}, stand_in)
         _check_every_jobs(f, bounds, _sweep(f, bounds))
+
+    check()
+
+
+# Atomless rows of 4, 15 and 29 last-agent frames end mid-byte.  Spans of
+# 8 and 13 cells hold several KT/2/2 rows, and cut each S5/2/4 and S4/2/3
+# row into ranges; at full size one span holds every row.
+_MID_BYTE_BOUNDS = [SearchBounds(FrameClass.KT, 2, 2),
+                    SearchBounds(FrameClass.S5, 2, 4),
+                    SearchBounds(FrameClass.S4, 2, 3)]
+
+
+@pytest.mark.parametrize("bounds", _MID_BYTE_BOUNDS, ids=_bounds_id)
+def test_product_spans_agree_with_per_model_sweep(bounds):
+    """Each prefix swept against the whole pool gives the per-model
+    sweep's first countermodel, witness and models_checked from
+    check_validity, with spans of 8 and 13 cells and one span, and 1, 2
+    or 8 threads.  The formulas' atoms stand for comparisons."""
+    stand_in = {"p": parse("[{a} <= {b}]"), "q": parse("[{b} <= {a}]")}
+
+    @settings(max_examples=10, deadline=None)
+    @given(formulas_over(bounds.agents, atoms=("p", "q"), max_leaves=6))
+    def check(f):
+        f = instantiate_schema(f, {}, stand_in)
+        want = _sweep(f, bounds)
+        for cells in (8, 13, search._CHUNK_CELLS):
+            _check_every_jobs(f, bounds, want, cells)
+
+    check()
+
+
+# some b-successor's b-row lies inside a's: fails where b is total on a
+# prefix row that does not separate the worlds
+_PAST_NON_MINIMAL = parse("~K{b} ~[{b} <= {a}]")
+
+
+@pytest.mark.parametrize("bounds,cell,skipped", [
+    (SearchBounds(FrameClass.KT, 2, 2), (0, 3), [(0, 2)]),
+    (SearchBounds(FrameClass.KT, 2, 3), (0, 5), [(0, 2), (0, 4)])],
+    ids=["KT-2-2", "KT-2-3"])
+def test_first_failure_past_a_frame_that_is_not_minimal(bounds, cell,
+                                                        skipped):
+    """Prefix 0's row reaches its first failure past frames that a
+    relabeling fixing the prefix maps lower.  They are swept and never
+    reported: the failure is the lex-min frame the per-model sweep finds,
+    under every span size and 1, 2 or 8 threads."""
+    n, f = bounds.max_worlds, _PAST_NON_MINIMAL
+    minimal = set(lex_min_frames(bounds.frame, n, 2))
+    assert cell in minimal
+    assert not minimal & set(skipped)
+    assert all(s < cell for s in skipped)
+    want = _sweep(f, bounds)
+    for cells in (8, 13, search._CHUNK_CELLS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_CHUNK_CELLS", cells)
+            mp.setattr(os, "cpu_count", lambda: 8)
+            for jobs in (1, 2, 8):
+                frame, val, _ = search._first_failures([f], [0], bounds, n,
+                                                       jobs)[0]
+                assert (frame, val) == (cell, 0)
+        _check_every_jobs(f, bounds, want, cells)
+
+
+@pytest.mark.parametrize("bounds", [
+    SearchBounds(FrameClass.KT, 2, 3), SearchBounds(FrameClass.S4, 2, 3),
+    SearchBounds(FrameClass.S5, 2, 4),
+    SearchBounds(FrameClass.KT, 2, 2, atoms=("p",)),
+    SearchBounds(FrameClass.KT, 3, 2, atoms=("p",))], ids=_bounds_id)
+def test_the_first_failure_of_whole_rows_is_a_minimal_frame(bounds):
+    """Sweeping every prefix against the last agent's whole pool, the
+    first failure at the largest world count is always a frame of the
+    brute-force lex-min set."""
+    n = bounds.max_worlds
+    minimal = set(lex_min_frames(bounds.frame, n, bounds.n_agents))
+    stand_in = {} if bounds.atoms else {"p": parse("[{a} <= {b}]")}
+
+    @settings(max_examples=25, deadline=None)
+    @given(formulas_over(bounds.agents, atoms=bounds.atoms or ("p",),
+                         max_leaves=6))
+    def check(f):
+        f = instantiate_schema(f, {}, stand_in)
+        for cells in (8, search._CHUNK_CELLS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(search, "_CHUNK_CELLS", cells)
+                hits = search._first_failures([f], [0], bounds, n, 1)
+            if hits:
+                assert hits[0][0] in minimal
 
     check()
 
@@ -414,24 +527,29 @@ def test_lower_world_counts_sweep_only_the_refuted_formulas(monkeypatch):
     assert calls == [(4, [0, 1]), (1, [0])]
 
 
-def test_valid_sweep_gathers_only_the_minimal_frames(monkeypatch):
-    """KT, 2 agents, 4 worlds: 703,760 of the 16,777,216 frames are
-    minimal, and a formula that holds everywhere gathers exactly those.
-    It holds at 4 worlds, so no smaller world count is swept, yet
+def test_valid_sweep_scans_the_minimal_prefixes_against_the_whole_pool(
+        monkeypatch):
+    """KT, 2 agents, 4 worlds: the 703,760 minimal frames of the
+    16,777,216 have 218 prefixes, and a formula that holds everywhere
+    sweeps exactly those against the whole 4,096-relation pool: 892,928
+    frames.  It holds at 4 worlds, so no smaller world count is swept, yet
     models_checked still counts the models of 1 to 4 worlds."""
-    gathered = {}
+    prefixes, swept = {}, {}
     block = search._block
 
-    def counting_block(rel_rows, bounds, n, atom_ext, span):
-        gathered[n] = gathered.get(n, 0) + len(span[0])
-        return block(rel_rows, bounds, n, atom_ext, span)
+    def counting_block(rel_rows, last_rows, bounds, n, atom_ext, span):
+        out = block(rel_rows, last_rows, bounds, n, atom_ext, span)
+        prefixes[n] = prefixes.get(n, 0) + len(span.prefixes)
+        swept[n] = swept.get(n, 0) + out.shape[0] * out.shape[1]
+        return out
 
     monkeypatch.setattr(search, "_block", counting_block)
     bounds = SearchBounds(FrameClass.KT, 2, 4, atoms=("p",))
     out = check_validity(parse("p -> p"), bounds)
     assert out == NoCountermodelUpTo(bounds=bounds,
                                      models_checked=268_468_290)
-    assert gathered == {4: 703_760}
+    assert prefixes == {4: 218}
+    assert swept == {4: 892_928} == {4: 218 * 4096}
 
 
 def test_frame_walk_memory_stays_below_a_relabeling_table():
@@ -459,11 +577,18 @@ def test_frame_walk_memory_stays_below_a_relabeling_table():
 def test_one_minimal_frame_per_isomorphism_class(frame, n_agents, n,
                                                  orbits):
     """Each class of frames under world relabeling has one least member,
-    so the walk yields as many frames as Burnside's lemma counts classes."""
+    so the swept rows hold as many frames that no relabeling fixing their
+    prefix makes smaller as Burnside's lemma counts classes."""
     fixed = sum(rels ** n_agents for rels, _ in search._relabelings(frame, n))
     assert fixed // math.factorial(n) == orbits
-    assert sum(len(last) for _, last
-               in search._minimal_frames(frame, n, n_agents)) == orbits
+    perms = list(itertools.permutations(range(n)))[1:]
+    minimal = 0
+    for prefix in search._prefixes(frame, n, n_agents):
+        idx = np.array(prefix, dtype=np.int64)
+        fixing = tuple(perm for perm in perms if np.array_equal(
+            search._relabel(frame, n, perm, idx), idx))
+        minimal += len(search._kept_indices(frame, n, fixing))
+    assert minimal == orbits
 
 
 @pytest.mark.parametrize("frame,n_agents,n", [
@@ -471,20 +596,18 @@ def test_one_minimal_frame_per_isomorphism_class(frame, n_agents, n,
 def test_a_second_walk_yields_the_same_spans(monkeypatch, frame, n_agents,
                                              n):
     monkeypatch.setattr(search, "_KEPT", {})
-    cold = list(search._frame_spans(frame, n, n_agents, 7))
+    n_last = len(search._last_indices(frame, n, n_agents))
+    cold = list(search._frame_spans(frame, n, n_agents, n_last, 7))
     assert search._KEPT
-    warm = list(search._frame_spans(frame, n, n_agents, 7))
-    assert len(warm) == len(cold)
-    for a, b in zip(cold, warm):
-        assert len(a) == len(b) == n_agents
-        for x, y in zip(a, b):
-            assert x.dtype == y.dtype == np.int64
-            assert np.array_equal(x, y)
+    warm = list(search._frame_spans(frame, n, n_agents, n_last, 7))
+    assert warm == cold
+    assert all(len(prefix) == n_agents - 1
+               for span in cold for prefix in span.prefixes)
 
 
 def test_the_walk_memo_is_read_only(monkeypatch):
     monkeypatch.setattr(search, "_KEPT", {})
-    for _ in search._minimal_frames(FrameClass.S4, 4, 3):
+    for _ in search._prefixes(FrameClass.S4, 4, 3):
         pass
     assert search._KEPT
     for entry in search._KEPT.values():
@@ -497,16 +620,16 @@ def test_the_walk_memo_is_read_only(monkeypatch):
 
 
 def test_the_walk_memo_holds_one_bit_per_pool_relation(monkeypatch):
-    """S4, 2 agents, 5 worlds: after a walk the memo holds one bit per
-    pool relation per entry, plus the sparse maps of fixing relabelings
-    (an int64 array of kept indices would take 64 bits per kept
-    relation)."""
+    """S4, 3 agents, 5 worlds: after a walk of the prefixes the memo holds
+    one bit per pool relation per entry, plus the sparse maps of fixing
+    relabelings (an int64 array of kept indices would take 64 bits per
+    kept relation)."""
     frame, n = FrameClass.S4, 5
     pool = len(frame_relations(frame, n))
     row = -(-pool // 8)
 
     def walk():
-        for _ in search._minimal_frames(frame, n, 2):
+        for _ in search._prefixes(frame, n, 3):
             pass
 
     walk()  # the pool and the relabeling tables are cached outside the count
@@ -613,25 +736,35 @@ def test_several_words_hold_everywhere(bounds):
     _check_every_jobs(f, bounds, (None, None, count_models(bounds)))
 
 
-def test_an_extension_holds_one_bit_per_valuation(monkeypatch):
-    """KT, 2 agents, 4 worlds, atom p: every extension over a span is
-    bytes and holds at most n * V / 8 of them per frame (8, two per
-    world), where one uint32 world mask per valuation would take 64."""
+def _keep_blocks(monkeypatch):
+    """The blocks the search's spans build, as a list that fills as they
+    are built."""
     blocks = []
     block = search._block
 
-    def keep_block(rel_rows, bounds, n, atom_ext, span):
-        blocks.append(block(rel_rows, bounds, n, atom_ext, span))
+    def keep_block(*args):
+        blocks.append(block(*args))
         return blocks[-1]
 
     monkeypatch.setattr(search, "_block", keep_block)
+    return blocks
+
+
+def test_an_extension_holds_one_bit_per_valuation(monkeypatch):
+    """KT, 2 agents, 4 worlds, atom p: every extension over a span is
+    bytes and holds at most n * V / 8 of them per frame (8, two per
+    world), where one uint32 world mask per valuation would take 64.  A
+    span is two prefixes against the whole 4,096-relation pool."""
+    blocks = _keep_blocks(monkeypatch)
     bounds = SearchBounds(FrameClass.KT, 2, 4, atoms=("p",))
     # refuted in the first span
     assert search._first_failures([parse("p")], [0], bounds, 4, 1) \
         == {0: ((0, 0), 0, 0)}
     (one,) = blocks
-    n_frames, n_vals = one.shape
-    assert (n_frames, n_vals) == (search._CHUNK_CELLS // 16, 16)
+    n_prefixes, n_last, n_vals = one.shape
+    assert (n_prefixes, n_last, n_vals) == (2, 4096, 16)
+    n_frames = n_prefixes * n_last
+    assert n_frames == search._CHUNK_CELLS // 16
     for text in ("p", "~p", "K{a} p -> p", "[{a} <= {b}]",
                  "D{a,b} p & ~C{a,b} ~p", "[{a} # {b}] | CD[{a};{b}] p"):
         ext = one.evaluate(parse(text))
@@ -641,23 +774,18 @@ def test_an_extension_holds_one_bit_per_valuation(monkeypatch):
 
 def test_an_atomless_extension_packs_eight_frames_per_byte(monkeypatch):
     """KT, 3 agents, 3 worlds, no atoms: one valuation, so a byte
-    holds 8 frames and an extension over the span of all 43,968 minimal
-    frames holds at most n * F / 8 bytes (one byte per world and frame
-    would take n * F)."""
-    blocks = []
-    block = search._block
-
-    def keep_block(rel_rows, bounds, n, atom_ext, span):
-        blocks.append(block(rel_rows, bounds, n, atom_ext, span))
-        return blocks[-1]
-
-    monkeypatch.setattr(search, "_block", keep_block)
+    holds 8 frames and an extension over the span of all 720 prefixes
+    against the 64-relation pool (46,080 frames, 43,968 of them minimal)
+    holds at most n * F / 8 bytes (one byte per world and frame would take
+    n * F)."""
+    blocks = _keep_blocks(monkeypatch)
     bounds = SearchBounds(FrameClass.KT, 3, 3)
     assert search._first_failures([parse("[{a} <= {a}]")], [0], bounds, 3,
                                   1) == {}
     (one,) = blocks
-    n_frames, n_vals = one.shape
-    assert (n_frames, n_vals) == (43_968, 1)
+    n_prefixes, n_last, n_vals = one.shape
+    assert (n_prefixes, n_last, n_vals) == (720, 64, 1)
+    n_frames = n_prefixes * n_last
     for text in ("[{a} <= {b}]", "~[{a} <= {b}]", "[{a,b} < {c}]",
                  "D{a,b} [{a} # {c}]", "K{a} [{b} <= {c}]",
                  "C{a,b} [{a} <= {b}] -> [{b} == {c}]",
@@ -697,8 +825,11 @@ def test_first_failure_in_a_packed_span(text, cells):
 
 
 def test_first_failure_in_the_second_word_of_a_span(monkeypatch):
-    """On 2 worlds the 10 minimal frames make one span, and this formula
-    first fails at frame 8: the first cell of the span's second byte."""
+    """On 3 worlds a prefix's row holds the 64-relation pool in 8 bytes,
+    and this formula first fails at frame (6, 9): the second cell of the
+    second byte of prefix 6's row.  Spans of 13 frames cut that row into
+    five, the first holding the failure; one span holds the 16 prefixes
+    against the whole pool, 6 the fifth."""
     hits = []
     first_failure = semantics.Block.first_failure
 
@@ -707,11 +838,16 @@ def test_first_failure_in_the_second_word_of_a_span(monkeypatch):
         return hits[-1][1]
 
     monkeypatch.setattr(semantics.Block, "first_failure", record)
-    monkeypatch.setattr(search, "_CHUNK_CELLS", 13)
-    f = parse("[{a} <= {b}] -> K{a} [{a} <= {b}]")
-    assert isinstance(check_validity(f, _KT_2_3), Countermodel)
-    shape, (frame, val, _) = hits[-1]
-    assert (shape, frame, val) == ((10, 1), 8, 0)
+    f = parse("K{a} ~K{b} ~([{b} <= {a}] | [{a} <= {b}])")
+    for cells, shape, prefix in ((13, (1, 13, 1), 0),
+                                 (1 << 17, (16, 64, 1), 4)):
+        monkeypatch.setattr(search, "_CHUNK_CELLS", cells)
+        hits.clear()
+        out = check_validity(f, _KT_2_3)
+        assert _cell_of(out.model, _KT_2_3) == ((6, 9), 0)
+        ((got_shape, (got_prefix, last, val, _)),) = [
+            (s, hit) for s, hit in hits if hit is not None]
+        assert (got_shape, got_prefix, last, val) == (shape, prefix, 9, 0)
 
 
 # --- batches: one walk over the union DAG --------------------------------
@@ -741,13 +877,15 @@ def test_a_batch_walk_drops_each_subterm_after_its_last_reader():
 
 
 def _block_of(rows_a, rows_b, n_vals=1):
-    """A Block over 2-world frames with these a and b rows, and with one
-    atom p when n_vals is 4 (valuation v is p's world mask)."""
+    """A Block over 2-world frames, the prefix b's rows against a row of
+    last-agent rows for a, and with one atom p when n_vals is 4
+    (valuation v is p's world mask)."""
     atom_ext = {} if n_vals == 1 else {
         "p": semantics.Block.atom_words(np.arange(4, dtype=np.uint32), 2)}
-    return semantics.Block({"a": np.array(rows_a, dtype=np.uint8),
-                            "b": np.array(rows_b, dtype=np.uint8)},
-                           atom_ext, (len(rows_a), n_vals))
+    return semantics.Block(
+        {"a": np.array(rows_a, dtype=np.uint8).T[:, None],
+         "b": np.array(rows_b, dtype=np.uint8)[:, None, None]},
+        atom_ext, (1, len(rows_a), n_vals))
 
 
 _IDENTITY = [0b01, 0b10]
@@ -764,19 +902,19 @@ _W1_SEES_W0 = [0b01, 0b11]
     (3, 4, "[{b} <= {a}] | p", "~p | ~D{a} p | [{a} <= {b}]")])
 def test_the_failure_test_skips_padding_and_finds_the_last_real_frame(
         n_frames, n_vals, holds, fails):
-    """A span whose last byte is part filled: a formula that holds on
+    """A row whose last byte is part filled: a formula that holds on
     every real cell, but not on the padding, reports no failure, and one
     whose only failing frame is the last real one reports that frame, its
     valuation and the world that misses it."""
     block = _block_of([_IDENTITY] * (n_frames - 1) + [_W1_SEES_W0],
-                      [_IDENTITY] * n_frames, n_vals)
+                      _IDENTITY, n_vals)
     assert block.groups == 2
     exts = dict(block.extensions(semantics.schedule(
         [parse(holds), parse(fails)])))
     assert np.bitwise_and.reduce(exts[parse(holds)], axis=None) != 0xFF
     assert block.first_failure(exts[parse(holds)]) is None
-    frame, val, mask = block.first_failure(exts[parse(fails)])
-    assert (frame, val) == (n_frames - 1, n_vals - 1)
+    prefix, frame, val, mask = block.first_failure(exts[parse(fails)])
+    assert (prefix, frame, val) == (0, n_frames - 1, n_vals - 1)
     missing = ~mask & 0b11
     assert (missing & -missing).bit_length() - 1 == 1
     for f, ext in exts.items():
@@ -959,7 +1097,7 @@ def test_spans_merge_in_order_when_they_finish_out_of_order(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     bounds = SearchBounds(FrameClass.KT, 1, 3, atoms=("p",))
     hits = search._first_failures([parse("p")], [0], bounds, 3, 2)
-    assert [span[0].tolist() for span, _ in ran] == [[1], [0]]
+    assert [span.start for span, _ in ran] == [1, 0]
     assert hits == {0: ((0,), 0, 0)}
 
 
@@ -1000,6 +1138,92 @@ def test_span_walk_submits_no_more_spans_than_workers(monkeypatch):
     hits = search._first_failures([parse("p")], [0], bounds, 3, 2)
     assert hits == {0: ((0, 0), 0, 0)}
     assert 1 <= len(submitted) <= 2
+
+
+def _count_spans_and_blocks(monkeypatch):
+    """The spans the walk cuts and the blocks the scans build, as lists
+    that fill as they are made."""
+    cut, built = [], []
+    frame_spans, block = search._frame_spans, search._block
+
+    def counting_spans(*args):
+        for span in frame_spans(*args):
+            cut.append(span)
+            yield span
+
+    def counting_block(*args):
+        built.append(args[-1])
+        return block(*args)
+
+    monkeypatch.setattr(search, "_frame_spans", counting_spans)
+    monkeypatch.setattr(search, "_block", counting_block)
+    return cut, built
+
+
+def test_the_walk_stops_once_every_formula_has_failed(monkeypatch):
+    """KT, 2 agents, 3 worlds, atom p, one frame per span: `p` fails in
+    the first span and this comparison first at prefix 1's first frame,
+    span 64.  Once both have failed no further span is cut or scanned."""
+    cut, built = _count_spans_and_blocks(monkeypatch)
+    monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
+    bounds = SearchBounds(FrameClass.KT, 2, 3, atoms=("p",))
+    hits = search._first_failures(
+        [parse("p"), parse("~[{b} <= {a}] | [{a} <= {b}]")], [0, 1],
+        bounds, 3, 1)
+    assert hits == {0: ((0, 0), 0, 0), 1: ((1, 0), 0, 0b110)}
+    assert len(cut) == len(built) == 65
+    assert cut[-1] == search._Span([(1,)], 0, 1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_batch_that_empties_in_its_first_span_walks_once(monkeypatch,
+                                                           jobs):
+    """Every formula fails in the first span: the batch's walk is built
+    once (`schedule` called once) and no span past the workers' first
+    ones is cut."""
+    cut, built = _count_spans_and_blocks(monkeypatch)
+    walks = []
+    schedule = search.schedule
+
+    def counting_schedule(formulas):
+        walks.append(list(formulas))
+        return schedule(formulas)
+
+    monkeypatch.setattr(search, "schedule", counting_schedule)
+    monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    bounds = SearchBounds(FrameClass.KT, 2, 3, atoms=("p",))
+    hits = search._first_failures([parse("p"), parse("~p | p & ~p")],
+                                  [0, 1], bounds, 3, jobs)
+    assert hits == {0: ((0, 0), 0, 0), 1: ((0, 0), 1, 0b110)}
+    assert len(walks) == 1
+    assert len(cut) == len(built) == jobs
+
+
+def test_no_cache_outlives_a_call(monkeypatch):
+    """KT, 2 agents, 3 worlds, atom p, spans of two prefixes against the
+    whole pool: `K{b} p` reads no prefix agent, so past the first span it
+    is evaluated once per call and then shared, while `K{a} p` is
+    evaluated in each of the 8 spans.  A second identical call evaluates
+    as many boxes as the first: nothing is kept between calls."""
+    boxes = []
+    box = semantics.Block._box
+
+    def counting_box(block, name, ext):
+        boxes.append(name)
+        return box(block, name, ext)
+
+    monkeypatch.setattr(semantics.Block, "_box", counting_box)
+    monkeypatch.setattr(search, "_CHUNK_CELLS", 1024)
+    f = parse("[{a} <= {b}] -> (K{b} p -> K{a} p)")
+    bounds = SearchBounds(FrameClass.KT, 2, 3, atoms=("p",))
+    counts = []
+    for _ in range(2):
+        boxes.clear()
+        assert check_validity(f, bounds) == NoCountermodelUpTo(
+            bounds=bounds, models_checked=count_models(bounds))
+        counts.append({g: boxes.count(g) for g in boxes})
+    assert counts[0] == counts[1] == {Group(["a"]): 8, Group(["b"]): 2}
 
 
 _HUGE_SPAN_COUNT = """

@@ -185,23 +185,23 @@ def test_sixteen_world_model_keeps_rows_past_the_eighth_world():
 def test_group_relations_keep_the_dtype_of_their_rows(dtype):
     """joint, common and cdk rows are built in the dtype of the agents'
     rows, so search rows stay one byte and single-model rows stay wide."""
-    rows = {"a": np.array([[0b011, 0b110, 0b100]], dtype=dtype),
-            "b": np.array([[0b001, 0b010, 0b101]], dtype=dtype)}
-    block = semantics.Block(rows, {}, (1, 1))
+    rows = {"a": np.array([0b011, 0b110, 0b100], dtype=dtype)[:, None, None],
+            "b": np.array([0b001, 0b010, 0b101], dtype=dtype)[:, None, None]}
+    block = semantics.Block(rows, {}, (1, 1, 1))
     ab = Group(["a", "b"])
     for out in (block.joint(ab), block.common(ab),
                 block.cdk(Supergroup([ab, Group(["a"])]))):
         assert out.dtype == dtype
-    assert block.common(ab).tolist() == [[0b111, 0b111, 0b111]]
+    assert block.common(ab)[:, 0, 0].tolist() == [0b111, 0b111, 0b111]
 
 
 def test_boxes_over_one_relation_share_one_complement_table():
     """A box's complement rows are kept per relation, not per operator:
     C{a,b} is CD[{a};{b}], and K{a} is D{a}."""
-    rows = {"a": np.array([[0b011, 0b011, 0b100]], dtype=np.uint8),
-            "b": np.array([[0b001, 0b110, 0b110]], dtype=np.uint8)}
+    rows = {"a": np.array([0b011, 0b011, 0b100], np.uint8)[:, None, None],
+            "b": np.array([0b001, 0b110, 0b110], np.uint8)[:, None, None]}
     p = semantics.Block.atom_words(np.array([0b011]), 3)
-    block = semantics.Block(rows, {"p": p}, (1, 1))
+    block = semantics.Block(rows, {"p": p}, (1, 1, 1))
     for same, tables in ((("C{a,b} p", "CD[{a};{b}] p"), 1),
                          (("K{a} p", "D{a} p"), 2)):
         left, right = (block.evaluate(parse(text)) for text in same)
