@@ -3,8 +3,9 @@
 Subcommands: eval, valid, classify, search, corpus, close.  Exit codes:
 0 for true / valid / no countermodel / all claims pass, 1 for the negative
 answer, 2 for any usage, parse, model or bounds error and for any internal
-error.  A formula gets its answer however deeply it nests.  `search`
-output is deterministic regardless of --jobs.
+error.  A formula gets its answer however deeply it nests.  Searches run
+on one thread; `search` and `corpus` accept `--jobs N` (N at least 1) for
+compatibility, and it never changes the output.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _cmd_search(args, out: TextIO, err: TextIO) -> int:
     if size >= _LARGE_SEARCH_MODELS:
         print(f"note: {frame} enumeration at {max_worlds} worlds is large: "
               f"up to {size} models", file=err)
-    outcome = check_validity(f, bounds, jobs=args.jobs)
+    outcome = check_validity(f, bounds)
     if isinstance(outcome, NoCountermodelUpTo):
         print(f"NO COUNTERMODEL up to bound "
               f"({outcome.models_checked} models)", file=out)
@@ -121,9 +122,9 @@ def _cmd_corpus(args, out: TextIO, err: TextIO) -> int:
     from .corpus import REGISTRY, Verdict, run_all, run_claim
     frame = _frame(args.frame) if args.frame else None
     if args.id is not None:
-        reports = [run_claim(args.id, jobs=args.jobs)]
+        reports = [run_claim(args.id)]
     else:
-        reports = run_all(frame=frame, jobs=args.jobs)
+        reports = run_all(frame=frame)
     header = (f"{'id':<16} {'frame':<5} {'expected':<15} {'result':<6} "
               f"{'instances':>9} {'models':>12} {'time':>8}")
     print(header, file=out)
@@ -190,7 +191,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mod-iso", action="store_true",
                    help="count models up to isomorphism")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel scan jobs (never changes the output)")
+                   help="accepted for compatibility; runs on one thread")
     p.add_argument("-f", "--formula", required=True)
     p.set_defaults(func=_cmd_search)
 
@@ -198,7 +199,8 @@ def _build_parser() -> _Parser:
     only = p.add_mutually_exclusive_group()
     only.add_argument("--id", help="run a single claim")
     only.add_argument("--frame", help="only claims on this frame")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; runs on one thread")
     p.set_defaults(func=_cmd_corpus)
 
     p = sub.add_parser("close", help="apply closure properties and print "

@@ -497,8 +497,8 @@ def _report(claim: CorpusClaim, details: list[str],
                        details=tuple(details), countermodel=countermodel)
 
 
-def _run_group(bounds: SearchBounds, claims: Sequence[CorpusClaim],
-               jobs: int) -> list[ClaimReport]:
+def _run_group(bounds: SearchBounds,
+               claims: Sequence[CorpusClaim]) -> list[ClaimReport]:
     """The reports of claims that share bounds, from one `check_formulas`
     call over the union of their distinct formulas, in the order first
     built.  A claim's `elapsed` is its own time (fixture checks, formulas
@@ -516,7 +516,7 @@ def _run_group(bounds: SearchBounds, claims: Sequence[CorpusClaim],
     union = list(dict.fromkeys(f for _, formulas in prepared
                                for f in formulas))
     start = time.perf_counter()
-    outcomes = dict(zip(union, check_formulas(union, bounds, jobs=jobs)))
+    outcomes = dict(zip(union, check_formulas(union, bounds)))
     share = (time.perf_counter() - start) \
         / max(1, sum(len(formulas) for _, formulas in prepared))
     return [_report(claim, details, {f: outcomes[f] for f in formulas},
@@ -525,15 +525,14 @@ def _run_group(bounds: SearchBounds, claims: Sequence[CorpusClaim],
             in zip(claims, prepared, own)]
 
 
-def run_claim(claim_id: str, *, jobs: int = 1) -> ClaimReport:
+def run_claim(claim_id: str) -> ClaimReport:
     claim = REGISTRY.get(claim_id)
     if claim is None:
         raise CorpusError(f"unknown claim id {claim_id!r}")
-    return _run_group(claim.bounds, [claim], jobs)[0]
+    return _run_group(claim.bounds, [claim])[0]
 
 
-def run_all(*, frame: FrameClass | None = None,
-            jobs: int = 1) -> list[ClaimReport]:
+def run_all(*, frame: FrameClass | None = None) -> list[ClaimReport]:
     """Every claim's report (those of one frame class, given `frame`), in
     registry order.  The claims that share bounds are checked together,
     one group at a time, so each span's block and walk serve the whole
@@ -546,7 +545,7 @@ def run_all(*, frame: FrameClass | None = None,
             groups.setdefault(claim.bounds, []).append(claim)
     reports = {report.claim_id: report
                for bounds, claims in groups.items()
-               for report in _run_group(bounds, claims, jobs)}
+               for report in _run_group(bounds, claims)}
     return [reports[claim_id] for claim_id in REGISTRY
             if claim_id in reports]
 

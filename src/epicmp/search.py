@@ -52,12 +52,12 @@ subterm among them once, in one walk over their union DAG that drops
 each extension after its last reader (`semantics.schedule`, worked out
 again only when a formula leaves).  When every span holds the last
 agent's whole pool, a subterm that reads no prefix agent is the same in
-each span, and is evaluated once per sweep.  A formula whose extension
-has every bit set holds on the whole span, so only the others are
-searched for their first failing cell, and a formula leaves the sweep at
-its first failing span.  Spans are walked in order with at most two per
-worker in flight, so memory does not grow with the number of spans, and
-their failures are merged in span order.
+each span, and is evaluated once per sweep past its first span.  A
+formula whose extension has every bit set holds on the whole span, so
+only the others are searched for their first failing cell, and a formula
+leaves the sweep at its first failing span.  Spans are cut and scanned
+one at a time, in order, so memory does not grow with the number of
+spans.
 
 The largest world count is swept first, for every formula.  Every
 operator at a world reads only the worlds it reaches (D, K, C, CD) or
@@ -71,8 +71,8 @@ formulas the first sweep refutes are swept again, at 1, 2, ... worlds,
 each until its first failing count.  `check_validity` is the
 one-formula case.  The first countermodel reported for each formula is
 the first in enumeration order, with the lowest falsifying world as
-witness, so results are reproducible and independent of --jobs
-chunking.
+witness, so results are reproducible and do not depend on how the
+sweep is cut into spans.
 
 `mod_iso` runs the same sweep and counts isomorphism classes instead of
 models: the first falsifying model in enumeration order is always the
@@ -85,9 +85,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -541,29 +538,20 @@ def _memoized(memo: dict[Formula, np.ndarray], ext_of: Callable) -> Callable:
     return once
 
 
-def _run_now(fn: Callable, *args) -> Future:
-    """`Executor.submit` without a thread: run fn now."""
-    fut: Future = Future()
-    fut.set_result(fn(*args))
-    return fut
-
-
 def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
-                    bounds: SearchBounds, n: int,
-                    jobs: int) -> dict[int, _Failure]:
+                    bounds: SearchBounds, n: int) -> dict[int, _Failure]:
     """The first failure over the n-world models of each formula in todo
     that has one.
 
     The prefixes of the frames no relabeling makes smaller are swept
     against the last agent's indices (`_last_indices`); the first failure
     always lies on a minimal frame.  They are cut into spans
-    (`_frame_spans`) and submitted in order, at most two per worker not
-    yet waited for, each with the formulas that no merged span has
-    refuted.  A span's scan builds its block once, evaluates the distinct
-    live formulas in one walk (`semantics.schedule`) and returns its
-    failures, and the results are merged in span order, so each formula
-    keeps its lowest span's failure and the answer never depends on
-    `jobs`.  The walk stops once every formula has failed.
+    (`_frame_spans`) and scanned in order, each with the formulas that no
+    earlier span has refuted.  A span's scan builds its block once,
+    evaluates the distinct live formulas in one walk
+    (`semantics.schedule`) and returns its failures, so each formula
+    keeps its lowest span's failure.  The walk stops right after the span
+    where the last formula fails.
     """
     rel_rows = frame_relations(bounds.frame, n)
     last = _last_indices(bounds.frame, n, bounds.n_agents)
@@ -574,15 +562,14 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
     atom_ext = {atom: Block.atom_words(mask, n)
                 for atom, mask in zip(bounds.atoms, masks)}
     step = max(1, _CHUNK_CELLS // n_vals)
-    spans = _frame_spans(bounds.frame, n, bounds.n_agents, len(last), step)
     # When the last agent's row fits a span, every span sweeps all of it, so
     # a subterm that reads no prefix agent has the same extension in each:
-    # past the spans the workers start with, it is evaluated once and kept
-    # until this call returns.
+    # past the first span, which often refutes every formula, it is
+    # evaluated once and kept until this call returns.
     wide: dict[Formula, np.ndarray] | None = {} if len(last) <= step else None
     prefix_agents = frozenset(bounds.agents[:-1])
 
-    def batch(live: tuple[int, ...]) -> _Batch:
+    def batch(live: Sequence[int]) -> _Batch:
         """The walk over the distinct formulas in live, and the indices in
         live that each of them holds."""
         where: dict[Formula, list[int]] = {}
@@ -617,47 +604,20 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
                 out += ((i, (frame, val, mask)) for i in where[f])
         return out
 
-    def sweep(submit: Callable[..., Future], depth: int
-              ) -> dict[int, _Failure]:
-        """Scan spans in order until every formula has failed: one span per
-        worker first, because the first spans often refute every formula,
-        then up to `depth` spans submitted and not yet waited for.  At the
-        end, spans not yet started are cancelled; the others cannot change
-        the answer, so their results are not read."""
-        first: dict[int, _Failure] = {}
-        live = batch(tuple(todo))
-        ahead = deque(submit(scan, span, live) for span in head)
-        is_shared = False
-        while ahead:
-            known = len(first)
-            for i, hit in ahead.popleft().result():
-                first.setdefault(i, hit)
-            if len(first) == len(todo):
-                break
-            if len(first) > known:
-                # a new walk only when a formula has left
-                live = batch(tuple(i for i in todo if i not in first))
-                is_shared = False
-            for span in itertools.islice(spans, depth - len(ahead)):
-                if not is_shared:
-                    live, is_shared = shared(live), True
-                ahead.append(submit(scan, span, live))
-        for fut in ahead:
-            fut.cancel()
-        return first
-
-    # workers = min(jobs, cpu_count, number of spans), at least one; only
-    # the spans the workers start with are cut here
-    head = list(itertools.islice(spans,
-                                 max(1, min(jobs, os.cpu_count() or 1))))
-    workers = len(head)
-    if workers > 1:
-        # A second queued span per worker keeps each thread busy while the
-        # main thread waits for the GIL to hand out the next one: with one,
-        # KT/2/4 ran 14% slower under jobs=2 on 2 vCPUs.
-        with ThreadPoolExecutor(max_workers=workers) as tpe:
-            return sweep(tpe.submit, 2 * workers)
-    return sweep(_run_now, 1)
+    first: dict[int, _Failure] = {}
+    live = batch(todo)
+    spans = _frame_spans(bounds.frame, n, bounds.n_agents, len(last), step)
+    for index, span in enumerate(spans):
+        hits = scan(span, live)
+        first.update(hits)
+        if len(first) == len(todo):
+            break
+        if hits:
+            # a new walk only when a formula has left
+            live = shared(batch([i for i in todo if i not in first]))
+        elif index == 0:
+            live = shared(live)
+    return first
 
 
 def _countermodel(bounds: SearchBounds, n: int,
@@ -671,8 +631,8 @@ def _countermodel(bounds: SearchBounds, n: int,
                         witness=m.worlds[(missing & -missing).bit_length() - 1])
 
 
-def check_formulas(formulas: Sequence[Formula], bounds: SearchBounds, *,
-                   jobs: int = 1) -> list[SearchOutcome]:
+def check_formulas(formulas: Sequence[Formula],
+                   bounds: SearchBounds) -> list[SearchOutcome]:
     """`check_validity` for each formula, in shared sweeps.
 
     Every formula is validated against the bounds first, in order.  The
@@ -683,20 +643,20 @@ def check_formulas(formulas: Sequence[Formula], bounds: SearchBounds, *,
     formulas that sweep refutes are swept again, at 1, 2, ... worlds, each
     until its first failing world count.  Each formula keeps its own first
     countermodel and witness, exactly as a search of its own would report
-    them.
+    them.  No formulas, no sweep.
     """
+    if not formulas:
+        return []
     for f in formulas:
         _validate_within(f, bounds)
     top = bounds.max_worlds
-    refuted = _first_failures(formulas, range(len(formulas)), bounds, top,
-                              jobs)
+    refuted = _first_failures(formulas, range(len(formulas)), bounds, top)
     found: dict[int, Countermodel] = {}
     todo = sorted(refuted)
     for n in range(1, top):
         if not todo:
             break
-        for i, hit in _first_failures(formulas, todo, bounds, n,
-                                      jobs).items():
+        for i, hit in _first_failures(formulas, todo, bounds, n).items():
             found[i] = _countermodel(bounds, n, hit)
         todo = [i for i in todo if i not in found]
     for i in todo:
@@ -706,13 +666,11 @@ def check_formulas(formulas: Sequence[Formula], bounds: SearchBounds, *,
     return [found.get(i, none) for i in range(len(formulas))]
 
 
-def check_validity(f: Formula, bounds: SearchBounds, *,
-                   jobs: int = 1) -> SearchOutcome:
+def check_validity(f: Formula, bounds: SearchBounds) -> SearchOutcome:
     """First countermodel to f within bounds, or proof of none.
 
     The countermodel is the enumeration-wise first falsifying model with
-    its lowest falsifying world; `jobs` only parallelizes scanning and
-    never changes the answer.  With `bounds.mod_iso`, `models_checked`
+    its lowest falsifying world.  With `bounds.mod_iso`, `models_checked`
     counts isomorphism classes instead of models.
     """
-    return check_formulas([f], bounds, jobs=jobs)[0]
+    return check_formulas([f], bounds)[0]

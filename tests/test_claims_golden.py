@@ -52,9 +52,8 @@ def test_claim_report_matches_the_golden_file(claim_id):
     assert claim_record(claim_id) == _golden()[claim_id]
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 8])
-def test_run_all_matches_the_golden_file(jobs):
-    assert [report_record(r) for r in run_all(jobs=jobs)] \
+def test_run_all_matches_the_golden_file():
+    assert [report_record(r) for r in run_all()] \
         == list(_golden().values())
 
 

@@ -16,6 +16,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -202,7 +203,7 @@ def test_search_notes_a_large_bound_on_any_frame(frame, agents, worlds, text,
     checked here."""
     import epicmp.search as search
 
-    def no_search(f, bounds, jobs=1):
+    def no_search(f, bounds):
         assert search.count_models(bounds) == size
         return search.NoCountermodelUpTo(bounds, size)
 
@@ -222,6 +223,38 @@ def test_search_jobs_output_is_byte_identical():
                     "-f", formula)
             runs = [run(*argv, "--jobs", jobs) for jobs in ("1", "2", "8")]
             assert runs[0] == runs[1] == runs[2]
+
+
+def test_jobs_start_no_thread(monkeypatch):
+    """Searches run on one thread whatever `--jobs` says.  With 8 CPUs
+    and no thread allowed to start, `--jobs 8` prints what `--jobs 1`
+    prints for a search cut into one-frame spans and for the S5 claims
+    (time column aside), and `--jobs 0` is still a usage error."""
+    import epicmp.search as search
+
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    with monkeypatch.context() as mp:
+        # KT/2/3 with p: 8 valuations, so one frame per span
+        mp.setattr(search, "_CHUNK_CELLS", 8)
+        runs = [run("search", "--frame", "kt", "--agents", "2",
+                    "--max-worlds", "3", "--jobs", jobs,
+                    "-f", "[{a} <= {b}] -> (K{b} p -> K{a} p)")
+                for jobs in ("1", "8")]
+    assert runs[0] == runs[1] == (
+        0, "NO COUNTERMODEL up to bound (32834 models)\n", "")
+    runs = []
+    for jobs in ("1", "8"):
+        code, out, err = run("corpus", "--frame", "s5", "--jobs", jobs)
+        assert (code, err) == (0, "")
+        runs.append(re.sub(r" +\d+\.\d\ds$", " TIME", out, flags=re.M))
+    assert runs[0] == runs[1]
+    code, out, err = run("search", "--frame", "kt", "--agents", "2",
+                         "--jobs", "0", "-f", "p")
+    assert (code, out, err) == (2, "", "error: --jobs must be at least 1\n")
 
 
 def test_search_rejects_bad_parameters():

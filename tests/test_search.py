@@ -7,8 +7,8 @@ the first byte), the relation pools and their world relabelings (against
 the orbit-minimal frames the scanner walks and the product spans it
 sweeps them in, each prefix against the last agent's whole pool (against
 a brute-force `conftest.lex_min_frames`), the largest world count swept
-first and the smaller ones only for what it refutes, the thread pool, the
-lazy span walk and where it stops, and placeholder substitution
+first and the smaller ones only for what it refutes, the lazy span walk
+and where it stops, and placeholder substitution
 (`corpus.instantiate_schema`, which also stands comparisons in for atoms
 here).  A schema's instances, checked in one sweep, are tested in
 `test_corpus.py`."""
@@ -19,7 +19,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -183,9 +182,8 @@ def test_mod_iso_models_checked_is_the_burnside_count(frame, max_worlds,
 def test_mod_iso_count_matches_the_enumerated_representatives(bounds):
     reps = len(list(enumerate_models(bounds)))
     assert count_models(bounds) == reps
-    for jobs in (1, 2, 8):
-        out = check_validity(parse("[{a} <= {a}]"), bounds, jobs=jobs)
-        assert out == NoCountermodelUpTo(bounds=bounds, models_checked=reps)
+    out = check_validity(parse("[{a} <= {a}]"), bounds)
+    assert out == NoCountermodelUpTo(bounds=bounds, models_checked=reps)
 
 
 # --- array scanner vs. per-model sweep -----------------------------------
@@ -322,32 +320,29 @@ def _bounds_id(b):
     return f"{b.frame}-{b.n_agents}-{b.max_worlds}{atoms}"
 
 
-def _check_every_jobs(f, bounds, want, cells=8):
+def _check_spans(f, bounds, want, cells=8):
     """check_validity with 8-cell blocks (spans of one to eight frames,
-    cut across prefixes), or blocks of the given cells, and 1, 2 or 8
-    threads gives want, the per-model sweep's (model, witness, models
-    checked)."""
+    cut across prefixes), or blocks of the given cells, gives want, the
+    per-model sweep's (model, witness, models checked)."""
     m, w, checked = want
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_CHUNK_CELLS", cells)
-        mp.setattr(os, "cpu_count", lambda: 8)
-        outs = [check_validity(f, bounds, jobs=jobs) for jobs in (1, 2, 8)]
-    for out in outs:
-        if m is None:
-            assert out == NoCountermodelUpTo(bounds=bounds,
-                                             models_checked=checked)
-        else:
-            assert isinstance(out, Countermodel)
-            assert encode_model(out.model, bounds.atoms) \
-                == encode_model(m, bounds.atoms)
-            assert out.witness == w
+        out = check_validity(f, bounds)
+    if m is None:
+        assert out == NoCountermodelUpTo(bounds=bounds,
+                                         models_checked=checked)
+    else:
+        assert isinstance(out, Countermodel)
+        assert encode_model(out.model, bounds.atoms) \
+            == encode_model(m, bounds.atoms)
+        assert out.witness == w
 
 
 @pytest.mark.parametrize("bounds", _MINIMAL_SWEEP_BOUNDS, ids=_bounds_id)
 def test_minimal_frame_sweep_agrees_with_per_model_sweep(bounds):
     """The first countermodel and witness of the minimal-frame scan are
     those of a plain sweep over every model, with 8-cell blocks (spans of
-    one to eight frames, cut across prefixes) and 1, 2 or 8 threads.
+    one to eight frames, cut across prefixes).
     Without atoms in the bounds, the formulas' atom is a comparison."""
     stand_in = {} if bounds.atoms else {"p": parse("[{a} <= {b}]")}
 
@@ -356,7 +351,7 @@ def test_minimal_frame_sweep_agrees_with_per_model_sweep(bounds):
                          max_leaves=6))
     def check(f):
         f = instantiate_schema(f, {}, stand_in)
-        _check_every_jobs(f, bounds, _sweep(f, bounds))
+        _check_spans(f, bounds, _sweep(f, bounds))
 
     check()
 
@@ -373,8 +368,8 @@ _MID_BYTE_BOUNDS = [SearchBounds(FrameClass.KT, 2, 2),
 def test_product_spans_agree_with_per_model_sweep(bounds):
     """Each prefix swept against the whole pool gives the per-model
     sweep's first countermodel, witness and models_checked from
-    check_validity, with spans of 8 and 13 cells and one span, and 1, 2
-    or 8 threads.  The formulas' atoms stand for comparisons."""
+    check_validity, with spans of 8 and 13 cells and one span.  The
+    formulas' atoms stand for comparisons."""
     stand_in = {"p": parse("[{a} <= {b}]"), "q": parse("[{b} <= {a}]")}
 
     @settings(max_examples=10, deadline=None)
@@ -383,7 +378,7 @@ def test_product_spans_agree_with_per_model_sweep(bounds):
         f = instantiate_schema(f, {}, stand_in)
         want = _sweep(f, bounds)
         for cells in (8, 13, search._CHUNK_CELLS):
-            _check_every_jobs(f, bounds, want, cells)
+            _check_spans(f, bounds, want, cells)
 
     check()
 
@@ -402,7 +397,7 @@ def test_first_failure_past_a_frame_that_is_not_minimal(bounds, cell,
     """Prefix 0's row reaches its first failure past frames that a
     relabeling fixing the prefix maps lower.  They are swept and never
     reported: the failure is the lex-min frame the per-model sweep finds,
-    under every span size and 1, 2 or 8 threads."""
+    under every span size."""
     n, f = bounds.max_worlds, _PAST_NON_MINIMAL
     minimal = set(lex_min_frames(bounds.frame, n, 2))
     assert cell in minimal
@@ -412,12 +407,9 @@ def test_first_failure_past_a_frame_that_is_not_minimal(bounds, cell,
     for cells in (8, 13, search._CHUNK_CELLS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "_CHUNK_CELLS", cells)
-            mp.setattr(os, "cpu_count", lambda: 8)
-            for jobs in (1, 2, 8):
-                frame, val, _ = search._first_failures([f], [0], bounds, n,
-                                                       jobs)[0]
-                assert (frame, val) == (cell, 0)
-        _check_every_jobs(f, bounds, want, cells)
+            frame, val, _ = search._first_failures([f], [0], bounds, n)[0]
+            assert (frame, val) == (cell, 0)
+        _check_spans(f, bounds, want, cells)
 
 
 @pytest.mark.parametrize("bounds", [
@@ -441,7 +433,7 @@ def test_the_first_failure_of_whole_rows_is_a_minimal_frame(bounds):
         for cells in (8, search._CHUNK_CELLS):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(search, "_CHUNK_CELLS", cells)
-                hits = search._first_failures([f], [0], bounds, n, 1)
+                hits = search._first_failures([f], [0], bounds, n)
             if hits:
                 assert hits[0][0] in minimal
 
@@ -462,10 +454,10 @@ def test_a_formula_refuted_below_the_top_keeps_its_smallest_countermodel():
     the sweeps below it find its first countermodel, at 3 worlds."""
     f = _REFUTED_BELOW_TOP
     bounds = SearchBounds(FrameClass.KT, 1, 4, atoms=("p",))
-    assert 0 in search._first_failures([f], [0], bounds, 4, 1)
+    assert 0 in search._first_failures([f], [0], bounds, 4)
     want = _sweep(f, bounds)
     assert want[0].n_worlds == 3
-    _check_every_jobs(f, bounds, want)
+    _check_spans(f, bounds, want)
 
 
 def test_a_formula_refuted_only_at_the_top_keeps_its_top_failure():
@@ -479,7 +471,7 @@ def test_a_formula_refuted_only_at_the_top_keeps_its_top_failure():
     bounds = SearchBounds(FrameClass.S5, 1, 4, atoms=("p", "q"))
     want = _sweep(f, bounds)
     assert want[0].n_worlds == 4
-    _check_every_jobs(f, bounds, want)
+    _check_spans(f, bounds, want)
 
 
 _MIXED_BOUNDS = SearchBounds(FrameClass.KT, 1, 4, atoms=("p", "q"))
@@ -493,14 +485,12 @@ _MIXED = [_MIXED_VALID[0], _REFUTED_BELOW_TOP, _MIXED_VALID[1],
 def test_a_mixed_batch_gives_each_formula_its_own_outcome(monkeypatch):
     """One batch of formulas that hold and formulas refuted at 1, 3 and 4
     worlds gives each the outcome of its own search, with one frame per
-    span and 1, 2 or 8 threads."""
+    span."""
     monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     alone = [check_validity(f, _MIXED_BOUNDS) for f in _MIXED]
     assert [o.model.n_worlds if isinstance(o, Countermodel) else None
             for o in alone] == [None, 3, None, 4, 1, None]
-    for jobs in (1, 2, 8):
-        assert check_formulas(_MIXED, _MIXED_BOUNDS, jobs=jobs) == alone
+    assert check_formulas(_MIXED, _MIXED_BOUNDS) == alone
 
 
 def test_lower_world_counts_sweep_only_the_refuted_formulas(monkeypatch):
@@ -511,9 +501,9 @@ def test_lower_world_counts_sweep_only_the_refuted_formulas(monkeypatch):
     calls = []
     first_failures = search._first_failures
 
-    def spy(formulas, todo, bounds, n, jobs):
+    def spy(formulas, todo, bounds, n):
         calls.append((n, list(todo)))
-        return first_failures(formulas, todo, bounds, n, jobs)
+        return first_failures(formulas, todo, bounds, n)
 
     monkeypatch.setattr(search, "_first_failures", spy)
     check_formulas(_MIXED_VALID, _MIXED_BOUNDS)
@@ -714,26 +704,24 @@ def test_first_failure_past_the_first_word(bounds, text, cell):
     for cells in (8, search._CHUNK_CELLS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "_CHUNK_CELLS", cells)
-            mp.setattr(os, "cpu_count", lambda: 8)
-            for jobs in (1, 2, 8):
-                hits = search._first_failures([f], [0], bounds, n, jobs)
-                frame, val_idx, mask = hits[0]
-                assert (frame, val_idx) == _cell_of(m, bounds)
-                got = search._model_at(bounds, n, frame, val_idx)
-                assert encode_model(got, bounds.atoms) \
-                    == encode_model(m, bounds.atoms)
-                missing = ~mask & ((1 << n) - 1)
-                assert got.worlds[(missing & -missing).bit_length() - 1] == w
-    _check_every_jobs(f, bounds, _sweep(f, bounds))
+            hits = search._first_failures([f], [0], bounds, n)
+        frame, val_idx, mask = hits[0]
+        assert (frame, val_idx) == _cell_of(m, bounds)
+        got = search._model_at(bounds, n, frame, val_idx)
+        assert encode_model(got, bounds.atoms) \
+            == encode_model(m, bounds.atoms)
+        missing = ~mask & ((1 << n) - 1)
+        assert got.worlds[(missing & -missing).bit_length() - 1] == w
+    _check_spans(f, bounds, _sweep(f, bounds))
 
 
 @pytest.mark.parametrize("bounds", [_KT_1_3_PQR, _S5_1_5_PQ],
                          ids=_bounds_id)
 def test_several_words_hold_everywhere(bounds):
-    """A formula valid on every model checks all of them, under every
-    jobs and block size."""
+    """A formula valid on every model checks all of them, in spans of one
+    frame."""
     f = parse("(K{a} p -> p) & (K{a} (q -> p) -> (K{a} q -> K{a} p))")
-    _check_every_jobs(f, bounds, (None, None, count_models(bounds)))
+    _check_spans(f, bounds, (None, None, count_models(bounds)))
 
 
 def _keep_blocks(monkeypatch):
@@ -758,7 +746,7 @@ def test_an_extension_holds_one_bit_per_valuation(monkeypatch):
     blocks = _keep_blocks(monkeypatch)
     bounds = SearchBounds(FrameClass.KT, 2, 4, atoms=("p",))
     # refuted in the first span
-    assert search._first_failures([parse("p")], [0], bounds, 4, 1) \
+    assert search._first_failures([parse("p")], [0], bounds, 4) \
         == {0: ((0, 0), 0, 0)}
     (one,) = blocks
     n_prefixes, n_last, n_vals = one.shape
@@ -780,8 +768,8 @@ def test_an_atomless_extension_packs_eight_frames_per_byte(monkeypatch):
     n * F)."""
     blocks = _keep_blocks(monkeypatch)
     bounds = SearchBounds(FrameClass.KT, 3, 3)
-    assert search._first_failures([parse("[{a} <= {a}]")], [0], bounds, 3,
-                                  1) == {}
+    assert search._first_failures([parse("[{a} <= {a}]")], [0], bounds,
+                                  3) == {}
     (one,) = blocks
     n_prefixes, n_last, n_vals = one.shape
     assert (n_prefixes, n_last, n_vals) == (720, 64, 1)
@@ -808,8 +796,8 @@ _KT_2_3 = SearchBounds(FrameClass.KT, 2, 3)
 @pytest.mark.parametrize("text", ["[{a} <= {a}]", "[{a,b} <= {a}]"])
 def test_padding_past_the_last_frame_never_fails(text, cells):
     """Valid formulas whose comparisons are 0 on the padding cells check
-    every model, under every jobs."""
-    _check_every_jobs(parse(text), _KT_2_3,
+    every model."""
+    _check_spans(parse(text), _KT_2_3,
                       (None, None, count_models(_KT_2_3)), cells)
 
 
@@ -821,7 +809,7 @@ def test_first_failure_in_a_packed_span(text, cells):
     """A packed span's first failure, in its first byte or a later one,
     is the per-model sweep's first countermodel and witness."""
     f = parse(text)
-    _check_every_jobs(f, _KT_2_3, _sweep(f, _KT_2_3), cells)
+    _check_spans(f, _KT_2_3, _sweep(f, _KT_2_3), cells)
 
 
 def test_first_failure_in_the_second_word_of_a_span(monkeypatch):
@@ -953,19 +941,15 @@ def _batches(draw, agents, atoms):
 def test_a_batch_gives_each_formula_its_own_search(bounds):
     """Each formula of a batch with shared subterms gets what
     check_validity gives it alone, and the per-model sweep with the
-    pair-set oracle, with spans of one to four frames and 1 or 2
-    threads."""
+    pair-set oracle, with spans of one to four frames."""
 
     @settings(max_examples=15, deadline=None)
     @given(_batches(bounds.agents, bounds.atoms))
     def check(batch):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "_CHUNK_CELLS", 8)
-            mp.setattr(os, "cpu_count", lambda: 8)
-            for jobs in (1, 2):
-                outs = check_formulas(batch, bounds, jobs=jobs)
-                assert outs == [check_validity(f, bounds, jobs=jobs)
-                                for f in batch]
+            outs = check_formulas(batch, bounds)
+            assert outs == [check_validity(f, bounds) for f in batch]
         for f, out in zip(batch, outs):
             m, w, checked = _sweep(f, bounds)
             if m is None:
@@ -1015,130 +999,7 @@ def test_known_superiority_valid_on_s5_refuted_on_s4():
     assert not satisfies(m, "w0", parse("D{b} [{b} <= {a}]"))
 
 
-# --- parallel scanning ----------------------------------------------------
-
-def test_jobs_do_not_change_the_answer():
-    bounds = SearchBounds(FrameClass.KT, 2, 3, atoms=("p",))
-    f = parse("~D{a} p -> D{a} ~D{a} p")
-    outs = [check_validity(f, bounds, jobs=j) for j in (1, 2, 8)]
-    assert all(isinstance(o, Countermodel) for o in outs)
-    assert len({(encode_model(o.model, bounds.atoms), o.witness)
-                for o in outs}) == 1
-
-    g = parse("D{a} p -> p")
-    outs = [check_validity(g, bounds, jobs=j) for j in (1, 4)]
-    assert outs[0] == outs[1]
-    assert isinstance(outs[0], NoCountermodelUpTo)
-
-
-def _inline_pool(requested, submitted):
-    """A `ThreadPoolExecutor` stand-in that runs each task at once, in
-    this thread, and records max_workers and each task's arguments."""
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            submitted.append(args)
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    return InlinePool
-
-
-def _reversed_pool(ran):
-    """A `ThreadPoolExecutor` stand-in whose tasks run only when a result
-    is first asked for, and then last submitted first: every task not yet
-    run runs at that point.  Records each task's arguments in the order
-    the tasks ran."""
-    pending = []
-
-    class Deferred(Future):
-        def result(self, timeout=None):
-            while pending:
-                fut, fn, args = pending.pop()
-                ran.append(args)
-                fut.set_result(fn(*args))
-            return super().result(timeout)
-
-    class ReversedPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Deferred()
-            pending.append((fut, fn, args))
-            return fut
-
-    return ReversedPool
-
-
-def test_spans_merge_in_order_when_they_finish_out_of_order(monkeypatch):
-    """KT, 1 agent, 3 worlds, atom p: one frame per span, and `p` fails
-    in both spans the two workers start with.  Span 1 (pool index 1)
-    finishes first, yet span 0's frame is the one reported."""
-    ran = []
-    monkeypatch.setattr(search, "ThreadPoolExecutor", _reversed_pool(ran))
-    monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    bounds = SearchBounds(FrameClass.KT, 1, 3, atoms=("p",))
-    hits = search._first_failures([parse("p")], [0], bounds, 3, 2)
-    assert [span.start for span, _ in ran] == [1, 0]
-    assert hits == {0: ((0,), 0, 0)}
-
-
-def test_jobs_thread_pool_is_clamped(monkeypatch):
-    """The pool never asks for more workers than CPUs or spans."""
-    requested = []
-    monkeypatch.setattr(search, "ThreadPoolExecutor",
-                        _inline_pool(requested, []))
-    # one frame per span at 3 worlds: 16 spans, one per minimal frame.  The
-    # formula holds there, so the 1- and 2-world sweeps never run
-    monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
-    bounds = SearchBounds(FrameClass.KT, 1, 3, atoms=("p",))
-    f = parse("D{a} p -> p")
-    serial = check_validity(f, bounds)
-    assert requested == []
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert check_validity(f, bounds, jobs=10**6) == serial
-    assert requested == [4]
-
-    requested.clear()
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert check_validity(f, bounds, jobs=10**6) == serial
-    assert requested == []
-
-
-def test_span_walk_submits_no_more_spans_than_workers(monkeypatch):
-    """Spans are submitted as the walk reaches them: a formula refuted in
-    the first span of 720 costs one span per worker, not one each."""
-    submitted = []
-    monkeypatch.setattr(search, "ThreadPoolExecutor",
-                        _inline_pool([], submitted))
-    monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    bounds = SearchBounds(FrameClass.KT, 2, 3, atoms=("p",))
-    # 64 reflexive relations per agent, 8 valuations: 720 one-frame spans,
-    # one per minimal frame
-    hits = search._first_failures([parse("p")], [0], bounds, 3, 2)
-    assert hits == {0: ((0, 0), 0, 0)}
-    assert 1 <= len(submitted) <= 2
-
+# --- the span walk -------------------------------------------------------
 
 def _count_spans_and_blocks(monkeypatch):
     """The spans the walk cuts and the blocks the scans build, as lists
@@ -1169,18 +1030,16 @@ def test_the_walk_stops_once_every_formula_has_failed(monkeypatch):
     bounds = SearchBounds(FrameClass.KT, 2, 3, atoms=("p",))
     hits = search._first_failures(
         [parse("p"), parse("~[{b} <= {a}] | [{a} <= {b}]")], [0, 1],
-        bounds, 3, 1)
+        bounds, 3)
     assert hits == {0: ((0, 0), 0, 0), 1: ((1, 0), 0, 0b110)}
     assert len(cut) == len(built) == 65
     assert cut[-1] == search._Span([(1,)], 0, 1)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_a_batch_that_empties_in_its_first_span_walks_once(monkeypatch,
-                                                           jobs):
+def test_a_batch_that_empties_in_its_first_span_walks_once(monkeypatch):
     """Every formula fails in the first span: the batch's walk is built
-    once (`schedule` called once) and no span past the workers' first
-    ones is cut."""
+    once (`schedule` called once), and one span is cut and one block
+    built."""
     cut, built = _count_spans_and_blocks(monkeypatch)
     walks = []
     schedule = search.schedule
@@ -1191,13 +1050,26 @@ def test_a_batch_that_empties_in_its_first_span_walks_once(monkeypatch,
 
     monkeypatch.setattr(search, "schedule", counting_schedule)
     monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     bounds = SearchBounds(FrameClass.KT, 2, 3, atoms=("p",))
     hits = search._first_failures([parse("p"), parse("~p | p & ~p")],
-                                  [0, 1], bounds, 3, jobs)
+                                  [0, 1], bounds, 3)
     assert hits == {0: ((0, 0), 0, 0), 1: ((0, 0), 1, 0b110)}
     assert len(walks) == 1
-    assert len(cut) == len(built) == jobs
+    assert len(cut) == len(built) == 1
+
+
+def test_an_empty_batch_sweeps_nothing(monkeypatch):
+    """`check_formulas` of no formulas returns [] without building a
+    relation pool, walking the prefixes or cutting a span."""
+    def refuse(*args):
+        raise AssertionError("an empty batch started a sweep")
+
+    for name in ("frame_relations", "_pool_codes", "_prefixes",
+                 "_frame_spans", "_first_failures", "count_models"):
+        monkeypatch.setattr(search, name, refuse)
+    for mod_iso in (False, True):
+        bounds = SearchBounds(FrameClass.KT, 2, 5, mod_iso=mod_iso)
+        assert check_formulas([], bounds) == []
 
 
 def test_no_cache_outlives_a_call(monkeypatch):
@@ -1233,7 +1105,7 @@ from epicmp.kripke import FrameClass
 from epicmp.search import SearchBounds, _first_failures
 from epicmp.syntax import parse
 bounds = SearchBounds(FrameClass.KT, 2, 5, atoms=("p",))
-print(_first_failures([parse("p")], [0], bounds, 5, 1))
+print(_first_failures([parse("p")], [0], bounds, 5))
 """
 
 

@@ -6,9 +6,9 @@ batch mixes formulas refuted below the top world count, formulas refuted
 only at the top and formulas that hold.  For each formula the file holds
 the verdict, `models_checked`, the countermodel as `save_model` text and
 its witness, once for the plain bounds and once under `mod_iso`.  The
-batches run under jobs 1 at the default span size, and under jobs 2 with
-spans of a few frames, so that two threads split every sweep.  A change
-that only makes the search faster must leave every record as it is.
+batches run at the default span size, and with spans of a few frames, so
+that every sweep is cut into many spans.  A change that only makes the
+search faster must leave every record as it is.
 
 The file was generated by this module's `__main__` hook, which draws the
 formulas with a seeded `random.Random`, keeps the first few of each kind
@@ -19,7 +19,6 @@ per bounds and records what the search answers:
 
 import itertools
 import json
-import os
 import random
 from pathlib import Path
 
@@ -69,10 +68,10 @@ def _record(outcome) -> dict:
             "countermodel": None, "witness": None}
 
 
-def _answers(batch: dict, mod_iso: bool, jobs: int) -> list[dict]:
+def _answers(batch: dict, mod_iso: bool) -> list[dict]:
     formulas = [parse(text) for text in batch["formulas"]]
-    return [_record(o) for o in check_formulas(
-        formulas, _bounds(batch, mod_iso), jobs=jobs)]
+    return [_record(o) for o in check_formulas(formulas,
+                                               _bounds(batch, mod_iso))]
 
 
 def _kind(batch: dict, record: dict) -> str:
@@ -104,7 +103,7 @@ def test_golden_batches_cover_frames_agents_atoms_and_kinds():
 @pytest.mark.parametrize("index", range(len(_BOUNDS)))
 def test_serial_batch_matches_the_golden_file(index, mod_iso):
     batch = _golden()[index]
-    assert _answers(batch, mod_iso, 1) == \
+    assert _answers(batch, mod_iso) == \
         batch["mod_iso" if mod_iso else "plain"]
 
 
@@ -112,10 +111,10 @@ def test_serial_batch_matches_the_golden_file(index, mod_iso):
 @pytest.mark.parametrize("index", range(len(_BOUNDS)))
 def test_two_threads_on_short_spans_match_the_golden_file(index, mod_iso,
                                                            monkeypatch):
+    """Spans of 256 cells, a few frames each, run one after another."""
     monkeypatch.setattr(search, "_CHUNK_CELLS", 256)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     batch = _golden()[index]
-    assert _answers(batch, mod_iso, 2) == \
+    assert _answers(batch, mod_iso) == \
         batch["mod_iso" if mod_iso else "plain"]
 
 
@@ -198,15 +197,15 @@ def _batch(seed: int, frame: str, n_agents: int, max_worlds: int,
             else _random_formula(rng, agents, atoms, rng.randint(2, 9)))
             for _ in range(_CANDIDATES)))
         for text, record in zip(batch["formulas"],
-                                _answers(batch, False, 1)):
+                                _answers(batch, False)):
             kind = kept[_kind(batch, record)]
             if len(kind) < _PER_KIND and text not in kind:
                 kind.append(text)
     # interleaved, so that formulas of each kind sit between the others
     batch["formulas"] = [t for row in itertools.zip_longest(*kept.values())
                          for t in row if t is not None]
-    batch["plain"] = _answers(batch, False, 1)
-    batch["mod_iso"] = _answers(batch, True, 1)
+    batch["plain"] = _answers(batch, False)
+    batch["mod_iso"] = _answers(batch, True)
     return batch
 
 
