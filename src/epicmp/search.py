@@ -27,8 +27,8 @@ arithmetic on bytes that hold one bit per (frame, valuation) cell.  A
 frame is a prefix (the pool indices of every agent but the last) and a
 last-agent index, and the frames a block holds are a product: a run of
 prefixes, each against a range of the last agent's indices.  A subterm is
-evaluated on the axes of what it reads, once per prefix, once per
-last-agent frame or once per frame.
+evaluated on the axes of what it reads: per prefix, per last-agent frame
+or per frame.
 
 Only frames that no world relabeling makes smaller matter: if a
 relabeling makes a frame smaller, it maps each falsifier on that frame to
@@ -51,13 +51,17 @@ formula.  The live formulas are one batch: a span evaluates each distinct
 subterm among them once, in one walk over their union DAG that drops
 each extension after its last reader (`semantics.schedule`, worked out
 again only when a formula leaves).  When every span holds the last
-agent's whole pool, a subterm that reads no prefix agent is the same in
-each span, and is evaluated once per sweep past its first span.  A
-formula whose extension has every bit set holds on the whole span, so
-only the others are searched for their first failing cell, and a formula
-leaves the sweep at its first failing span.  Spans are cut and scanned
-one at a time, in order, so memory does not grow with the number of
-spans.
+agent's whole pool and a sweep has several spans, a subterm is evaluated
+once per value of the axes it reads: one that reads no prefix agent is
+the same in each span and is evaluated once per sweep, and one that reads
+only prefix agents (`K{a} p`) once per run of prefixes, a span's
+extension budget's worth, on a block of the run that each span reads its
+own prefixes of.  The last agent's rows and their complement are built
+once per sweep too.  A formula whose extension has every bit set holds
+on the whole span, so only the others are searched for their first
+failing cell, and a formula leaves the sweep at its first failing span.
+Spans are cut and scanned one at a time, in order, so memory does not
+grow with the number of spans.
 
 The largest world count is swept first, for every formula.  Every
 operator at a world reads only the worlds it reaches (D, K, C, CD) or
@@ -93,28 +97,34 @@ import numpy as np
 
 from .kripke import BoundsError, FrameClass, KripkeModel, Relation
 from .semantics import Block, schedule
-from .syntax import Formula, agent_names, atom_names
+from .syntax import Formula, Group, agent_names, atom_names
 
 AGENT_POOL = ("a", "b", "c", "d")
 MAX_SEARCH_WORLDS = 5
 MAX_SEARCH_AGENTS = len(AGENT_POOL)
 MAX_SEARCH_ATOMS = 3
 
-# Frames x valuations per block: 2^17 cells.  A span's frames are P
-# prefixes x L last-agent indices: a last-agent row that fits goes whole,
-# 2^17 // (L * V) prefixes to a span, and a longer one (KT/5, 2^20
-# relations) is cut into ranges of 2^17 // V indices, one prefix to a
-# span.  An extension holds one bit per cell, n * 16 KiB at most (80 KiB
-# at 5 worlds); with fewer than 8 valuations a byte holds several frames,
-# so an atomless span packs into the same n * 16 KiB, plus each prefix
-# row's padding to whole bytes.  A cached comparison is at most one such
-# extension; a relation's rows (joint, common, cdk, and the complement
-# rows a box reads) are at most n bytes per frame, 640 KiB for an atomless
-# span at 5 worlds, and a relation that reads only prefix agents or only
-# the last agent is n bytes per prefix or per last-agent index.  A block
-# shared by every instance of a schema holds dozens of these; at 2^18
-# cells the registry's peak RSS rose instead of falling.
-_CHUNK_CELLS = 1 << 17
+# Frames x valuations per span: 2^18 cells, in at most 2^17 frames.  A
+# span's frames are P prefixes x L last-agent indices: a last-agent row
+# that fits goes whole, step // L prefixes to a span, where step =
+# min(2^18 // V, 2^17) frames, and a longer one (KT/5, 2^20 relations) is
+# cut into ranges of step indices, one prefix to a span.  An extension
+# holds one bit per cell, n * 32 KiB at most (160 KiB at 5 worlds); with
+# fewer than 8 valuations a byte holds several frames, so an atomless span
+# packs into n * 16 KiB, plus each prefix row's padding to whole bytes.  A
+# cached comparison is at most one such extension; a relation's rows
+# (joint, common, cdk, and the complement rows a box reads) are at most n
+# bytes per frame, 640 KiB for an atomless span at 5 worlds, and a
+# relation that reads only prefix agents or only the last agent is n bytes
+# per prefix or per last-agent index.  Those rows are why the frames are
+# capped: atomless KT/3/4 spans of 2^18 frames fault their rows in afresh
+# (8,195 minor faults over the first 4,096 prefixes, against 3 at 2^17
+# frames).  In process (2 vCPUs), the `scan_kt4` search takes 2.7-2.8 ms
+# at 2^18 cells, 4.0-5.8 ms at 2^17 and 9-12 ms at 2^19, where its scratch
+# arrays leave the heap (4,320 minor faults per search, against 0); the
+# registry's sweeps are single spans at either size.
+_CHUNK_CELLS = 1 << 18
+_CHUNK_FRAMES = 1 << 17
 
 __all__ = [
     "AGENT_POOL", "MAX_SEARCH_WORLDS", "MAX_SEARCH_AGENTS",
@@ -455,44 +465,36 @@ def _last_indices(frame: FrameClass, n: int, n_agents: int) -> np.ndarray:
 
 
 class _Span(NamedTuple):
-    """A run of prefixes, each swept against the last-agent indices
-    last[start:stop] (`_last_indices`): the frames (prefix, last[l]),
-    prefix-major."""
+    """Prefixes lo to hi of a run of prefixes, each swept against the
+    last-agent indices last[start:stop] (`_last_indices`): the frames
+    (run[p], last[l]), prefix-major.  The spans of a run share its list."""
 
-    prefixes: list[tuple[int, ...]]
+    run: list[tuple[int, ...]]
+    lo: int
+    hi: int
     start: int
     stop: int
 
+    @property
+    def prefixes(self) -> list[tuple[int, ...]]:
+        return self.run[self.lo:self.hi]
+
 
 def _frame_spans(frame: FrameClass, n: int, n_agents: int, n_last: int,
-                 step: int) -> Iterator[_Span]:
+                 step: int, run_spans: int) -> Iterator[_Span]:
     """The minimal frames' prefixes in ascending order, each against the
     n_last last-agent indices, cut into spans of at most step frames.  A
     row of n_last frames that fits a span goes whole, step // n_last
-    prefixes to a span; a longer one is cut into ranges of step frames,
-    one prefix to a span."""
+    prefixes to a span, and a longer one is cut into ranges of step
+    frames, one prefix to a span.  The prefixes are drawn in runs of
+    run_spans spans' prefixes."""
     prefixes = _prefixes(frame, n, n_agents)
-    if n_last <= step:
-        while run := list(itertools.islice(prefixes, step // n_last)):
-            yield _Span(run, 0, n_last)
-    else:
-        for prefix in prefixes:
+    per_span = max(1, step // n_last)
+    while run := list(itertools.islice(prefixes, per_span * run_spans)):
+        for lo in range(0, len(run), per_span):
             for start in range(0, n_last, step):
-                yield _Span([prefix], start, min(start + step, n_last))
-
-
-def _block(rel_rows: np.ndarray, last_rows: np.ndarray, bounds: SearchBounds,
-           n: int, atom_ext: Mapping[str, np.ndarray], span: _Span) -> Block:
-    """The frames of one span x all valuations: one row per prefix for a
-    prefix agent, and a slice of last_rows (the rows of the last agent's
-    indices) for the last, world axis first."""
-    prefixes, start, stop = span
-    rows = {agent: rel_rows[[prefix[j] for prefix in prefixes]].T[:, :, None]
-            for j, agent in enumerate(bounds.agents[:-1])}
-    rows[bounds.agents[-1]] = np.ascontiguousarray(
-        last_rows[start:stop].T)[:, None]
-    return Block(rows, atom_ext,
-                 (len(prefixes), stop - start, 1 << (n * len(bounds.atoms))))
+                yield _Span(run, lo, min(lo + per_span, len(run)), start,
+                            min(start + step, n_last))
 
 
 def _validate_within(f: Formula, bounds: SearchBounds) -> None:
@@ -561,62 +563,112 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
     masks = _atom_masks(np.arange(n_vals, dtype=np.uint32), n, k)
     atom_ext = {atom: Block.atom_words(mask, n)
                 for atom, mask in zip(bounds.atoms, masks)}
-    step = max(1, _CHUNK_CELLS // n_vals)
-    # When the last agent's row fits a span, every span sweeps all of it, so
-    # a subterm that reads no prefix agent has the same extension in each:
-    # past the first span, which often refutes every formula, it is
-    # evaluated once and kept until this call returns.
-    wide: dict[Formula, np.ndarray] | None = {} if len(last) <= step else None
-    prefix_agents = frozenset(bounds.agents[:-1])
+    step = max(1, min(_CHUNK_CELLS // n_vals, _CHUNK_FRAMES))
+    *prefix_agents, last_agent = bounds.agents
+    # When the last agent's row fits a span, every span sweeps all of it,
+    # and a subterm is evaluated once per value of the axes it reads: one
+    # that reads no prefix agent once per call (`wide`), and one that reads
+    # only prefix agents once per run of prefixes (`in_run`), on the run's
+    # block, of which each span reads its own prefixes.  Such an extension
+    # takes ceil(V / 8) bytes per prefix and world, and a span's extension
+    # ceil(L * V / 8) bytes per prefix, so a run is run_spans spans' worth
+    # of prefixes: one span's extension budget.
+    whole = len(last) <= step
+    run_spans = -(-len(last) * n_vals // 8) // -(-n_vals // 8) \
+        if whole else 1
+    wide: dict[Formula, np.ndarray] = {}
+    in_run: dict[Formula, np.ndarray] = {}
+
+    def block(lo: int, hi: int) -> Block:
+        """Prefixes lo to hi of the run against the span's last-agent
+        indices, x all valuations."""
+        return Block({**{agent: r[:, lo:hi] for agent, r in rows.items()},
+                      last_agent: cols}, atom_ext,
+                     (hi - lo, cols.shape[2], n_vals), missed)
+
+    def per_run(ext_of: Callable) -> Callable:
+        """ext_of for a subterm that reads only prefix agents: evaluated
+        once per run on the run's block, from its children's extensions
+        over the run (an agent-free child's has no prefix axis, so the
+        span's is the run's), and cut to the span's prefixes."""
+
+        def once(_: Block, g: Formula, *children: np.ndarray) -> np.ndarray:
+            out = in_run.get(g)
+            if out is None:
+                kids = [in_run.get(c, x)
+                        for c, x in zip(g.children, children)]
+                out = in_run[g] = ext_of(run_block, g, *kids)
+                out.setflags(write=False)
+            return out[:, :, span.lo:span.hi]
+
+        return once
+
+    def shared(g: Formula, ext_of: Callable) -> Callable:
+        """ext_of, evaluated once per value of the axes g reads."""
+        agents = agent_names(g)
+        if agents.isdisjoint(prefix_agents):
+            return _memoized(wide, ext_of)
+        return ext_of if last_agent in agents else per_run(ext_of)
 
     def batch(live: Sequence[int]) -> _Batch:
-        """The walk over the distinct formulas in live, and the indices in
-        live that each of them holds."""
+        """The walk over the distinct formulas in live, with the memos of
+        a sweep of several spans, and the indices in live that each of
+        them holds."""
         where: dict[Formula, list[int]] = {}
         for i in live:
             where.setdefault(formulas[i], []).append(i)
-        return schedule(where), where
+        steps = schedule(where)
+        if share:
+            steps = tuple((g, shared(g, ext_of), root, drops)
+                          for g, ext_of, root, drops in steps)
+        return steps, where
 
-    def shared(live: _Batch) -> _Batch:
-        """live, with each subterm that reads no prefix agent looked up in
-        `wide` first and stored there (`_memoized`)."""
-        steps, where = live
-        if wide is None:
-            return live
-        return tuple((g, _memoized(wide, ext_of)
-                      if prefix_agents.isdisjoint(agent_names(g)) else ext_of,
-                      root, drops)
-                     for g, ext_of, root, drops in steps), where
-
-    def scan(span: _Span, live: _Batch) -> list[tuple[int, _Failure]]:
+    def scan(live: _Batch) -> list[tuple[int, _Failure]]:
         """The first failure in the span of each live formula that has
         one, with the frame read off the span's prefix and last-agent
         index."""
         steps, where = live
-        block = _block(rel_rows, last_rows, bounds, n, atom_ext, span)
+        here = block(span.lo, span.hi)
         out = []
-        for f, ext in block.extensions(steps):
-            hit = block.first_failure(ext)
+        for f, ext in here.extensions(steps):
+            hit = here.first_failure(ext)
             if hit is not None:
                 prefix, local, val, mask = hit
-                frame = span.prefixes[prefix] \
+                frame = span.run[span.lo + prefix] \
                     + (int(last[span.start + local]),)
                 out += ((i, (frame, val, mask)) for i in where[f])
         return out
 
     first: dict[int, _Failure] = {}
-    live = batch(todo)
-    spans = _frame_spans(bounds.frame, n, bounds.n_agents, len(last), step)
-    for index, span in enumerate(spans):
-        hits = scan(span, live)
+    live = run = cut = None
+    for span in _frame_spans(bounds.frame, n, bounds.n_agents, len(last),
+                             step, run_spans):
+        if live is None:
+            # a sweep of one span has nothing to share, and a memo would
+            # keep each extension past its last reader
+            share = whole and len(span.run) > span.hi
+            live = batch(todo)
+        if (span.start, span.stop) != cut:
+            # once per call when every span holds the whole pool
+            cut = span.start, span.stop
+            cols = np.ascontiguousarray(last_rows[span.start:span.stop].T
+                                        )[:, None]
+            missed = {Group([last_agent]): np.invert(cols)}
+            cols.setflags(write=False)
+            missed[Group([last_agent])].setflags(write=False)
+        if span.run is not run:
+            run = span.run
+            rows = {agent: rel_rows[[p[j] for p in run]].T[:, :, None]
+                    for j, agent in enumerate(prefix_agents)}
+            in_run.clear()
+            run_block = block(0, len(run)) if share else None
+        hits = scan(live)
         first.update(hits)
         if len(first) == len(todo):
             break
         if hits:
             # a new walk only when a formula has left
-            live = shared(batch([i for i in todo if i not in first]))
-        elif index == 0:
-            live = shared(live)
+            live = batch([i for i in todo if i not in first])
     return first
 
 

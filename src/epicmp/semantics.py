@@ -54,11 +54,14 @@ class UnknownAtomError(ModelError):
 # Bytes per world in one pass of a box operator: a pass takes k successor
 # worlds of the result's W * P * G bytes each (its broadcast axes counted
 # once), k * W * P * G <= _BOX_CELLS, and at least one.  A box over the
-# last agent in a `scan_kt4` span (4,096 frames of 4 worlds, two bytes
+# last agent in a `scan_kt4` sweep (4,096 frames of 4 worlds, two bytes
 # each) then takes two successor worlds per pass: the pass's scratch array
 # is 64 KiB and its successor bytes 32 KiB, below glibc's 128 KiB mmap
 # threshold, so they are reused from the heap instead of being faulted in
-# afresh.  A single model takes every successor at once.
+# afresh.  A box over both agents in one of its spans (4 prefixes against
+# the 4,096 frames) takes one world per pass, with 128 KiB of scratch and
+# 64 KiB of successor bytes, and faulted nothing either.  A single model
+# takes every successor at once.
 _BOX_CELLS = 1 << 14
 
 
@@ -97,21 +100,28 @@ class Block:
     (n, W, 1, 1).  Each row's last group's cells past frame L are padding,
     which no first failure reports.  The joint / common / cdk relations,
     their complement rows (one table per relation, named by a group or a
-    supergroup) and the comparison bytes live as long as the block.  A
-    batch of formulas is evaluated as one walk over its union DAG
-    (`schedule`): each distinct subterm once, and each subterm's extension
-    is dropped after its last consumer, so memory follows the extensions
-    live at one step of the walk, not the number of formulas.
+    supergroup) and the comparison bytes live as long as the block;
+    `missed` gives complement rows already built, by group, so blocks that
+    share an agent's rows can share their complement too.  A batch of
+    formulas is evaluated as one walk over its union DAG (`schedule`):
+    each distinct subterm once, and each subterm's extension is dropped
+    after its last consumer, so memory follows the extensions live at one
+    step of the walk, not the number of formulas.
     """
 
     def __init__(self, rows_by_agent: Mapping[str, np.ndarray],
                  atom_ext: Mapping[str, np.ndarray],
-                 shape: tuple[int, int, int]):
+                 shape: tuple[int, int, int],
+                 missed: Mapping[Group, np.ndarray] = {}):
         self.rows_by_agent = rows_by_agent
         self.atom_ext = atom_ext
         self.shape = shape
         _, n_last, n_vals = shape
-        self.n = next(iter(rows_by_agent.values())).shape[0]
+        rows = next(iter(rows_by_agent.values()))
+        self.n = rows.shape[0]
+        # a box's successor worlds, one per leading index
+        self._shifts = np.arange(self.n, dtype=rows.dtype)[:, None, None,
+                                                           None]
         self.per_word = _per_word(n_vals)
         self.groups = -(-n_last // self.per_word)
         # the cells of a row's last group's bytes that hold frames
@@ -119,7 +129,7 @@ class Block:
         self.tail = np.uint8((1 << min(tail, 8)) - 1)
         self._joint: dict[Group, np.ndarray] = {}
         self._reach: dict[Supergroup, np.ndarray] = {}
-        self._misses: dict[Group | Supergroup, np.ndarray] = {}
+        self._misses: dict[Group | Supergroup, np.ndarray] = dict(missed)
         self._leqs: dict[tuple[Group, str], np.ndarray] = {}
 
     @staticmethod
@@ -260,13 +270,12 @@ class Block:
                  ext.shape[3] if missed.shape[2] == 1 else self.groups)
         k = min(self.n,
                 max(1, _BOX_CELLS // (shape[1] * shape[2] * shape[3])))
-        shifts = np.arange(self.n, dtype=missed.dtype)[:, None, None, None]
         held = np.empty((k, *missed.shape), dtype=np.uint8)
         sub = np.empty((k, *shape), dtype=np.uint8)
         out = None
         for v in range(0, self.n, k):
             j = min(k, self.n - v)
-            np.right_shift(missed, shifts[v:v + j], out=held[:j],
+            np.right_shift(missed, self._shifts[v:v + j], out=held[:j],
                            casting="unsafe")
             held[:j] &= 1
             notin = self._spread_bytes(held[:j])[:, :, None]
@@ -291,7 +300,7 @@ class Block:
     def _leq_agent(self, left: Group, agent: str) -> np.ndarray:
         out = self._leqs.get((left, agent))
         if out is None:
-            a, outside = self.joint(left), np.invert(self.rows_by_agent[agent])
+            a, outside = self.joint(left), self._missed(Group([agent]))
             # k prefixes per pass keep a pass's row tests within _BOX_CELLS
             # bytes per world: an atomless KT/3/4 span tests 32 prefixes x
             # 4,096 frames, and in one pass it faulted in 2 MiB of scratch

@@ -253,13 +253,20 @@ def test_scanner_agrees_on_random_formulas(f):
 
 # --- orbit-minimal frames -------------------------------------------------
 
-def _swept_frames(frame, n, n_agents, step):
+def _swept_frames(frame, n, n_agents, step, run_spans=1):
     """The frames the spans of at most step frames sweep, in order.  A
     last-agent row that fits goes whole, step // len(row) prefixes to a
     span, and a longer one is cut into ranges of step frames, one prefix
-    to a span."""
+    to a span.  Each run holds run_spans spans' prefixes, the last run
+    what is left."""
     last = search._last_indices(frame, n, n_agents).tolist()
-    spans = list(search._frame_spans(frame, n, n_agents, len(last), step))
+    spans = list(search._frame_spans(frame, n, n_agents, len(last), step,
+                                     run_spans))
+    runs = list({id(s.run): s.run for s in spans}.values())
+    size = max(1, step // len(last)) * run_spans
+    assert [len(run) for run in runs[:-1]] == [size] * (len(runs) - 1)
+    assert sum(map(len, runs)) == len(list(search._prefixes(frame, n,
+                                                            n_agents)))
     if len(last) <= step:
         assert all((s.start, s.stop) == (0, len(last)) for s in spans)
         assert [len(s.prefixes) for s in spans[:-1]] \
@@ -294,6 +301,7 @@ def test_frame_walk_is_the_brute_force_lex_min(frame, n_agents, n):
     assert set(minimal) <= set(expected)
     # spans of 7 frames cut through long rows and hold several short ones
     assert _swept_frames(frame, n, n_agents, 7) == expected
+    assert _swept_frames(frame, n, n_agents, 7, 3) == expected
     assert _swept_frames(frame, n, n_agents, 1 << 17) == expected
 
 
@@ -324,10 +332,15 @@ def _check_spans(f, bounds, want, cells=8):
     """check_validity with 8-cell blocks (spans of one to eight frames,
     cut across prefixes), or blocks of the given cells, gives want, the
     per-model sweep's (model, witness, models checked)."""
-    m, w, checked = want
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_CHUNK_CELLS", cells)
-        out = check_validity(f, bounds)
+        _agrees(check_validity(f, bounds), bounds, want)
+
+
+def _agrees(out, bounds, want):
+    """A search outcome is want, the per-model sweep's (model, witness,
+    models checked)."""
+    m, w, checked = want
     if m is None:
         assert out == NoCountermodelUpTo(bounds=bounds,
                                          models_checked=checked)
@@ -524,22 +537,15 @@ def test_valid_sweep_scans_the_minimal_prefixes_against_the_whole_pool(
     sweeps exactly those against the whole 4,096-relation pool: 892,928
     frames.  It holds at 4 worlds, so no smaller world count is swept, yet
     models_checked still counts the models of 1 to 4 worlds."""
-    prefixes, swept = {}, {}
-    block = search._block
-
-    def counting_block(rel_rows, last_rows, bounds, n, atom_ext, span):
-        out = block(rel_rows, last_rows, bounds, n, atom_ext, span)
-        prefixes[n] = prefixes.get(n, 0) + len(span.prefixes)
-        swept[n] = swept.get(n, 0) + out.shape[0] * out.shape[1]
-        return out
-
-    monkeypatch.setattr(search, "_block", counting_block)
+    _, scanned = _keep_blocks(monkeypatch)
     bounds = SearchBounds(FrameClass.KT, 2, 4, atoms=("p",))
     out = check_validity(parse("p -> p"), bounds)
     assert out == NoCountermodelUpTo(bounds=bounds,
                                      models_checked=268_468_290)
-    assert prefixes == {4: 218}
-    assert swept == {4: 892_928} == {4: 218 * 4096}
+    assert {len(b.rows_by_agent["b"][0, 0]) for b in scanned} == {4096}
+    assert sum(b.shape[0] for b in scanned) == 218
+    assert sum(b.shape[0] * b.shape[1] for b in scanned) \
+        == 892_928 == 218 * 4096
 
 
 def test_frame_walk_memory_stays_below_a_relabeling_table():
@@ -587,9 +593,9 @@ def test_a_second_walk_yields_the_same_spans(monkeypatch, frame, n_agents,
                                              n):
     monkeypatch.setattr(search, "_KEPT", {})
     n_last = len(search._last_indices(frame, n, n_agents))
-    cold = list(search._frame_spans(frame, n, n_agents, n_last, 7))
+    cold = list(search._frame_spans(frame, n, n_agents, n_last, 7, 2))
     assert search._KEPT
-    warm = list(search._frame_spans(frame, n, n_agents, n_last, 7))
+    warm = list(search._frame_spans(frame, n, n_agents, n_last, 7, 2))
     assert warm == cold
     assert all(len(prefix) == n_agents - 1
                for span in cold for prefix in span.prefixes)
@@ -725,32 +731,37 @@ def test_several_words_hold_everywhere(bounds):
 
 
 def _keep_blocks(monkeypatch):
-    """The blocks the search's spans build, as a list that fills as they
-    are built."""
-    blocks = []
-    block = search._block
+    """The blocks the search builds, and those of them whose span it
+    scans, as two lists that fill as they are made: a block of a whole run
+    of prefixes is built and never scanned."""
+    built, scanned = [], []
 
-    def keep_block(*args):
-        blocks.append(block(*args))
-        return blocks[-1]
+    class Kept(semantics.Block):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
 
-    monkeypatch.setattr(search, "_block", keep_block)
-    return blocks
+        def extensions(self, steps):
+            scanned.append(self)
+            return super().extensions(steps)
+
+    monkeypatch.setattr(search, "Block", Kept)
+    return built, scanned
 
 
 def test_an_extension_holds_one_bit_per_valuation(monkeypatch):
     """KT, 2 agents, 4 worlds, atom p: every extension over a span is
     bytes and holds at most n * V / 8 of them per frame (8, two per
     world), where one uint32 world mask per valuation would take 64.  A
-    span is two prefixes against the whole 4,096-relation pool."""
-    blocks = _keep_blocks(monkeypatch)
+    span is four prefixes against the whole 4,096-relation pool."""
+    _, blocks = _keep_blocks(monkeypatch)
     bounds = SearchBounds(FrameClass.KT, 2, 4, atoms=("p",))
     # refuted in the first span
     assert search._first_failures([parse("p")], [0], bounds, 4) \
         == {0: ((0, 0), 0, 0)}
     (one,) = blocks
     n_prefixes, n_last, n_vals = one.shape
-    assert (n_prefixes, n_last, n_vals) == (2, 4096, 16)
+    assert (n_prefixes, n_last, n_vals) == (4, 4096, 16)
     n_frames = n_prefixes * n_last
     assert n_frames == search._CHUNK_CELLS // 16
     for text in ("p", "~p", "K{a} p -> p", "[{a} <= {b}]",
@@ -766,7 +777,7 @@ def test_an_atomless_extension_packs_eight_frames_per_byte(monkeypatch):
     against the 64-relation pool (46,080 frames, 43,968 of them minimal)
     holds at most n * F / 8 bytes (one byte per world and frame would take
     n * F)."""
-    blocks = _keep_blocks(monkeypatch)
+    blocks, _ = _keep_blocks(monkeypatch)
     bounds = SearchBounds(FrameClass.KT, 3, 3)
     assert search._first_failures([parse("[{a} <= {a}]")], [0], bounds,
                                   3) == {}
@@ -1004,20 +1015,16 @@ def test_known_superiority_valid_on_s5_refuted_on_s4():
 def _count_spans_and_blocks(monkeypatch):
     """The spans the walk cuts and the blocks the scans build, as lists
     that fill as they are made."""
-    cut, built = [], []
-    frame_spans, block = search._frame_spans, search._block
+    cut = []
+    frame_spans = search._frame_spans
 
     def counting_spans(*args):
         for span in frame_spans(*args):
             cut.append(span)
             yield span
 
-    def counting_block(*args):
-        built.append(args[-1])
-        return block(*args)
-
     monkeypatch.setattr(search, "_frame_spans", counting_spans)
-    monkeypatch.setattr(search, "_block", counting_block)
+    built, _ = _keep_blocks(monkeypatch)
     return cut, built
 
 
@@ -1033,7 +1040,7 @@ def test_the_walk_stops_once_every_formula_has_failed(monkeypatch):
         bounds, 3)
     assert hits == {0: ((0, 0), 0, 0), 1: ((1, 0), 0, 0b110)}
     assert len(cut) == len(built) == 65
-    assert cut[-1] == search._Span([(1,)], 0, 1)
+    assert cut[-1] == search._Span([(1,)], 0, 1, 0, 1)
 
 
 def test_a_batch_that_empties_in_its_first_span_walks_once(monkeypatch):
@@ -1073,11 +1080,12 @@ def test_an_empty_batch_sweeps_nothing(monkeypatch):
 
 
 def test_no_cache_outlives_a_call(monkeypatch):
-    """KT, 2 agents, 3 worlds, atom p, spans of two prefixes against the
-    whole pool: `K{b} p` reads no prefix agent, so past the first span it
-    is evaluated once per call and then shared, while `K{a} p` is
-    evaluated in each of the 8 spans.  A second identical call evaluates
-    as many boxes as the first: nothing is kept between calls."""
+    """KT, 2 agents, 3 worlds, atom p, 8 spans of two prefixes against
+    the whole pool: `K{b} p` reads no prefix agent, so it is evaluated
+    once per call and then shared, and `K{a} p` reads only prefix agents,
+    so it is evaluated once per run of prefixes, here one run of all 16.
+    A second identical call evaluates as many boxes as the first: nothing
+    is kept between calls."""
     boxes = []
     box = semantics.Block._box
 
@@ -1095,7 +1103,119 @@ def test_no_cache_outlives_a_call(monkeypatch):
         assert check_validity(f, bounds) == NoCountermodelUpTo(
             bounds=bounds, models_checked=count_models(bounds))
         counts.append({g: boxes.count(g) for g in boxes})
-    assert counts[0] == counts[1] == {Group(["a"]): 8, Group(["b"]): 2}
+    assert counts[0] == counts[1] == {Group(["a"]): 1, Group(["b"]): 1}
+
+
+def test_every_block_of_a_whole_pool_sweep_shares_the_last_agent_tables(
+        monkeypatch):
+    """KT, 2 agents, 3 worlds, atom p, 8 spans of two prefixes against
+    the whole pool: the last agent's rows, world axis first, and their
+    complement are built once per call, so every block of the sweep, the
+    run's block included, holds the same read-only arrays."""
+    built, scanned = _keep_blocks(monkeypatch)
+    monkeypatch.setattr(search, "_CHUNK_CELLS", 1024)
+    bounds = SearchBounds(FrameClass.KT, 2, 3, atoms=("p",))
+    assert check_validity(parse("[{a} <= {b}] -> (K{b} p -> K{a} p)"),
+                          bounds) == NoCountermodelUpTo(
+        bounds=bounds, models_checked=count_models(bounds))
+    assert len(scanned) == 8 and len(built) == 9
+    rows = built[0].rows_by_agent["b"]
+    missed = built[0]._missed(Group(["b"]))
+    assert not rows.flags.writeable and not missed.flags.writeable
+    for block in built:
+        assert block.rows_by_agent["b"] is rows
+        assert block._missed(Group(["b"])) is missed
+
+
+@pytest.mark.parametrize("bounds,text,cells,read,runs,spans", [
+    (SearchBounds(FrameClass.KT, 2, 3, atoms=("p",)),
+     "[{a} <= {b}] -> (K{b} p -> K{a} p)", 1024, ("box", Group(["a"])),
+     1, 8),
+    (SearchBounds(FrameClass.KT, 3, 3),
+     "[{a} <= {b}] & [{b} <= {c}] -> [{a} <= {c}]", 128,
+     ("leq", Group(["a"]), Group(["b"])), 45, 360)],
+    ids=["K{a} p", "[{a} <= {b}]"])
+def test_a_prefix_only_subterm_is_evaluated_once_per_run(
+        monkeypatch, bounds, text, cells, read, runs, spans):
+    """A subterm that reads only prefix agents is evaluated once per run
+    of prefixes, on the run's block, and each span reads its own prefixes
+    of it.  On KT/2/3 with p, `K{a} p` is boxed once for the one run of
+    all 16 prefixes, not in each of 8 spans; on atomless KT/3/3,
+    `[{a} <= {b}]` (a and b are prefix agents) is evaluated once in each
+    of 45 runs of 16 prefixes, not in each of 360 spans."""
+    cut, _ = _count_spans_and_blocks(monkeypatch)
+    reads = []
+    box, leq = semantics.Block._box, semantics.Block._leq
+
+    def counting_box(block, name, ext):
+        reads.append(("box", name))
+        return box(block, name, ext)
+
+    def counting_leq(block, left, right):
+        reads.append(("leq", left, right))
+        return leq(block, left, right)
+
+    monkeypatch.setattr(semantics.Block, "_box", counting_box)
+    monkeypatch.setattr(semantics.Block, "_leq", counting_leq)
+    monkeypatch.setattr(search, "_CHUNK_CELLS", cells)
+    assert check_validity(parse(text), bounds) == NoCountermodelUpTo(
+        bounds=bounds, models_checked=count_models(bounds))
+    assert reads.count(read) == runs
+    assert len(cut) == spans
+    assert sum(span.lo == 0 for span in cut) == runs
+
+
+# A formula that fails in the middle of a run of prefixes at the largest
+# world count, and one that shares a subterm of prefix agents with it and
+# goes on.  At the given cells each span is one prefix against the whole
+# pool, in runs of 4 to 16 spans.
+_MID_RUN_CASES = [
+    (SearchBounds(FrameClass.KT, 2, 3, atoms=("p",)), 512,
+     "~K{a} ~p -> p", "[{a} <= {b}] -> (K{b} ~p -> K{a} ~p)"),
+    (SearchBounds(FrameClass.S4, 2, 3, atoms=("p",)), 232,
+     "~K{a} ~p -> p", "[{a} <= {b}] -> (K{b} ~p -> K{a} ~p)"),
+    (SearchBounds(FrameClass.S5, 2, 4, atoms=("p",)), 240,
+     "~K{a} ~p -> p", "[{a} <= {b}] -> (K{b} ~p -> K{a} ~p)"),
+    (SearchBounds(FrameClass.KT, 3, 3), 64, "[{a} <= {b}] | [{b} <= {a}]",
+     "[{a} <= {b}] -> [{a} <= {c}] | [{c} <= {b}]"),
+    (SearchBounds(FrameClass.S4, 3, 3), 29, "[{a} <= {b}] | [{b} <= {a}]",
+     "[{a} <= {b}] -> [{a} <= {c}] | [{c} <= {b}]"),
+    (SearchBounds(FrameClass.S5, 3, 3, atoms=("p",)), 40,
+     "[{a} <= {b}] | [{b} <= {a}]", "[{a} <= {b}] -> K{c} [{a} <= {b}]")]
+
+
+@pytest.mark.parametrize("bounds,cells,leaves,stays", _MID_RUN_CASES,
+                         ids=[_bounds_id(c[0]) for c in _MID_RUN_CASES])
+def test_a_formula_that_leaves_mid_run_leaves_the_run_to_the_new_batch(
+        monkeypatch, bounds, cells, leaves, stays):
+    """The first formula fails in a span that is not its run's last, so
+    the rest of the run is evaluated with a new walk of the second alone,
+    which reads what the run's block already evaluated.  Both outcomes are
+    the per-model sweep's, with spans of 8 and 13 cells, in runs of
+    one-prefix spans, and at full size."""
+    batch = [parse(leaves), parse(stays)]
+    want = [_sweep(f, bounds) for f in batch]
+    cut, _ = _count_spans_and_blocks(monkeypatch)
+    left = []
+    schedule = search.schedule
+
+    def counting_schedule(formulas):
+        left.append(cut[-1] if cut else None)
+        return schedule(formulas)
+
+    monkeypatch.setattr(search, "schedule", counting_schedule)
+    for size in (8, 13, cells, search._CHUNK_CELLS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_CHUNK_CELLS", size)
+            cut.clear()
+            left.clear()
+            outs = check_formulas(batch, bounds)
+        for out, got in zip(outs, want):
+            _agrees(out, bounds, got)
+        if size == cells:
+            # the second walk, built after the first formula's span
+            span = left[1]
+            assert len(span.run) > 1 and span.hi < len(span.run)
 
 
 _HUGE_SPAN_COUNT = """
