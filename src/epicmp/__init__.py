@@ -3,8 +3,8 @@ epistemic logic with pooled (distributed) knowledge, common knowledge,
 group-as-agent common knowledge and group-strength comparison operators.
 
 The names below load their module on first use (PEP 562), so importing
-the package loads none of them: `semantics` and `search` import numpy,
-and a command that needs neither should not pay for it."""
+the package loads none of them: `search` imports numpy, and a command
+that does not search should not pay for it."""
 
 import importlib
 

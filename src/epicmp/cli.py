@@ -17,8 +17,9 @@ import traceback
 from pathlib import Path
 from typing import Sequence, TextIO
 
-# Only numpy-free modules load here; each command imports the rest
-# (`semantics` and `search` import numpy, `corpus` imports both).
+# Only the modules every command reads load here; each command imports
+# the rest: `eval` and `valid` the numpy-free `semantics`, `search` the
+# numpy sweep, and `corpus` both.
 from .kripke import (BoundsError, CorpusError, FrameClass, KripkeModel,
                      ModelError, apply_closure, classify_frame, load_model,
                      save_model)

@@ -22,9 +22,8 @@ frame by the agents' pool indices and its valuation by index
     S5  the codes of equivalences (one per set partition of the worlds)
 
 `check_formulas` sweeps the space with numpy for a list of formulas at
-once, and `semantics.Block` evaluates every connective as bitwise
-arithmetic on bytes that hold one bit per (frame, valuation) cell.  A
-frame is a prefix (the pool indices of every agent but the last) and a
+once, and `Block` evaluates every connective as bitwise arithmetic on
+bytes that hold one bit per (frame, valuation) cell.  A frame is a prefix (the pool indices of every agent but the last) and a
 last-agent index, and the frames a block holds are a product: a run of
 prefixes, each against a range of the last agent's indices.  A subterm is
 evaluated on the axes of what it reads: per prefix, per last-agent frame
@@ -49,7 +48,7 @@ formulas not yet refuted: each span's block of rows, its joint / common /
 cdk relations and its comparison bytes are built once and shared by every
 formula.  The live formulas are one batch: a span evaluates each distinct
 subterm among them once, in one walk over their union DAG that drops
-each extension after its last reader (`semantics.schedule`, worked out
+each extension after its last reader (`schedule`, worked out
 again only when a formula leaves).  When every span holds the last
 agent's whole pool and a sweep has several spans, a subterm is evaluated
 once per value of the axes it reads: one that reads no prefix agent is
@@ -89,15 +88,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
+                    Sequence)
 
 import numpy as np
 
 from .kripke import BoundsError, FrameClass, KripkeModel, Relation
-from .semantics import Block, schedule
-from .syntax import Formula, Group, agent_names, atom_names
+from .syntax import (Atom, CK, CDK, Cmp, CmpOp, DK, Formula, Iff, Imp, IndK,
+                     And, Group, Not, Or, Supergroup, agent_names,
+                     atom_names, post_order)
 
 AGENT_POOL = ("a", "b", "c", "d")
 MAX_SEARCH_WORLDS = 5
@@ -130,7 +132,7 @@ __all__ = [
     "AGENT_POOL", "MAX_SEARCH_WORLDS", "MAX_SEARCH_AGENTS",
     "MAX_SEARCH_ATOMS", "BoundsError", "SearchBounds", "NoCountermodelUpTo",
     "Countermodel", "SearchOutcome", "count_models",
-    "check_validity", "check_formulas",
+    "check_validity", "check_formulas", "Block", "schedule",
 ]
 
 
@@ -327,6 +329,355 @@ def count_models(bounds: SearchBounds) -> int:
     return sum(_models_at(bounds, n) for n in range(1, bounds.max_worlds + 1))
 
 
+# --- the block evaluator -------------------------------------------------
+
+# Bytes per world in one pass of a box operator: a pass takes k successor
+# worlds of the result's W * P * G bytes each (its broadcast axes counted
+# once), k * W * P * G <= _BOX_CELLS, and at least one.  A box over the
+# last agent in a `scan_kt4` sweep (4,096 frames of 4 worlds, two bytes
+# each) then takes two successor worlds per pass: the pass's scratch array
+# is 64 KiB and its successor bytes 32 KiB, below glibc's 128 KiB mmap
+# threshold, so they are reused from the heap instead of being faulted in
+# afresh.  A box over both agents in one of its spans (4 prefixes against
+# the 4,096 frames) takes one world per pass, with 128 KiB of scratch and
+# 64 KiB of successor bytes, and faulted nothing either.
+_BOX_CELLS = 1 << 14
+
+
+def _per_word(n_vals: int) -> int:
+    """The frames per group of bytes that hold one bit per (frame,
+    valuation) cell: a frame of 8 or more valuations takes n_vals / 8
+    bytes, and with fewer one byte holds 8 // n_vals frames."""
+    return max(1, 8 // n_vals)
+
+
+class Block:
+    """Frames x valuations of one world count, shared by every formula
+    evaluated against it.
+
+    The frames are a product: P prefixes (the relations of every agent but
+    the last) times L last-agent relations, prefix-major, and `shape` is
+    (P, L, V) with V valuations.  `rows_by_agent` maps each agent to its
+    relation's row masks, world axis first, shaped (n, P|1, L|1): (n, P, 1)
+    for a prefix agent and (n, 1, L) for the last one, in any unsigned
+    dtype wide enough for n worlds (uint8 in the search); the joint /
+    common / cdk rows keep that dtype and broadcast to the axes of the
+    agents they pool.
+    `atom_ext` maps each atom to its extension as `atom_words` builds it.
+    Each prefix has a row of cells: cell c = l * V + v, for last-agent
+    frame l and valuation v, is bit c % 8 of the row's byte c // 8, as
+    `np.packbits` packs bits little-endian (`atom_words` and
+    `_spread_bytes` both pack cells with it).  A row's bytes fall into G
+    groups of W bytes and per_word frames each, 8 * W = per_word * V: one
+    frame over W bytes when there are 8 or more valuations, else 8 // V
+    frames in one byte (W = 1).  An extension
+    is a uint8 array shaped (n, W|1, P|1, G|1): world, byte, prefix and
+    group, each axis broadcast on demand, so each subterm is evaluated on
+    the axes of what it reads: a box over a prefix agent is (n, W, P, 1),
+    once per prefix; a box over the last agent (n, W, 1, G), once per
+    last-agent frame; a comparison between them (n, 1, P, G); an atom
+    (n, W, 1, 1).  Each row's last group's cells past frame L are padding,
+    which no first failure reports.  The joint / common / cdk relations,
+    their complement rows (one table per relation, named by a group or a
+    supergroup) and the comparison bytes live as long as the block;
+    `missed` gives complement rows already built, by group, so blocks that
+    share an agent's rows can share their complement too.  A batch of
+    formulas is evaluated as one walk over its union DAG (`schedule`):
+    each distinct subterm once, and each subterm's extension is dropped
+    after its last consumer, so memory follows the extensions live at one
+    step of the walk, not the number of formulas.
+    """
+
+    def __init__(self, rows_by_agent: Mapping[str, np.ndarray],
+                 atom_ext: Mapping[str, np.ndarray],
+                 shape: tuple[int, int, int],
+                 missed: Mapping[Group, np.ndarray] = {}):
+        self.rows_by_agent = rows_by_agent
+        self.atom_ext = atom_ext
+        self.shape = shape
+        _, n_last, n_vals = shape
+        rows = next(iter(rows_by_agent.values()))
+        self.n = rows.shape[0]
+        # a box's successor worlds, one per leading index
+        self._shifts = np.arange(self.n, dtype=rows.dtype)[:, None, None,
+                                                           None]
+        self.per_word = _per_word(n_vals)
+        self.groups = -(-n_last // self.per_word)
+        # the cells of a row's last group's bytes that hold frames
+        tail = (n_last - (self.groups - 1) * self.per_word) * n_vals
+        self.tail = np.uint8((1 << min(tail, 8)) - 1)
+        self._joint: dict[Group, np.ndarray] = {}
+        self._reach: dict[Supergroup, np.ndarray] = {}
+        self._misses: dict[Group | Supergroup, np.ndarray] = dict(missed)
+        self._leqs: dict[tuple[Group, str], np.ndarray] = {}
+
+    @staticmethod
+    def atom_words(masks: np.ndarray, n: int) -> np.ndarray:
+        """An atom's extension from its world mask at each valuation index
+        (a (V,) integer array), as (n, W, 1, 1) bytes: the same for every
+        prefix and group, so with fewer than 8 valuations the V cells repeat
+        for each frame of the byte."""
+        cells = np.tile(masks.astype(np.uint32), _per_word(len(masks)))
+        held = (cells >> np.arange(n, dtype=np.uint32)[:, None]) & 1
+        return np.packbits(held, axis=1, bitorder="little")[:, :, None, None]
+
+    def extensions(self, steps: Sequence[_Step]
+                   ) -> Iterator[tuple[Formula, np.ndarray]]:
+        """Each formula of a batch with its extension, broadcastable to
+        (n, W, P, G), in the order `schedule` reaches them: each distinct
+        subterm is evaluated once, from its children's extensions, and
+        dropped after its last consumer.  A formula's extension is yielded
+        as soon as it is computed; a formula that nothing later reads is
+        dropped when the walk resumes."""
+        memo: dict[Formula, np.ndarray] = {}
+        get = memo.__getitem__
+        for g, ext_of, root, drops in steps:
+            ext = memo[g] = ext_of(self, g, *map(get, g.children))
+            if root:
+                yield g, ext
+            for d in drops:
+                del memo[d]
+
+    def evaluate(self, f: Formula) -> np.ndarray:
+        """f's extension: the batch of one."""
+        return next(self.extensions(schedule([f])))[1]
+
+    def world_mask(self, ext: np.ndarray, prefix: int, last: int,
+                   val: int) -> int:
+        """The worlds of one frame where ext holds at one valuation, as a
+        bitmask."""
+        byte, bit = divmod(last % self.per_word * self.shape[2] + val, 8)
+        # a broadcast axis of length 1 stands for every byte, prefix or
+        # group
+        cells = ext[:, byte % ext.shape[1], prefix % ext.shape[2],
+                    last // self.per_word % ext.shape[3]]
+        return sum((c >> bit & 1) << w for w, c in enumerate(cells.tolist()))
+
+    def first_failure(self, ext: np.ndarray
+                      ) -> tuple[int, int, int, int] | None:
+        """(prefix, last-agent frame, valuation, world mask) of the first
+        cell where ext misses a world, prefixes first, then last-agent
+        frames and then valuations ascending, or None if ext holds
+        everywhere."""
+        # one reduction settles an extension with every bit set, padding
+        # included: most formulas a search checks hold on the whole span
+        if np.bitwise_and.reduce(ext, axis=None) == 0xFF:
+            return None
+        fail = np.invert(np.bitwise_and.reduce(ext, axis=0))
+        if fail.shape[2] == self.groups:
+            fail[..., -1] &= self.tail
+        if not fail.any():
+            return None
+        # prefix, group, byte, as the cells run; a broadcast axis fails
+        # first at its index 0
+        prefix, rest = divmod(int(np.argmax(fail.transpose(1, 2, 0) != 0)),
+                              fail.shape[2] * fail.shape[0])
+        group, byte = divmod(rest, fail.shape[0])
+        low = int(fail[byte, prefix, group])
+        frame, val = divmod(byte * 8 + (low & -low).bit_length() - 1,
+                            self.shape[2])
+        last = group * self.per_word + frame
+        return prefix, last, val, self.world_mask(ext, prefix, last, val)
+
+    def _spread_bytes(self, held: np.ndarray) -> np.ndarray:
+        """held, a (..., L|1) uint8 array of one 0/1 byte per last-agent
+        frame, as the (..., G|1) bytes with all cells set of each frame
+        whose byte is 1, packed as `atom_words` packs cells, the cells past
+        frame L 0 (0 - 1 = 0xFF when a frame fills whole bytes, or when
+        one byte stands for every frame)."""
+        if self.per_word == 1 or held.shape[-1] == 1:
+            return np.negative(held)
+        # np.repeat copies even when V = 1, which took 8 times as long as
+        # the packing on the registry's atomless blocks
+        if self.shape[2] > 1:
+            held = np.repeat(held, self.shape[2], axis=-1)
+        return np.packbits(held, axis=-1, bitorder="little")
+
+    def joint(self, group: Group) -> np.ndarray:
+        out = self._joint.get(group)
+        if out is None:
+            out = self.rows_by_agent[group.agents[0]]
+            for agent in group.agents[1:]:
+                out = out & self.rows_by_agent[agent]
+            self._joint[group] = out
+        return out
+
+    def _closure(self, rows: np.ndarray) -> np.ndarray:
+        # in the rows' own dtype: a uint8 row stays one byte
+        rows = rows | (rows.dtype.type(1)
+                       << np.arange(self.n, dtype=rows.dtype))[:, None, None]
+        for k in range(self.n):
+            rows = rows | ((rows >> k) & 1) * rows[k:k + 1]
+        return rows
+
+    def common(self, group: Group) -> np.ndarray:
+        return self.cdk(_singletons(group))
+
+    def cdk(self, groups: Supergroup) -> np.ndarray:
+        out = self._reach.get(groups)
+        if out is None:
+            acc = self.joint(groups.groups[0])
+            for g in groups.groups[1:]:
+                acc = acc | self.joint(g)
+            out = self._closure(acc)
+            self._reach[groups] = out
+        return out
+
+    def _missed(self, name: Group | Supergroup) -> np.ndarray:
+        """The complement rows of the relation name names (a group's joint
+        relation, a supergroup's cdk closure), shaped as the rows are: bit v
+        of [w, p, l] is 1 where world v is not a successor of w in frame
+        (p, l).  Built once per name."""
+        out = self._misses.get(name)
+        if out is None:
+            rows = (self.joint(name) if isinstance(name, Group)
+                    else self.cdk(name))
+            out = self._misses[name] = np.invert(rows)
+        return out
+
+    def _box(self, name: Group | Supergroup, ext: np.ndarray) -> np.ndarray:
+        # at world w: the AND over successor worlds v of ext[v] | notin[v, w],
+        # where notin[v, w] is all ones on the frames where v is not a
+        # successor of w.  k worlds v per pass, reduced over the leading
+        # axis.  Each pass spreads them from the relation's complement rows
+        # into one scratch array: caching them held n x n bytes per frame,
+        # which pushed a `scan_kt4` span's heap past what glibc keeps
+        # between spans (12,700 minor faults per pass, not 0).
+        missed = self._missed(name)
+        # each broadcast axis is 1 or full
+        shape = (self.n, ext.shape[1], max(ext.shape[2], missed.shape[1]),
+                 ext.shape[3] if missed.shape[2] == 1 else self.groups)
+        k = min(self.n,
+                max(1, _BOX_CELLS // (shape[1] * shape[2] * shape[3])))
+        held = np.empty((k, *missed.shape), dtype=np.uint8)
+        sub = np.empty((k, *shape), dtype=np.uint8)
+        out = None
+        for v in range(0, self.n, k):
+            j = min(k, self.n - v)
+            np.right_shift(missed, self._shifts[v:v + j], out=held[:j],
+                           casting="unsafe")
+            held[:j] &= 1
+            notin = self._spread_bytes(held[:j])[:, :, None]
+            np.bitwise_or(ext[v:v + j, None], notin, out=sub[:j])
+            if out is None:
+                out = np.bitwise_and.reduce(sub[:j])
+            else:
+                # one world needs no reduction, which would allocate a
+                # fresh result
+                out &= sub[0] if j == 1 else np.bitwise_and.reduce(sub[:j])
+        return out
+
+    def _leq(self, left: Group, right: Group) -> np.ndarray:
+        # A's joint row is inside B's iff it is inside each member's row,
+        # so only the comparisons with one agent on the right are cached: a
+        # cache per pair of groups raised the registry's peak RSS by 8%
+        out = self._leq_agent(left, right.agents[0])
+        for agent in right.agents[1:]:
+            out = out & self._leq_agent(left, agent)
+        return out
+
+    def _leq_agent(self, left: Group, agent: str) -> np.ndarray:
+        out = self._leqs.get((left, agent))
+        if out is None:
+            a, outside = self.joint(left), self._missed(Group([agent]))
+            # k prefixes per pass keep a pass's row tests within _BOX_CELLS
+            # bytes per world: an atomless KT/3/4 span tests 32 prefixes x
+            # 4,096 frames, and in one pass it faulted in 2 MiB of scratch
+            # afresh
+            k = max(1, _BOX_CELLS // max(a.shape[2], outside.shape[2]))
+            n_prefixes = max(a.shape[1], outside.shape[1])
+            if n_prefixes <= k:
+                out = self._contained(a, outside)
+            else:
+                out = np.concatenate(
+                    [self._contained(_prefix_run(a, p, k),
+                                     _prefix_run(outside, p, k))
+                     for p in range(0, n_prefixes, k)], axis=1)
+            out = self._leqs[(left, agent)] = out[:, None]
+        return out
+
+    def _contained(self, rows: np.ndarray, missing: np.ndarray
+                   ) -> np.ndarray:
+        """Whether each row lies inside the complement of missing, as the
+        bytes `_spread_bytes` packs: one row test per frame and world,
+        world axis first, so the operators read the bytes contiguously."""
+        return self._spread_bytes(((rows & missing) == 0).view(np.uint8))
+
+    def _cmp(self, f: Cmp) -> np.ndarray:
+        leq = self._leq(f.left, f.right)
+        if f.op is CmpOp.LEQ:
+            return leq
+        geq = self._leq(f.right, f.left)
+        if f.op is CmpOp.LT:
+            return leq & ~geq
+        if f.op is CmpOp.EQV:
+            return leq & geq
+        return ~(leq | geq)
+
+
+def _prefix_run(rows: np.ndarray, start: int, k: int) -> np.ndarray:
+    """Prefixes start to start + k of (n, P|1, L|1) rows; a broadcast
+    prefix axis stands for all of them."""
+    return rows[:, start:start + k] if rows.shape[1] > 1 else rows
+
+
+def _singletons(group: Group) -> Supergroup:
+    """C{G} as CD over G's members, each a group of one, pooling nothing."""
+    return Supergroup(Group([a]) for a in group.agents)
+
+
+# each node's extension in block b, from its children's
+_EXT = {
+    Atom: lambda b, f: b.atom_ext[f.name],
+    Not: lambda b, f, sub: ~sub,
+    And: lambda b, f, left, right: left & right,
+    Or: lambda b, f, left, right: left | right,
+    Imp: lambda b, f, left, right: ~left | right,
+    Iff: lambda b, f, left, right: ~(left ^ right),
+    DK: lambda b, f, sub: b._box(f.group, sub),
+    IndK: lambda b, f, sub: b._box(Group([f.agent]), sub),
+    CK: lambda b, f, sub: b._box(_singletons(f.group), sub),
+    CDK: lambda b, f, sub: b._box(f.groups, sub),
+    Cmp: Block._cmp,
+}
+
+
+# one step of a batch's walk: the subterm, its evaluator (`_EXT`), whether
+# it is a formula of the batch, and the subterms last read by this step
+_Step = tuple[Formula, Callable, bool, tuple[Formula, ...]]
+
+
+def schedule(formulas: Iterable[Formula]) -> tuple[_Step, ...]:
+    """The walk `Block.extensions` makes over a batch of formulas: their
+    union DAG in post-order (`post_order`), each step naming the subterms
+    whose last consumer it is (Aho, Lam, Sethi & Ullman, *Compilers*, 2nd
+    ed., 2006, 6.1 and 9.2.5).  A formula that no later step reads is
+    dropped at its own step.  The walk depends only on the formulas, so a
+    search builds it once for every span that checks the same batch."""
+    roots = dict.fromkeys(formulas)
+    order = post_order(roots)
+    if len(roots) > 1:
+        # the formulas that read one shared subterm are walked next to
+        # each other, so it is dropped soon: sorted by the first shared
+        # subterm each reaches, the registry's 1,055 atomless KT formulas
+        # on 3 agents hold at most 27 fresh extensions at once, not 127
+        reads = Counter(c for g in order for c in g.children)
+        first: dict[Formula, int] = {}
+        for i, g in enumerate(order):
+            k = i if reads[g] + (g in roots) > 1 else len(order)
+            for c in g.children:
+                if first[c] < k:
+                    k = first[c]
+            first[g] = k
+        order = post_order(sorted(roots, key=first.__getitem__))
+    last = {c: i for i, g in enumerate(order) for c in g.children}
+    drops: list[list[Formula]] = [[] for _ in order]
+    for i, g in enumerate(order):
+        drops[last.get(g, i)].append(g)
+    return tuple((g, _EXT[type(g)], g in roots, tuple(d))
+                 for g, d in zip(order, drops))
+
+
 # --- index decoding and the vectorized sweep -----------------------------
 
 def _atom_masks(val_idx, n: int, n_atoms: int):
@@ -467,9 +818,10 @@ def _last_indices(frame: FrameClass, n: int, n_agents: int) -> np.ndarray:
 class _Span(NamedTuple):
     """Prefixes lo to hi of a run of prefixes, each swept against the
     last-agent indices last[start:stop] (`_last_indices`): the frames
-    (run[p], last[l]), prefix-major.  The spans of a run share its list."""
+    (run[p], last[l]), prefix-major.  A run is a (prefixes, n_agents - 1)
+    int64 array of pool indices, and the spans of a run share it."""
 
-    run: list[tuple[int, ...]]
+    run: np.ndarray
     lo: int
     hi: int
     start: int
@@ -477,7 +829,32 @@ class _Span(NamedTuple):
 
     @property
     def prefixes(self) -> list[tuple[int, ...]]:
-        return self.run[self.lo:self.hi]
+        return list(map(tuple, self.run[self.lo:self.hi].tolist()))
+
+
+def _prefix_runs(frame: FrameClass, n: int, n_agents: int,
+                 size: int) -> Iterator[np.ndarray]:
+    """The prefixes `_prefixes` yields, size at a time, each run a
+    (prefixes, n_agents - 1) int64 array: 8 bytes per pool index, where a
+    tuple of Python ints takes about 100 bytes per prefix, and a run of
+    atomless KT/3/4 holds 16,384 prefixes.  A run is drawn only once this
+    walk and `_frame_spans` have let go of the previous one: a cold
+    atomless KT/3/4 search that kept it made 43,700 minor faults, not
+    12,500."""
+    if n_agents == 1:
+        # the one empty prefix, which a flat array of indices cannot count
+        yield np.empty((1, 0), dtype=np.int64)
+        return
+    prefixes = _prefixes(frame, n, n_agents)
+    while True:
+        # flat: rows of a tuple dtype took 0.27 s more over the 703,760
+        # prefixes of atomless KT/3/4
+        run = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(prefixes, size)), dtype=np.int64)
+        if not len(run):
+            return
+        yield run.reshape(-1, n_agents - 1)
+        del run
 
 
 def _frame_spans(frame: FrameClass, n: int, n_agents: int, n_last: int,
@@ -487,14 +864,14 @@ def _frame_spans(frame: FrameClass, n: int, n_agents: int, n_last: int,
     row of n_last frames that fits a span goes whole, step // n_last
     prefixes to a span, and a longer one is cut into ranges of step
     frames, one prefix to a span.  The prefixes are drawn in runs of
-    run_spans spans' prefixes."""
-    prefixes = _prefixes(frame, n, n_agents)
+    run_spans spans' prefixes (`_prefix_runs`)."""
     per_span = max(1, step // n_last)
-    while run := list(itertools.islice(prefixes, per_span * run_spans)):
+    for run in _prefix_runs(frame, n, n_agents, per_span * run_spans):
         for lo in range(0, len(run), per_span):
             for start in range(0, n_last, step):
                 yield _Span(run, lo, min(lo + per_span, len(run)), start,
                             min(start + step, n_last))
+        del run
 
 
 def _validate_within(f: Formula, bounds: SearchBounds) -> None:
@@ -527,8 +904,8 @@ _Batch = tuple[tuple, Mapping[Formula, list[int]]]
 
 
 def _memoized(memo: dict[Formula, np.ndarray], ext_of: Callable) -> Callable:
-    """ext_of, an evaluator of `semantics.schedule`'s steps, that looks its
-    subterm up in memo first and stores there what it evaluates."""
+    """ext_of, an evaluator of `schedule`'s steps, that looks its subterm
+    up in memo first and stores there what it evaluates."""
 
     def once(block: Block, g: Formula, *children: np.ndarray) -> np.ndarray:
         out = memo.get(g)
@@ -550,10 +927,9 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
     always lies on a minimal frame.  They are cut into spans
     (`_frame_spans`) and scanned in order, each with the formulas that no
     earlier span has refuted.  A span's scan builds its block once,
-    evaluates the distinct live formulas in one walk
-    (`semantics.schedule`) and returns its failures, so each formula
-    keeps its lowest span's failure.  The walk stops right after the span
-    where the last formula fails.
+    evaluates the distinct live formulas in one walk (`schedule`) and
+    returns its failures, so each formula keeps its lowest span's failure.
+    The walk stops right after the span where the last formula fails.
     """
     rel_rows = frame_relations(bounds.frame, n)
     last = _last_indices(bounds.frame, n, bounds.n_agents)
@@ -634,13 +1010,13 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
             hit = here.first_failure(ext)
             if hit is not None:
                 prefix, local, val, mask = hit
-                frame = span.run[span.lo + prefix] \
-                    + (int(last[span.start + local]),)
+                frame = (*span.run[span.lo + prefix].tolist(),
+                         int(last[span.start + local]))
                 out += ((i, (frame, val, mask)) for i in where[f])
         return out
 
     first: dict[int, _Failure] = {}
-    live = run = cut = None
+    live = cut = None
     for span in _frame_spans(bounds.frame, n, bounds.n_agents, len(last),
                              step, run_spans):
         if live is None:
@@ -656,12 +1032,12 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
             missed = {Group([last_agent]): np.invert(cols)}
             cols.setflags(write=False)
             missed[Group([last_agent])].setflags(write=False)
-        if span.run is not run:
-            run = span.run
-            rows = {agent: rel_rows[[p[j] for p in run]].T[:, :, None]
-                    for j, agent in enumerate(prefix_agents)}
+        if span.lo == span.start == 0:
+            # a run's first span
             in_run.clear()
-            run_block = block(0, len(run)) if share else None
+            rows = {agent: rel_rows[span.run[:, j]].T[:, :, None]
+                    for j, agent in enumerate(prefix_agents)}
+            run_block = block(0, len(span.run)) if share else None
         hits = scan(live)
         first.update(hits)
         if len(first) == len(todo):

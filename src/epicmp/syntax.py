@@ -29,8 +29,8 @@ existing object, so equal formulas are identical and compare and hash in
 constant time.  `post_order` is the one walk over formulas: it lists
 each distinct subformula of a batch once, children first, from an
 explicit stack.  `fold` runs a step over one formula's walk, and
-`expand_sugar` and schema instantiation are folds; evaluation runs a
-batch's walk (`semantics.schedule`).  The
+`expand_sugar`, schema instantiation and one model's evaluation are
+folds, and the search runs a batch's walk (`search.schedule`).  The
 parser and `render` keep explicit stacks too, and `atom_names` and
 `agent_names` read what each node caches, so no formula operation
 recurses on depth.

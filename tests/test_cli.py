@@ -407,6 +407,21 @@ def _assert_verdict_of_p(command, formula):
         assert proc.stdout == plain.stdout
 
 
+def test_strict_atoms_names_the_smallest_unknown_atom_in_every_process():
+    """The unknown atoms of a formula are a set, whose order follows
+    string hashing, which changes from process to process; the error
+    names the smallest of them, so every process prints one message."""
+    argv = ("eval", "-m", FIG3, "-w", "s", "-f", "zz & yy & xx & ww",
+            "--strict-atoms")
+    outputs = set()
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("PYTHONHASHSEED", seed)
+            proc = _cli_process(*argv)
+        outputs.add((proc.returncode, proc.stdout, proc.stderr))
+    assert outputs == {(2, "", "error: unknown atom 'ww'\n")}
+
+
 @pytest.mark.parametrize("command", sorted(_DEEP_COMMANDS))
 def test_formula_too_deep_to_parse_exits_2(command):
     """2,000 nested `~` overflowed the recursive parser's stack and exited

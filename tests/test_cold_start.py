@@ -2,7 +2,8 @@
 
 `import epicmp` loads no submodule, and `import epicmp.cli` only the
 numpy-free `kripke` and `syntax`; each command imports what it uses, so
-`classify`, `close` and `--help` never load numpy.  Every test module
+`eval`, `valid`, `classify`, `close` and `--help` never load numpy, and
+neither does `import epicmp.semantics`.  Every test module
 imports numpy in-process, so only a fresh interpreter shows an eager
 import creeping back: those checks run `_PROBE` in a subprocess.
 
@@ -94,6 +95,8 @@ def _probe(argv=None, imports=(), broken=False, blas=None):
     (("epicmp",), ["epicmp"]),
     (("epicmp.cli",), ["epicmp", "epicmp.cli", "epicmp.kripke",
                        "epicmp.syntax"]),
+    (("epicmp.semantics",), ["epicmp", "epicmp.kripke", "epicmp.semantics",
+                             "epicmp.syntax"]),
 ])
 def test_package_and_cli_imports_load_no_numpy(imports, loaded):
     result, _, err = _probe(imports=imports)
@@ -106,6 +109,8 @@ def test_package_and_cli_imports_load_no_numpy(imports, loaded):
     ["--help"],
     ["classify", "-m", FIG2],
     ["close", "-m", FIG3, "--props", "reflexive"],
+    ["eval", "-m", FIG3, "-w", "u", "-f", "[{a} < {b}]"],
+    ["valid", "-m", FIG3, "-f", "H1 | T1", "--show-extension"],
 ])
 def test_commands_that_need_no_numpy_never_load_it(argv):
     result, out, err = _probe(argv)
@@ -115,13 +120,17 @@ def test_commands_that_need_no_numpy_never_load_it(argv):
     assert result["blas"] is None
 
 
-def test_eval_loads_numpy_with_one_blas_thread():
-    result, out, err = _probe(["eval", "-m", FIG3, "-w", "u",
-                               "-f", "[{a} < {b}]"])
-    assert (result["code"], out, err) == (0, "true\n", "")
+# The README's first search: it loads numpy, through `search`.
+_SEARCH = ["search", "--frame", "s5", "--agents", "2",
+           "-f", "[{b} <= {a}] -> D{b} [{b} <= {a}]"]
+_SEARCH_OUT = "NO COUNTERMODEL up to bound (255 models)\n"
+
+
+def test_search_loads_numpy_with_one_blas_thread():
+    result, out, err = _probe(_SEARCH)
+    assert (result["code"], out, err) == (0, _SEARCH_OUT, "")
     assert "numpy" in result["after"]
-    assert "epicmp.semantics" in result["after"]
-    assert "epicmp.search" not in result["after"]
+    assert "epicmp.search" in result["after"]
     assert "epicmp.corpus" not in result["after"]
     assert result["blas"] == "1"
 
@@ -129,9 +138,8 @@ def test_eval_loads_numpy_with_one_blas_thread():
 # --- the BLAS default -------------------------------------------------------
 
 def test_users_blas_setting_wins():
-    result, out, _ = _probe(["eval", "-m", FIG3, "-w", "u",
-                             "-f", "[{a} < {b}]"], blas="3")
-    assert (result["code"], out) == (0, "true\n")
+    result, out, _ = _probe(_SEARCH, blas="3")
+    assert (result["code"], out) == (0, _SEARCH_OUT)
     assert result["blas"] == "3"
     assert result["env_kept"]
 

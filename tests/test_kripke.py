@@ -1,8 +1,9 @@
 """Relations, closures, classification, group relations, model files.
 
 The group relations (joint, common, group-as-agent common) are computed by
-the evaluator in `epicmp.semantics`; here they are read off a one-model
-block and checked against fixture facts and the pair-set oracles."""
+the search's block evaluator (`epicmp.search.Block`); here they are read
+off a one-model block and checked against fixture facts and the pair-set
+oracles."""
 
 import itertools
 import re
@@ -19,7 +20,8 @@ from epicmp.kripke import (FrameClass, KripkeModel, ModelError,
                            ModelFormatError, Relation, UnknownAgentError,
                            UnknownWorldError, apply_closure, classify_frame,
                            load_model, load_model_witness, save_model)
-from epicmp.semantics import Block, extension
+from epicmp.search import Block
+from epicmp.semantics import extension
 from epicmp.syntax import Group, Supergroup, parse
 
 

@@ -1,26 +1,34 @@
 """Evaluator tests: frozen model facts, agreement with the pair-set oracle
 (also on 9-16-world models), desugaring soundness, operator oracles, and
 semantic properties that hold on every model, among them that isolated
-worlds leave every extension on the other worlds as it was."""
+worlds leave every extension on the other worlds as it was.
+
+One model is evaluated on world bitmasks (`epicmp.semantics`), and blocks
+of frames by the search's numpy `Block`; both are checked against the
+pair-set oracle in conftest, and against each other on seeded random
+models of up to 16 worlds and 8 agents."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-import epicmp.semantics as semantics
+import epicmp.search as search
 from conftest import enumerate_models, kt_models, model_formula_pairs, \
     models, oracle_extension, rel_pairs, s5_models
 from epicmp.corpus import fixtures
-from epicmp.kripke import (FrameClass, KripkeModel, Relation,
-                           UnknownWorldError, classify_frame, load_model)
+from epicmp.kripke import (MAX_AGENTS, MAX_WORLDS, FrameClass, KripkeModel,
+                           Relation, UnknownWorldError, classify_frame,
+                           load_model)
 from epicmp.search import SearchBounds
 from epicmp.semantics import (UnknownAtomError, extension, satisfies,
                               valid_in_model)
-from epicmp.syntax import (And, CDK, CK, Cmp, CmpOp, DK, Group, Imp, IndK,
-                           Supergroup, expand_sugar, parse)
+from epicmp.syntax import (And, Atom, CDK, CK, Cmp, CmpOp, DK, Group, Iff,
+                           Imp, IndK, Not, Or, Supergroup, atom_names,
+                           expand_sugar, parse, post_order)
 
 
 @pytest.fixture(scope="module")
@@ -98,20 +106,116 @@ def test_fixture_group_relations_through_d_c_cd(figs):
                          parse("CD[{a,b};{b,c}] x")) == {w}
 
 
-# --- the evaluator against the pair-set oracle ---------------------------
+# --- the evaluators against the pair-set oracle --------------------------
+
+def _block_extension(m, f):
+    """f's extension in m as `search.Block` evaluates it: m as a block of
+    one prefix, one frame and one valuation, each agent's rows uint32,
+    world axis first, and an undeclared atom false everywhere."""
+    atom_ext = {atom: search.Block.atom_words(
+        np.array([m.atom_mask(atom) or 0]), m.n_worlds)
+        for atom in atom_names(f)}
+    rows = {agent: np.array(rel.rows, dtype=np.uint32)[:, None, None]
+            for agent, rel in zip(m.agents, m.relations)}
+    block = search.Block(rows, atom_ext, (1, 1, 1))
+    mask = block.world_mask(block.evaluate(f), 0, 0, 0)
+    return {w for i, w in enumerate(m.worlds) if mask >> i & 1}
+
 
 @given(model_formula_pairs())
 def test_extension_matches_pair_set_oracle(mf):
     m, f = mf
     want = oracle_extension(m, f)
     assert extension(m, f) == want
-    # a box covers k worlds per pass, k set by _BOX_CELLS and the block
-    # size; a single model takes every world at once, and one world, or
-    # a few with a short last pass, must give the same extension
-    for cells in (1, 2, 3):
+    # a block's box covers k worlds per pass, k set by _BOX_CELLS and the
+    # block size; a one-frame block takes every world at once, and one
+    # world, or a few with a short last pass, must give the same extension
+    for cells in (1, 2, 3, search._BOX_CELLS):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(semantics, "_BOX_CELLS", cells)
-            assert extension(m, f) == want
+            mp.setattr(search, "_BOX_CELLS", cells)
+            assert _block_extension(m, f) == want
+
+
+def _random_group(rng, agents):
+    return Group(rng.sample(agents, rng.randint(1, min(3, len(agents)))))
+
+
+def _random_formula(rng, agents, atoms, depth):
+    """Every operator and all four comparisons; C and CD over groups drawn
+    from the same few agents, so they overlap."""
+    if depth == 0 or rng.random() < 0.15:
+        if rng.random() < 0.6:
+            return Atom(rng.choice(atoms))
+        return Cmp(rng.choice(list(CmpOp)), _random_group(rng, agents),
+                   _random_group(rng, agents))
+    kind = rng.choice((Not, And, Or, Imp, Iff, IndK, DK, CK, CDK))
+    sub = _random_formula(rng, agents, atoms, depth - 1)
+    if kind is Not:
+        return Not(sub)
+    if kind is IndK:
+        return IndK(rng.choice(agents), sub)
+    if kind in (DK, CK):
+        return kind(_random_group(rng, agents), sub)
+    if kind is CDK:
+        return CDK(Supergroup(_random_group(rng, agents)
+                              for _ in range(rng.randint(1, 3))), sub)
+    return kind(sub, _random_formula(rng, agents, atoms, depth - 1))
+
+
+def _random_model(rng, n, k):
+    """n worlds, k agents, atoms p and q; each relation drawn at its own
+    density and closed under a random choice of properties."""
+    worlds = [f"w{i}" for i in range(n)]
+    agents = [f"a{j}" for j in range(k)]
+    edges = {}
+    for agent in agents:
+        density = rng.choice((0.05, 0.2, 0.5))
+        edges[agent] = [(u, v) for u in worlds for v in worlds
+                        if rng.random() < density]
+    closure = rng.choice(((), ("reflexive",), ("reflexive", "transitive"),
+                          ("reflexive", "symmetric", "transitive")))
+    valuation = {atom: [w for w in worlds if rng.random() < 0.5]
+                 for atom in ("p", "q")}
+    return KripkeModel.from_edges(worlds, agents, edges, valuation,
+                                  closure=closure)
+
+
+def test_world_masks_block_and_oracle_agree_on_seeded_models():
+    """The two evaluators cannot drift apart: on 1,024 seeded models, 8 of
+    each size from 1 to MAX_WORLDS worlds and 1 to MAX_AGENTS agents, the
+    world-mask evaluator, a one-frame `search.Block` and the pair-set
+    oracle give the same extension for formulas over every operator, the
+    four comparisons, overlapping C / CD groups and the undeclared atoms
+    r and s.  With
+    `strict_atoms`, a formula with undeclared atoms is an error naming the
+    smallest of them, and any other formula keeps its extension."""
+    rng = random.Random(20261020)
+    seen = set()
+    for i in range(8 * MAX_WORLDS * MAX_AGENTS):
+        n = i % MAX_WORLDS + 1
+        k = i // MAX_WORLDS % MAX_AGENTS + 1
+        m = _random_model(rng, n, k)
+        for _ in range(2):
+            f = _random_formula(rng, m.agents, ("p", "q", "r", "s"), 4)
+            want = oracle_extension(m, f)
+            assert extension(m, f) == want, f
+            assert _block_extension(m, f) == want, f
+            stray = sorted(atom_names(f) - set(m.atoms))
+            if stray:
+                with pytest.raises(UnknownAtomError) as err:
+                    extension(m, f, strict_atoms=True)
+                assert str(err.value) == f"unknown atom {stray[0]!r}"
+            else:
+                assert extension(m, f, strict_atoms=True) == want
+            for g in post_order([f]):
+                seen.add(g.op if isinstance(g, Cmp) else type(g))
+                if isinstance(g, CDK) and len(g.groups.groups) > 1:
+                    seen.add("CD over several groups")
+            seen.add(("declared atoms only", "undeclared atom",
+                      "undeclared atoms")[min(len(stray), 2)])
+    assert seen == {Atom, Not, And, Or, Imp, Iff, IndK, DK, CK, CDK,
+                    *CmpOp, "CD over several groups", "declared atoms only",
+                    "undeclared atom", "undeclared atoms"}
 
 
 def _one_operator_formulas(agents):
@@ -184,10 +288,10 @@ def test_sixteen_world_model_keeps_rows_past_the_eighth_world():
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
 def test_group_relations_keep_the_dtype_of_their_rows(dtype):
     """joint, common and cdk rows are built in the dtype of the agents'
-    rows, so search rows stay one byte and single-model rows stay wide."""
+    rows, so search rows stay one byte and wider rows stay wide."""
     rows = {"a": np.array([0b011, 0b110, 0b100], dtype=dtype)[:, None, None],
             "b": np.array([0b001, 0b010, 0b101], dtype=dtype)[:, None, None]}
-    block = semantics.Block(rows, {}, (1, 1, 1))
+    block = search.Block(rows, {}, (1, 1, 1))
     ab = Group(["a", "b"])
     for out in (block.joint(ab), block.common(ab),
                 block.cdk(Supergroup([ab, Group(["a"])]))):
@@ -200,8 +304,8 @@ def test_boxes_over_one_relation_share_one_complement_table():
     C{a,b} is CD[{a};{b}], and K{a} is D{a}."""
     rows = {"a": np.array([0b011, 0b011, 0b100], np.uint8)[:, None, None],
             "b": np.array([0b001, 0b110, 0b110], np.uint8)[:, None, None]}
-    p = semantics.Block.atom_words(np.array([0b011]), 3)
-    block = semantics.Block(rows, {"p": p}, (1, 1, 1))
+    p = search.Block.atom_words(np.array([0b011]), 3)
+    block = search.Block(rows, {"p": p}, (1, 1, 1))
     for same, tables in ((("C{a,b} p", "CD[{a};{b}] p"), 1),
                          (("K{a} p", "D{a} p"), 2)):
         left, right = (block.evaluate(parse(text)) for text in same)
