@@ -23,11 +23,12 @@ frame by the agents' pool indices and its valuation by index
 
 `check_formulas` sweeps the space with numpy for a list of formulas at
 once, and `Block` evaluates every connective as bitwise arithmetic on
-bytes that hold one bit per (frame, valuation) cell.  A frame is a prefix (the pool indices of every agent but the last) and a
-last-agent index, and the frames a block holds are a product: a run of
-prefixes, each against a range of the last agent's indices.  A subterm is
-evaluated on the axes of what it reads: per prefix, per last-agent frame
-or per frame.
+bytes that hold one bit per (frame, valuation) cell.  A frame is a prefix
+(the pool indices of every agent but the last) and a last-agent index,
+and the frames a block holds are a product: a run of prefixes, each
+against a range of the last agent's indices.  A subterm is evaluated on
+the axes of what it reads: per prefix, per last-agent frame or per
+frame.
 
 Only frames that no world relabeling makes smaller matter: if a
 relabeling makes a frame smaller, it maps each falsifier on that frame to
@@ -51,16 +52,12 @@ subterm among them once, in one walk over their union DAG that drops
 each extension after its last reader (`schedule`, worked out
 again only when a formula leaves).  When every span holds the last
 agent's whole pool and a sweep has several spans, a subterm is evaluated
-once per value of the axes it reads: one that reads no prefix agent is
-the same in each span and is evaluated once per sweep, and one that reads
-only prefix agents (`K{a} p`) once per run of prefixes, a span's
-extension budget's worth, on a block of the run that each span reads its
-own prefixes of.  The last agent's rows and their complement are built
-once per sweep too.  A formula whose extension has every bit set holds
-on the whole span, so only the others are searched for their first
-failing cell, and a formula leaves the sweep at its first failing span.
-Spans are cut and scanned one at a time, in order, so memory does not
-grow with the number of spans.
+once per value of the axes it reads (`_first_failures`), and the last
+agent's rows and their complement are built once per sweep.  A formula
+whose extension has every bit set holds on the whole span, so only the
+others are searched for their first failing cell, and a formula leaves
+the sweep at its first failing span.  Spans are cut and scanned one at a
+time, in order, so memory does not grow with the number of spans.
 
 The largest world count is swept first, for every formula.  Every
 operator at a world reads only the worlds it reaches (D, K, C, CD) or
@@ -99,7 +96,7 @@ import numpy as np
 from .kripke import BoundsError, FrameClass, KripkeModel, Relation
 from .syntax import (Atom, CK, CDK, Cmp, CmpOp, DK, Formula, Iff, Imp, IndK,
                      And, Group, Not, Or, Supergroup, agent_names,
-                     atom_names, post_order)
+                     atom_names, post_order, singletons)
 
 AGENT_POOL = ("a", "b", "c", "d")
 MAX_SEARCH_WORLDS = 5
@@ -511,7 +508,7 @@ class Block:
         return rows
 
     def common(self, group: Group) -> np.ndarray:
-        return self.cdk(_singletons(group))
+        return self.cdk(singletons(group))
 
     def cdk(self, groups: Supergroup) -> np.ndarray:
         out = self._reach.get(groups)
@@ -621,11 +618,6 @@ def _prefix_run(rows: np.ndarray, start: int, k: int) -> np.ndarray:
     return rows[:, start:start + k] if rows.shape[1] > 1 else rows
 
 
-def _singletons(group: Group) -> Supergroup:
-    """C{G} as CD over G's members, each a group of one, pooling nothing."""
-    return Supergroup(Group([a]) for a in group.agents)
-
-
 # each node's extension in block b, from its children's
 _EXT = {
     Atom: lambda b, f: b.atom_ext[f.name],
@@ -636,7 +628,7 @@ _EXT = {
     Iff: lambda b, f, left, right: ~(left ^ right),
     DK: lambda b, f, sub: b._box(f.group, sub),
     IndK: lambda b, f, sub: b._box(Group([f.agent]), sub),
-    CK: lambda b, f, sub: b._box(_singletons(f.group), sub),
+    CK: lambda b, f, sub: b._box(singletons(f.group), sub),
     CDK: lambda b, f, sub: b._box(f.groups, sub),
     Cmp: Block._cmp,
 }
@@ -776,25 +768,34 @@ def _all_relabelings(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _prefixes(frame: FrameClass, n: int, n_agents: int
-              ) -> Iterator[tuple[int, ...]]:
+              ) -> Iterator[np.ndarray]:
     """The prefixes of the n-world frames that no world relabeling makes
     smaller, ascending and each once: the pool indices of every agent but
-    the last (one empty prefix for one agent).
+    the last (one empty prefix for one agent), as (prefixes, n_agents - 1)
+    int64 blocks, one for each head (the indices of every prefix agent but
+    the last) with each index its last prefix agent keeps.
 
     Agent j keeps pool index i iff no relabeling that fixes the prefix maps
     i lower; those that also map i onto itself then bound agent j + 1.
     What a prefix keeps depends only on the relabelings that fix it
     (`_kept`), so each group of them is worked out once per process and
-    the walk is lookups plus its yields.  The last agent is not walked: a
-    prefix is swept against its whole pool (`_last_indices`)."""
+    the walk is lookups plus one block per head.  The last agent is not
+    walked: a prefix is swept against its whole pool (`_last_indices`)."""
+    if n_agents == 1:
+        yield np.empty((1, 0), dtype=np.int64)
+        return
 
-    def walk(prefix: tuple[int, ...], perms: tuple[tuple[int, ...], ...]):
-        if len(prefix) == n_agents - 1:
-            yield prefix
+    def walk(head: tuple[int, ...], perms: tuple[tuple[int, ...], ...]):
+        if len(head) == n_agents - 2:
+            kept = _kept_indices(frame, n, perms)
+            block = np.empty((len(kept), n_agents - 1), dtype=np.int64)
+            block[:, :-1] = head
+            block[:, -1] = kept
+            yield block
             return
         fixers = _kept(frame, n, perms).fixers() if perms else {}
         for i in _kept_indices(frame, n, perms).tolist():
-            yield from walk(prefix + (i,), fixers.get(i, ()))
+            yield from walk(head + (i,), fixers.get(i, ()))
 
     yield from walk((), _all_relabelings(n))
 
@@ -834,27 +835,24 @@ class _Span(NamedTuple):
 
 def _prefix_runs(frame: FrameClass, n: int, n_agents: int,
                  size: int) -> Iterator[np.ndarray]:
-    """The prefixes `_prefixes` yields, size at a time, each run a
-    (prefixes, n_agents - 1) int64 array: 8 bytes per pool index, where a
-    tuple of Python ints takes about 100 bytes per prefix, and a run of
-    atomless KT/3/4 holds 16,384 prefixes.  A run is drawn only once this
-    walk and `_frame_spans` have let go of the previous one: a cold
-    atomless KT/3/4 search that kept it made 43,700 minor faults, not
-    12,500."""
-    if n_agents == 1:
-        # the one empty prefix, which a flat array of indices cannot count
-        yield np.empty((1, 0), dtype=np.int64)
-        return
-    prefixes = _prefixes(frame, n, n_agents)
-    while True:
-        # flat: rows of a tuple dtype took 0.27 s more over the 703,760
-        # prefixes of atomless KT/3/4
-        run = np.fromiter(itertools.chain.from_iterable(
-            itertools.islice(prefixes, size)), dtype=np.int64)
-        if not len(run):
-            return
-        yield run.reshape(-1, n_agents - 1)
-        del run
+    """The prefixes `_prefixes` yields in runs of size, the last run what
+    is left, each a (prefixes, n_agents - 1) int64 array: 8 bytes per pool
+    index, where a tuple of Python ints takes about 100 bytes per prefix,
+    and a run of atomless KT/3/4 holds 16,384 prefixes.  A run is drawn
+    only once this walk and `_frame_spans` have let go of the previous
+    one: a cold atomless KT/3/4 search that kept it made 43,700 minor
+    faults, not 12,500."""
+    parts, held = [], 0
+    for block in _prefixes(frame, n, n_agents):
+        while len(block):
+            parts.append(block[:size - held])
+            block = block[size - held:]
+            held += len(parts[-1])
+            if held == size:
+                yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+                parts, held = [], 0
+    if parts:
+        yield np.concatenate(parts)
 
 
 def _frame_spans(frame: FrameClass, n: int, n_agents: int, n_last: int,
@@ -903,20 +901,6 @@ _Failure = tuple[tuple[int, ...], int, int]  # pool indices, valuation, mask
 _Batch = tuple[tuple, Mapping[Formula, list[int]]]
 
 
-def _memoized(memo: dict[Formula, np.ndarray], ext_of: Callable) -> Callable:
-    """ext_of, an evaluator of `schedule`'s steps, that looks its subterm
-    up in memo first and stores there what it evaluates."""
-
-    def once(block: Block, g: Formula, *children: np.ndarray) -> np.ndarray:
-        out = memo.get(g)
-        if out is None:
-            out = memo[g] = ext_of(block, g, *children)
-            out.setflags(write=False)
-        return out
-
-    return once
-
-
 def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
                     bounds: SearchBounds, n: int) -> dict[int, _Failure]:
     """The first failure over the n-world models of each formula in todo
@@ -930,6 +914,18 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
     evaluates the distinct live formulas in one walk (`schedule`) and
     returns its failures, so each formula keeps its lowest span's failure.
     The walk stops right after the span where the last formula fails.
+
+    When every span sweeps the last agent's whole pool and there are
+    several spans, a subterm is evaluated once per value of the axes it
+    reads.  One that reads no prefix agent is evaluated once per call, and
+    one that reads only prefix agents once per run of prefixes.  Both are
+    evaluated on the run's block, from their children's extensions over
+    the run, and kept until an axis they read changes; each span reads its
+    own prefixes of them, and a prefix axis of length 1 whole.  A subterm
+    that reads a prefix agent and the last agent is evaluated per span.
+    A run's extension takes ceil(V / 8) bytes per prefix and world, and a
+    span's ceil(L * V / 8) bytes per prefix, so a run holds run_spans
+    spans' prefixes: one span's extension budget.
     """
     rel_rows = frame_relations(bounds.frame, n)
     last = _last_indices(bounds.frame, n, bounds.n_agents)
@@ -941,19 +937,10 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
                 for atom, mask in zip(bounds.atoms, masks)}
     step = max(1, min(_CHUNK_CELLS // n_vals, _CHUNK_FRAMES))
     *prefix_agents, last_agent = bounds.agents
-    # When the last agent's row fits a span, every span sweeps all of it,
-    # and a subterm is evaluated once per value of the axes it reads: one
-    # that reads no prefix agent once per call (`wide`), and one that reads
-    # only prefix agents once per run of prefixes (`in_run`), on the run's
-    # block, of which each span reads its own prefixes.  Such an extension
-    # takes ceil(V / 8) bytes per prefix and world, and a span's extension
-    # ceil(L * V / 8) bytes per prefix, so a run is run_spans spans' worth
-    # of prefixes: one span's extension budget.
     whole = len(last) <= step
     run_spans = -(-len(last) * n_vals // 8) // -(-n_vals // 8) \
         if whole else 1
-    wide: dict[Formula, np.ndarray] = {}
-    in_run: dict[Formula, np.ndarray] = {}
+    memo: dict[Formula, np.ndarray] = {}
 
     def block(lo: int, hi: int) -> Block:
         """Prefixes lo to hi of the run against the span's last-agent
@@ -962,41 +949,29 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
                       last_agent: cols}, atom_ext,
                      (hi - lo, cols.shape[2], n_vals), missed)
 
-    def per_run(ext_of: Callable) -> Callable:
-        """ext_of for a subterm that reads only prefix agents: evaluated
-        once per run on the run's block, from its children's extensions
-        over the run (an agent-free child's has no prefix axis, so the
-        span's is the run's), and cut to the span's prefixes."""
-
-        def once(_: Block, g: Formula, *children: np.ndarray) -> np.ndarray:
-            out = in_run.get(g)
-            if out is None:
-                kids = [in_run.get(c, x)
-                        for c, x in zip(g.children, children)]
-                out = in_run[g] = ext_of(run_block, g, *kids)
-                out.setflags(write=False)
-            return out[:, :, span.lo:span.hi]
-
-        return once
-
-    def shared(g: Formula, ext_of: Callable) -> Callable:
-        """ext_of, evaluated once per value of the axes g reads."""
-        agents = agent_names(g)
-        if agents.isdisjoint(prefix_agents):
-            return _memoized(wide, ext_of)
-        return ext_of if last_agent in agents else per_run(ext_of)
+    def shared(_: Block, g: Formula, *__: np.ndarray) -> np.ndarray:
+        """g's extension over the run, evaluated once, cut to the span."""
+        out = memo.get(g)
+        if out is None:
+            out = memo[g] = _EXT[type(g)](run_block, g,
+                                          *map(memo.__getitem__, g.children))
+            out.setflags(write=False)
+        return out[:, :, span.lo:span.hi] if out.shape[2] > 1 else out
 
     def batch(live: Sequence[int]) -> _Batch:
-        """The walk over the distinct formulas in live, with the memos of
-        a sweep of several spans, and the indices in live that each of
-        them holds."""
+        """The walk over the distinct formulas in live, sharing what a
+        sweep of several spans shares, and the indices in live that each
+        of them holds."""
         where: dict[Formula, list[int]] = {}
         for i in live:
             where.setdefault(formulas[i], []).append(i)
         steps = schedule(where)
         if share:
-            steps = tuple((g, shared(g, ext_of), root, drops)
-                          for g, ext_of, root, drops in steps)
+            # per span only what reads a prefix agent and the last agent
+            steps = tuple(
+                (g, ext_of if last_agent in agent_names(g)
+                 and len(agent_names(g)) > 1 else shared, root, drops)
+                for g, ext_of, root, drops in steps)
         return steps, where
 
     def scan(live: _Batch) -> list[tuple[int, _Failure]]:
@@ -1034,7 +1009,8 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
             missed[Group([last_agent])].setflags(write=False)
         if span.lo == span.start == 0:
             # a run's first span
-            in_run.clear()
+            memo = {g: ext for g, ext in memo.items()
+                    if agent_names(g).isdisjoint(prefix_agents)}
             rows = {agent: rel_rows[span.run[:, j]].T[:, :, None]
                     for j, agent in enumerate(prefix_agents)}
             run_block = block(0, len(span.run)) if share else None
@@ -1055,8 +1031,8 @@ def _countermodel(bounds: SearchBounds, n: int,
     frame, val_idx, ext_mask = failure
     m = _model_at(bounds, n, frame, val_idx)
     missing = ~ext_mask & ((1 << n) - 1)
-    return Countermodel(model=m,
-                        witness=m.worlds[(missing & -missing).bit_length() - 1])
+    return Countermodel(
+        model=m, witness=m.worlds[(missing & -missing).bit_length() - 1])
 
 
 def check_formulas(formulas: Sequence[Formula],

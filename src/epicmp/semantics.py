@@ -32,7 +32,7 @@ from typing import Iterable
 from .kripke import KripkeModel, ModelError, Relation, UnknownAgentError
 from .syntax import (Atom, CK, CDK, Cmp, CmpOp, DK, Formula, Iff, Imp, IndK,
                      And, Group, Not, Or, Supergroup, agent_names,
-                     atom_names, fold)
+                     atom_names, fold, singletons)
 
 __all__ = ["satisfies", "valid_in_model", "extension", "UnknownAtomError"]
 
@@ -100,11 +100,6 @@ def _box(rows: tuple[int, ...], ext: int) -> int:
     return _inside(rows, repeat(ext))
 
 
-def _singletons(group: Group) -> Supergroup:
-    """C{G} as CD over G's members, each a group of one, pooling nothing."""
-    return Supergroup(Group([a]) for a in group.agents)
-
-
 # each node's extension in model labels m, from its children's
 _MASK = {
     Atom: lambda m, f: m.valuation.get(f.name, 0),
@@ -115,7 +110,7 @@ _MASK = {
     Iff: lambda m, f, left, right: m.full & ~(left ^ right),
     DK: lambda m, f, sub: _box(m.joint(f.group), sub),
     IndK: lambda m, f, sub: _box(m.rows[f.agent], sub),
-    CK: lambda m, f, sub: _box(m.reach(_singletons(f.group)), sub),
+    CK: lambda m, f, sub: _box(m.reach(singletons(f.group)), sub),
     CDK: lambda m, f, sub: _box(m.reach(f.groups), sub),
     Cmp: lambda m, f: m.cmp(f),
 }

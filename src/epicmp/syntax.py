@@ -7,7 +7,8 @@ Connectives, loosest to tightest binding:
     or      :=  and ('|' and)*
     and     :=  unary ('&' unary)*
     unary   :=  '~' unary | modal unary | primary
-    modal   :=  'D' group | 'C' group | 'K' group | 'CD' '[' group (';' group)* ']'
+    modal   :=  'D' group | 'C' group | 'K' group
+             |  'CD' '[' group (';' group)* ']'
     primary :=  ident | '(' iff ')' | '[' group cmpop group ']'
     group   :=  '{' ident (',' ident)* '}'
     cmpop   :=  '<=' | '<' | '==' | '#'
@@ -53,7 +54,7 @@ __all__ = [
     "DK", "CK", "CDK", "IndK", "Cmp", "CmpOp", "Group", "Supergroup",
     "FormulaError", "LexError", "ParseError", "EmptyGroupError",
     "parse", "render", "post_order", "fold", "expand_sugar", "atom_names",
-    "agent_names",
+    "agent_names", "singletons",
 ]
 
 
@@ -187,6 +188,11 @@ class Supergroup(_Node):
 
     def union(self) -> Group:
         return Group(a for g in self.groups for a in g.agents)
+
+
+def singletons(group: Group) -> Supergroup:
+    """C{G} as CD over G's members, each a group of one, pooling nothing."""
+    return Supergroup(Group([a]) for a in group.agents)
 
 
 def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:

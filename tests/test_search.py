@@ -264,8 +264,8 @@ def _swept_frames(frame, n, n_agents, step, run_spans=1):
     runs = list({id(s.run): s.run for s in spans}.values())
     size = max(1, step // len(last)) * run_spans
     assert [len(run) for run in runs[:-1]] == [size] * (len(runs) - 1)
-    assert sum(map(len, runs)) == len(list(search._prefixes(frame, n,
-                                                            n_agents)))
+    assert sum(map(len, runs)) \
+        == sum(map(len, search._prefixes(frame, n, n_agents)))
     if len(last) <= step:
         assert all((s.start, s.stop) == (0, len(last)) for s in spans)
         assert [len(s.prefixes) for s in spans[:-1]] \
@@ -284,7 +284,11 @@ def _swept_frames(frame, n, n_agents, step, run_spans=1):
 @pytest.mark.parametrize("frame,n_agents,n", [
     *itertools.product((FrameClass.KT, FrameClass.S4, FrameClass.S5),
                        (1, 2, 3), (1, 2, 3)),
-    (FrameClass.S5, 2, 4)])
+    (FrameClass.S5, 2, 4),
+    # three prefix agents: the only walks that read the relabelings fixing
+    # a proper part of the prefix
+    (FrameClass.KT, 4, 2), (FrameClass.S4, 4, 2), (FrameClass.S5, 4, 2),
+    (FrameClass.S5, 4, 3)])
 def test_frame_walk_is_the_brute_force_lex_min(frame, n_agents, n):
     """The walk's prefixes are those of the brute-force lex-min frames,
     ascending and each once.  Each is swept against the whole pool, or
@@ -294,7 +298,8 @@ def test_frame_walk_is_the_brute_force_lex_min(frame, n_agents, n):
     prefixes = list(dict.fromkeys(f[:-1] for f in minimal))
     last = ([f[0] for f in minimal] if n_agents == 1
             else list(range(len(relation_pool(frame, n)))))
-    assert list(search._prefixes(frame, n, n_agents)) == prefixes
+    assert [tuple(prefix) for block in search._prefixes(frame, n, n_agents)
+            for prefix in block.tolist()] == prefixes
     assert search._last_indices(frame, n, n_agents).tolist() == last
     expected = [prefix + (i,) for prefix in prefixes for i in last]
     assert set(minimal) <= set(expected)
@@ -309,6 +314,8 @@ _MINIMAL_SWEEP_BOUNDS = [
     SearchBounds(FrameClass.KT, 1, 3, atoms=("p",)),
     SearchBounds(FrameClass.S4, 2, 3, atoms=("p",)),
     SearchBounds(FrameClass.S5, 3, 3, atoms=("p",)),
+    SearchBounds(FrameClass.KT, 4, 2, atoms=("p",)),
+    SearchBounds(FrameClass.S5, 4, 2, atoms=("p",)),
     # An extension holds one bit per (frame, valuation) cell: one byte
     # holds 8, 4 or 2 frames of 1, 2 or 4 valuations, and a frame of 8,
     # 16, 32 or 64 valuations takes 1, 2, 4 or 8 bytes.  The bounds above
@@ -578,8 +585,8 @@ def test_one_minimal_frame_per_isomorphism_class(frame, n_agents, n,
     assert fixed // math.factorial(n) == orbits
     perms = list(itertools.permutations(range(n)))[1:]
     minimal = 0
-    for prefix in search._prefixes(frame, n, n_agents):
-        idx = np.array(prefix, dtype=np.int64)
+    for idx in itertools.chain.from_iterable(
+            search._prefixes(frame, n, n_agents)):
         fixing = tuple(perm for perm in perms if np.array_equal(
             search._relabel(frame, n, perm, idx), idx))
         minimal += len(search._kept_indices(frame, n, fixing))
@@ -1163,6 +1170,30 @@ def test_a_prefix_only_subterm_is_evaluated_once_per_run(
     assert reads.count(read) == runs
     assert len(cut) == spans
     assert sum(span.lo == 0 for span in cut) == runs
+
+
+def test_a_subterm_of_a_prefix_agent_and_the_last_is_evaluated_per_span(
+        monkeypatch):
+    """KT, 2 agents, 3 worlds, atom p, 8 spans of two prefixes against
+    the whole pool: `[{a} <= {b}]` reads the prefix agent a and the last
+    agent b, so each span evaluates its own, and no span reuses
+    another's."""
+    cut, _ = _count_spans_and_blocks(monkeypatch)
+    leqs = []
+    leq = search.Block._leq
+
+    def counting_leq(block, left, right):
+        leqs.append((left, right))
+        return leq(block, left, right)
+
+    monkeypatch.setattr(search.Block, "_leq", counting_leq)
+    monkeypatch.setattr(search, "_CHUNK_CELLS", 1024)
+    bounds = SearchBounds(FrameClass.KT, 2, 3, atoms=("p",))
+    assert check_validity(parse("[{a} <= {b}] -> (K{b} p -> K{a} p)"),
+                          bounds) == NoCountermodelUpTo(
+        bounds=bounds, models_checked=count_models(bounds))
+    assert len(cut) == 8
+    assert leqs == [(Group(["a"]), Group(["b"]))] * 8
 
 
 # A formula that fails in the middle of a run of prefixes at the largest
