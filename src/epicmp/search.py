@@ -49,8 +49,8 @@ formulas not yet refuted: each span's block of rows, its joint / common /
 cdk relations and its comparison bytes are built once and shared by every
 formula.  The live formulas are one batch: a span evaluates each distinct
 subterm among them once, in one walk over their union DAG that drops
-each extension after its last reader (`schedule`, worked out
-again only when a formula leaves).  When every span holds the last
+each extension after its last reader (`schedule`, worked out again at
+the first span after a formula leaves).  When every span holds the last
 agent's whole pool and a sweep has several spans, a subterm is evaluated
 once per value of the axes it reads (`_first_failures`), and the last
 agent's rows and their complement are built once per sweep.  A formula
@@ -897,23 +897,22 @@ def _model_at(bounds: SearchBounds, n: int, frame: tuple[int, ...],
 
 
 _Failure = tuple[tuple[int, ...], int, int]  # pool indices, valuation, mask
-# a walk over distinct formulas, and the indices each of them holds
-_Batch = tuple[tuple, Mapping[Formula, list[int]]]
 
 
-def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
-                    bounds: SearchBounds, n: int) -> dict[int, _Failure]:
-    """The first failure over the n-world models of each formula in todo
-    that has one.
+def _first_failures(formulas: Sequence[Formula], bounds: SearchBounds,
+                    n: int) -> dict[Formula, _Failure]:
+    """The first failure over the n-world models of each of the distinct
+    formulas that has one.
 
     The prefixes of the frames no relabeling makes smaller are swept
     against the last agent's indices (`_last_indices`); the first failure
     always lies on a minimal frame.  They are cut into spans
     (`_frame_spans`) and scanned in order, each with the formulas that no
-    earlier span has refuted.  A span's scan builds its block once,
-    evaluates the distinct live formulas in one walk (`schedule`) and
-    returns its failures, so each formula keeps its lowest span's failure.
-    The walk stops right after the span where the last formula fails.
+    earlier span has refuted.  A span's scan builds its block once and
+    evaluates the live formulas in one walk (`schedule`), so each formula
+    keeps its lowest span's failure.  A new walk is built at the first
+    span after a formula leaves, and the sweep stops right after the span
+    where the last formula fails.
 
     When every span sweeps the last agent's whole pool and there are
     several spans, a subterm is evaluated once per value of the axes it
@@ -942,13 +941,6 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
         if whole else 1
     memo: dict[Formula, np.ndarray] = {}
 
-    def block(lo: int, hi: int) -> Block:
-        """Prefixes lo to hi of the run against the span's last-agent
-        indices, x all valuations."""
-        return Block({**{agent: r[:, lo:hi] for agent, r in rows.items()},
-                      last_agent: cols}, atom_ext,
-                     (hi - lo, cols.shape[2], n_vals), missed)
-
     def shared(_: Block, g: Formula, *__: np.ndarray) -> np.ndarray:
         """g's extension over the run, evaluated once, cut to the span."""
         out = memo.get(g)
@@ -958,47 +950,22 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
             out.setflags(write=False)
         return out[:, :, span.lo:span.hi] if out.shape[2] > 1 else out
 
-    def batch(live: Sequence[int]) -> _Batch:
-        """The walk over the distinct formulas in live, sharing what a
-        sweep of several spans shares, and the indices in live that each
-        of them holds."""
-        where: dict[Formula, list[int]] = {}
-        for i in live:
-            where.setdefault(formulas[i], []).append(i)
-        steps = schedule(where)
-        if share:
-            # per span only what reads a prefix agent and the last agent
-            steps = tuple(
-                (g, ext_of if last_agent in agent_names(g)
-                 and len(agent_names(g)) > 1 else shared, root, drops)
-                for g, ext_of, root, drops in steps)
-        return steps, where
-
-    def scan(live: _Batch) -> list[tuple[int, _Failure]]:
-        """The first failure in the span of each live formula that has
-        one, with the frame read off the span's prefix and last-agent
-        index."""
-        steps, where = live
-        here = block(span.lo, span.hi)
-        out = []
-        for f, ext in here.extensions(steps):
-            hit = here.first_failure(ext)
-            if hit is not None:
-                prefix, local, val, mask = hit
-                frame = (*span.run[span.lo + prefix].tolist(),
-                         int(last[span.start + local]))
-                out += ((i, (frame, val, mask)) for i in where[f])
-        return out
-
-    first: dict[int, _Failure] = {}
-    live = cut = None
+    first: dict[Formula, _Failure] = {}
+    share = steps = cut = None
     for span in _frame_spans(bounds.frame, n, bounds.n_agents, len(last),
                              step, run_spans):
-        if live is None:
+        if share is None:
             # a sweep of one span has nothing to share, and a memo would
             # keep each extension past its last reader
             share = whole and len(span.run) > span.hi
-            live = batch(todo)
+        if steps is None:
+            steps = schedule([f for f in formulas if f not in first])
+            if share:
+                # per span only what reads a prefix agent and the last agent
+                steps = tuple(
+                    (g, ext_of if last_agent in agent_names(g)
+                     and len(agent_names(g)) > 1 else shared, root, drops)
+                    for g, ext_of, root, drops in steps)
         if (span.start, span.stop) != cut:
             # once per call when every span holds the whole pool
             cut = span.start, span.stop
@@ -1013,14 +980,24 @@ def _first_failures(formulas: Sequence[Formula], todo: Sequence[int],
                     if agent_names(g).isdisjoint(prefix_agents)}
             rows = {agent: rel_rows[span.run[:, j]].T[:, :, None]
                     for j, agent in enumerate(prefix_agents)}
-            run_block = block(0, len(span.run)) if share else None
-        hits = scan(live)
-        first.update(hits)
-        if len(first) == len(todo):
+            run_block = Block({**rows, last_agent: cols}, atom_ext,
+                              (len(span.run), cols.shape[2], n_vals),
+                              missed) if share else None
+        here = Block({**{agent: r[:, span.lo:span.hi]
+                         for agent, r in rows.items()}, last_agent: cols},
+                     atom_ext, (span.hi - span.lo, cols.shape[2], n_vals),
+                     missed)
+        for f, ext in here.extensions(steps):
+            hit = here.first_failure(ext)
+            if hit is not None:
+                prefix, local, val, mask = hit
+                first[f] = ((*span.run[span.lo + prefix].tolist(),
+                             int(last[span.start + local])), val, mask)
+                steps = None
+        # not held while the next span is cut
+        here = ext = None
+        if len(first) == len(formulas):
             break
-        if hits:
-            # a new walk only when a formula has left
-            live = batch([i for i in todo if i not in first])
     return first
 
 
@@ -1047,27 +1024,29 @@ def check_formulas(formulas: Sequence[Formula],
     formulas that sweep refutes are swept again, at 1, 2, ... worlds, each
     until its first failing world count.  Each formula keeps its own first
     countermodel and witness, exactly as a search of its own would report
-    them.  No formulas, no sweep.
+    them, and repeated formulas share one sweep and one outcome.  No
+    formulas, no sweep.
     """
     if not formulas:
         return []
     for f in formulas:
         _validate_within(f, bounds)
+    distinct = list(dict.fromkeys(formulas))
     top = bounds.max_worlds
-    refuted = _first_failures(formulas, range(len(formulas)), bounds, top)
-    found: dict[int, Countermodel] = {}
-    todo = sorted(refuted)
+    refuted = _first_failures(distinct, bounds, top)
+    found: dict[Formula, Countermodel] = {}
+    todo = [f for f in distinct if f in refuted]
     for n in range(1, top):
         if not todo:
             break
-        for i, hit in _first_failures(formulas, todo, bounds, n).items():
-            found[i] = _countermodel(bounds, n, hit)
-        todo = [i for i in todo if i not in found]
-    for i in todo:
-        found[i] = _countermodel(bounds, top, refuted[i])
+        for f, hit in _first_failures(todo, bounds, n).items():
+            found[f] = _countermodel(bounds, n, hit)
+        todo = [f for f in todo if f not in found]
+    for f in todo:
+        found[f] = _countermodel(bounds, top, refuted[f])
     none = NoCountermodelUpTo(bounds=bounds,
                               models_checked=count_models(bounds))
-    return [found.get(i, none) for i in range(len(formulas))]
+    return [found.get(f, none) for f in formulas]
 
 
 def check_validity(f: Formula, bounds: SearchBounds) -> SearchOutcome:

@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -426,7 +427,7 @@ def test_first_failure_past_a_frame_that_is_not_minimal(bounds, cell,
     for cells in (8, 13, search._CHUNK_CELLS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "_CHUNK_CELLS", cells)
-            frame, val, _ = search._first_failures([f], [0], bounds, n)[0]
+            frame, val, _ = search._first_failures([f], bounds, n)[f]
             assert (frame, val) == (cell, 0)
         _check_spans(f, bounds, want, cells)
 
@@ -452,9 +453,9 @@ def test_the_first_failure_of_whole_rows_is_a_minimal_frame(bounds):
         for cells in (8, search._CHUNK_CELLS):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(search, "_CHUNK_CELLS", cells)
-                hits = search._first_failures([f], [0], bounds, n)
+                hits = search._first_failures([f], bounds, n)
             if hits:
-                assert hits[0][0] in minimal
+                assert hits[f][0] in minimal
 
     check()
 
@@ -473,7 +474,7 @@ def test_a_formula_refuted_below_the_top_keeps_its_smallest_countermodel():
     the sweeps below it find its first countermodel, at 3 worlds."""
     f = _REFUTED_BELOW_TOP
     bounds = SearchBounds(FrameClass.KT, 1, 4, atoms=("p",))
-    assert 0 in search._first_failures([f], [0], bounds, 4)
+    assert f in search._first_failures([f], bounds, 4)
     want = _sweep(f, bounds)
     assert want[0].n_worlds == 3
     _check_spans(f, bounds, want)
@@ -516,24 +517,31 @@ def test_lower_world_counts_sweep_only_the_refuted_formulas(monkeypatch):
     """A batch that holds is swept at 4 worlds alone.  Below 4 worlds the
     sweeps carry only the formulas the 4-world sweep refuted, in formula
     order, each until its first failing world count, and stop once every
-    one has failed."""
+    one has failed.  A repeated formula is swept once and shares its
+    outcome."""
     calls = []
     first_failures = search._first_failures
 
-    def spy(formulas, todo, bounds, n):
-        calls.append((n, list(todo)))
-        return first_failures(formulas, todo, bounds, n)
+    def spy(formulas, bounds, n):
+        calls.append((n, list(formulas)))
+        return first_failures(formulas, bounds, n)
 
     monkeypatch.setattr(search, "_first_failures", spy)
     check_formulas(_MIXED_VALID, _MIXED_BOUNDS)
-    assert calls == [(4, [0, 1, 2])]
+    assert calls == [(4, _MIXED_VALID)]
     calls.clear()
     check_formulas(_MIXED, _MIXED_BOUNDS)
-    assert calls == [(4, [0, 1, 2, 3, 4, 5]), (1, [1, 3, 4]), (2, [1, 3]),
-                     (3, [1, 3])]
+    assert calls == [(4, _MIXED), (1, [_MIXED[i] for i in (1, 3, 4)]),
+                     (2, [_MIXED[1], _MIXED[3]]),
+                     (3, [_MIXED[1], _MIXED[3]])]
     calls.clear()
     check_formulas([parse("p"), _MIXED_VALID[0]], _MIXED_BOUNDS)
-    assert calls == [(4, [0, 1]), (1, [0])]
+    assert calls == [(4, [parse("p"), _MIXED_VALID[0]]), (1, [parse("p")])]
+    calls.clear()
+    outs = check_formulas([parse("p"), _MIXED_VALID[0], parse("p")],
+                          _MIXED_BOUNDS)
+    assert calls == [(4, [parse("p"), _MIXED_VALID[0]]), (1, [parse("p")])]
+    assert outs[0] == outs[2]
 
 
 def test_valid_sweep_scans_the_minimal_prefixes_against_the_whole_pool(
@@ -717,8 +725,8 @@ def test_first_failure_past_the_first_word(bounds, text, cell):
     for cells in (8, search._CHUNK_CELLS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "_CHUNK_CELLS", cells)
-            hits = search._first_failures([f], [0], bounds, n)
-        frame, val_idx, mask = hits[0]
+            hits = search._first_failures([f], bounds, n)
+        frame, val_idx, mask = hits[f]
         assert (frame, val_idx) == _cell_of(m, bounds)
         got = search._model_at(bounds, n, frame, val_idx)
         assert encode_model(got, bounds.atoms) \
@@ -764,8 +772,8 @@ def test_an_extension_holds_one_bit_per_valuation(monkeypatch):
     _, blocks = _keep_blocks(monkeypatch)
     bounds = SearchBounds(FrameClass.KT, 2, 4, atoms=("p",))
     # refuted in the first span
-    assert search._first_failures([parse("p")], [0], bounds, 4) \
-        == {0: ((0, 0), 0, 0)}
+    assert search._first_failures([parse("p")], bounds, 4) \
+        == {parse("p"): ((0, 0), 0, 0)}
     (one,) = blocks
     n_prefixes, n_last, n_vals = one.shape
     assert (n_prefixes, n_last, n_vals) == (4, 4096, 16)
@@ -786,7 +794,7 @@ def test_an_atomless_extension_packs_eight_frames_per_byte(monkeypatch):
     n * F)."""
     blocks, _ = _keep_blocks(monkeypatch)
     bounds = SearchBounds(FrameClass.KT, 3, 3)
-    assert search._first_failures([parse("[{a} <= {a}]")], [0], bounds,
+    assert search._first_failures([parse("[{a} <= {a}]")], bounds,
                                   3) == {}
     (one,) = blocks
     n_prefixes, n_last, n_vals = one.shape
@@ -1042,10 +1050,9 @@ def test_the_walk_stops_once_every_formula_has_failed(monkeypatch):
     cut, built = _count_spans_and_blocks(monkeypatch)
     monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
     bounds = SearchBounds(FrameClass.KT, 2, 3, atoms=("p",))
-    hits = search._first_failures(
-        [parse("p"), parse("~[{b} <= {a}] | [{a} <= {b}]")], [0, 1],
-        bounds, 3)
-    assert hits == {0: ((0, 0), 0, 0), 1: ((1, 0), 0, 0b110)}
+    batch = [parse("p"), parse("~[{b} <= {a}] | [{a} <= {b}]")]
+    hits = search._first_failures(batch, bounds, 3)
+    assert hits == {batch[0]: ((0, 0), 0, 0), batch[1]: ((1, 0), 0, 0b110)}
     assert len(cut) == len(built) == 65
     assert (cut[-1].prefixes, *cut[-1][1:]) == ([(1,)], 0, 1, 0, 1)
 
@@ -1065,11 +1072,57 @@ def test_a_batch_that_empties_in_its_first_span_walks_once(monkeypatch):
     monkeypatch.setattr(search, "schedule", counting_schedule)
     monkeypatch.setattr(search, "_CHUNK_CELLS", 8)
     bounds = SearchBounds(FrameClass.KT, 2, 3, atoms=("p",))
-    hits = search._first_failures([parse("p"), parse("~p | p & ~p")],
-                                  [0, 1], bounds, 3)
-    assert hits == {0: ((0, 0), 0, 0), 1: ((0, 0), 1, 0b110)}
+    batch = [parse("p"), parse("~p | p & ~p")]
+    hits = search._first_failures(batch, bounds, 3)
+    assert hits == {batch[0]: ((0, 0), 0, 0), batch[1]: ((0, 0), 1, 0b110)}
     assert len(walks) == 1
     assert len(cut) == len(built) == 1
+
+
+def test_no_walk_is_built_that_no_span_reads(monkeypatch):
+    """Atomless KT, 2 agents, 3 worlds is one span: the comparison fails
+    in it and the other formula holds, so no walk of the formula left is
+    built, since no span is left to read it."""
+    walks = []
+    schedule = search.schedule
+
+    def counting_schedule(formulas):
+        walks.append(list(formulas))
+        return schedule(formulas)
+
+    monkeypatch.setattr(search, "schedule", counting_schedule)
+    cut, _ = _count_spans_and_blocks(monkeypatch)
+    batch = [parse("[{a} <= {b}]"), parse("[{a} <= {a}]")]
+    hits = search._first_failures(batch, SearchBounds(FrameClass.KT, 2, 3),
+                                  3)
+    assert list(hits) == batch[:1]
+    assert len(cut) == 1
+    assert walks == [batch]
+
+
+def test_a_span_block_is_released_before_the_next_is_built(monkeypatch):
+    """KT, 2 agents, 3 worlds, atom p, 8 spans of two prefixes against
+    the whole pool: when a block is built, no block whose extensions an
+    earlier span walked is still alive, so a sweep holds one span's block
+    and extensions at a time."""
+    scanned, alive = [], []
+
+    class Watched(search.Block):
+        def __init__(self, *args):
+            alive.append(sum(ref() is not None for ref in scanned))
+            super().__init__(*args)
+
+        def extensions(self, steps):
+            scanned.append(weakref.ref(self))
+            return super().extensions(steps)
+
+    monkeypatch.setattr(search, "Block", Watched)
+    monkeypatch.setattr(search, "_CHUNK_CELLS", 1024)
+    f = parse("[{a} <= {b}] -> (K{b} p -> K{a} p)")
+    bounds = SearchBounds(FrameClass.KT, 2, 3, atoms=("p",))
+    assert search._first_failures([f], bounds, 3) == {}
+    assert len(scanned) == 8
+    assert alive == [0] * 9
 
 
 def test_an_empty_batch_sweeps_nothing(monkeypatch):
@@ -1244,9 +1297,9 @@ def test_a_formula_that_leaves_mid_run_leaves_the_run_to_the_new_batch(
         for out, got in zip(outs, want):
             _agrees(out, bounds, got)
         if size == cells:
-            # the second walk, built after the first formula's span
-            span = left[1]
-            assert len(span.run) > 1 and span.hi < len(span.run)
+            # the second walk, built at the span after the first
+            # formula's, in the same run
+            assert left[1].lo > 0
 
 
 _HUGE_SPAN_COUNT = """
@@ -1256,7 +1309,7 @@ from epicmp.kripke import FrameClass
 from epicmp.search import SearchBounds, _first_failures
 from epicmp.syntax import parse
 bounds = SearchBounds(FrameClass.KT, 2, 5, atoms=("p",))
-print(_first_failures([parse("p")], [0], bounds, 5))
+print(_first_failures([parse("p")], bounds, 5))
 """
 
 
@@ -1275,7 +1328,7 @@ def test_span_walk_memory_does_not_grow_with_the_span_count():
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "{0: ((0, 0), 0, 0)}\n"
+    assert proc.stdout == "{parse('p'): ((0, 0), 0, 0)}\n"
 
 
 def test_frame_relations_arrays_are_read_only():
