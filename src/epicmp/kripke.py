@@ -87,9 +87,6 @@ class Relation:
     def size(self) -> int:
         return len(self.rows)
 
-    def has(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
     def pairs(self) -> Iterator[tuple[int, int]]:
         for i, row in enumerate(self.rows):
             for j in range(self.size):

@@ -507,9 +507,6 @@ class Block:
             rows = rows | ((rows >> k) & 1) * rows[k:k + 1]
         return rows
 
-    def common(self, group: Group) -> np.ndarray:
-        return self.cdk(singletons(group))
-
     def cdk(self, groups: Supergroup) -> np.ndarray:
         out = self._reach.get(groups)
         if out is None:
@@ -582,23 +579,18 @@ class Block:
             # 4,096 frames, and in one pass it faulted in 2 MiB of scratch
             # afresh
             k = max(1, _BOX_CELLS // max(a.shape[2], outside.shape[2]))
-            n_prefixes = max(a.shape[1], outside.shape[1])
-            if n_prefixes <= k:
-                out = self._contained(a, outside)
-            else:
-                out = np.concatenate(
-                    [self._contained(_prefix_run(a, p, k),
-                                     _prefix_run(outside, p, k))
-                     for p in range(0, n_prefixes, k)], axis=1)
+            # whether each row lies inside the complement of outside, as
+            # the bytes `_spread_bytes` packs: one row test per frame and
+            # world, world axis first, so the operators read the bytes
+            # contiguously
+            parts = [self._spread_bytes(
+                ((_prefix_run(a, p, k) & _prefix_run(outside, p, k)) == 0)
+                .view(np.uint8))
+                for p in range(0, max(a.shape[1], outside.shape[1]), k)]
+            out = parts[0] if len(parts) == 1 \
+                else np.concatenate(parts, axis=1)
             out = self._leqs[(left, agent)] = out[:, None]
         return out
-
-    def _contained(self, rows: np.ndarray, missing: np.ndarray
-                   ) -> np.ndarray:
-        """Whether each row lies inside the complement of missing, as the
-        bytes `_spread_bytes` packs: one row test per frame and world,
-        world axis first, so the operators read the bytes contiguously."""
-        return self._spread_bytes(((rows & missing) == 0).view(np.uint8))
 
     def _cmp(self, f: Cmp) -> np.ndarray:
         leq = self._leq(f.left, f.right)
@@ -816,32 +808,13 @@ def _last_indices(frame: FrameClass, n: int, n_agents: int) -> np.ndarray:
     return _kept_indices(frame, n, _all_relabelings(n))
 
 
-class _Span(NamedTuple):
-    """Prefixes lo to hi of a run of prefixes, each swept against the
-    last-agent indices last[start:stop] (`_last_indices`): the frames
-    (run[p], last[l]), prefix-major.  A run is a (prefixes, n_agents - 1)
-    int64 array of pool indices, and the spans of a run share it."""
-
-    run: np.ndarray
-    lo: int
-    hi: int
-    start: int
-    stop: int
-
-    @property
-    def prefixes(self) -> list[tuple[int, ...]]:
-        return list(map(tuple, self.run[self.lo:self.hi].tolist()))
-
-
 def _prefix_runs(frame: FrameClass, n: int, n_agents: int,
                  size: int) -> Iterator[np.ndarray]:
     """The prefixes `_prefixes` yields in runs of size, the last run what
     is left, each a (prefixes, n_agents - 1) int64 array: 8 bytes per pool
     index, where a tuple of Python ints takes about 100 bytes per prefix,
     and a run of atomless KT/3/4 holds 16,384 prefixes.  A run is drawn
-    only once this walk and `_frame_spans` have let go of the previous
-    one: a cold atomless KT/3/4 search that kept it made 43,700 minor
-    faults, not 12,500."""
+    only once this walk has let go of the previous one."""
     parts, held = [], 0
     for block in _prefixes(frame, n, n_agents):
         while len(block):
@@ -855,21 +828,19 @@ def _prefix_runs(frame: FrameClass, n: int, n_agents: int,
         yield np.concatenate(parts)
 
 
-def _frame_spans(frame: FrameClass, n: int, n_agents: int, n_last: int,
-                 step: int, run_spans: int) -> Iterator[_Span]:
-    """The minimal frames' prefixes in ascending order, each against the
-    n_last last-agent indices, cut into spans of at most step frames.  A
-    row of n_last frames that fits a span goes whole, step // n_last
-    prefixes to a span, and a longer one is cut into ranges of step
-    frames, one prefix to a span.  The prefixes are drawn in runs of
-    run_spans spans' prefixes (`_prefix_runs`)."""
+def _spans(n_prefixes: int, n_last: int, step: int
+           ) -> Iterator[tuple[int, int, int, int]]:
+    """The spans of a run of n_prefixes prefixes, each against n_last
+    last-agent indices, in frame order: (lo, hi, start, stop) for the
+    frames of prefixes lo to hi against indices start to stop, at most
+    step frames.  A row of n_last frames that fits a span goes whole,
+    step // n_last prefixes to a span, and a longer one is cut into ranges
+    of step frames, one prefix to a span."""
     per_span = max(1, step // n_last)
-    for run in _prefix_runs(frame, n, n_agents, per_span * run_spans):
-        for lo in range(0, len(run), per_span):
-            for start in range(0, n_last, step):
-                yield _Span(run, lo, min(lo + per_span, len(run)), start,
-                            min(start + step, n_last))
-        del run
+    for lo in range(0, n_prefixes, per_span):
+        for start in range(0, n_last, step):
+            yield (lo, min(lo + per_span, n_prefixes), start,
+                   min(start + step, n_last))
 
 
 def _validate_within(f: Formula, bounds: SearchBounds) -> None:
@@ -906,13 +877,14 @@ def _first_failures(formulas: Sequence[Formula], bounds: SearchBounds,
 
     The prefixes of the frames no relabeling makes smaller are swept
     against the last agent's indices (`_last_indices`); the first failure
-    always lies on a minimal frame.  They are cut into spans
-    (`_frame_spans`) and scanned in order, each with the formulas that no
-    earlier span has refuted.  A span's scan builds its block once and
-    evaluates the live formulas in one walk (`schedule`), so each formula
-    keeps its lowest span's failure.  A new walk is built at the first
-    span after a formula leaves, and the sweep stops right after the span
-    where the last formula fails.
+    always lies on a minimal frame.  The sweep loops over runs of them
+    (`_prefix_runs`), and within a run over its spans (`_spans`), in frame
+    order, scanning each span with the formulas that no earlier span has
+    refuted.  A span's scan builds its block once and evaluates the live
+    formulas in one walk (`schedule`), so each formula keeps its lowest
+    span's failure.  A new walk is built at the first span after a formula
+    leaves, and the sweep stops right after the span where the last
+    formula fails.
 
     When every span sweeps the last agent's whole pool and there are
     several spans, a subterm is evaluated once per value of the axes it
@@ -937,6 +909,7 @@ def _first_failures(formulas: Sequence[Formula], bounds: SearchBounds,
     step = max(1, min(_CHUNK_CELLS // n_vals, _CHUNK_FRAMES))
     *prefix_agents, last_agent = bounds.agents
     whole = len(last) <= step
+    per_span = max(1, step // len(last))
     run_spans = -(-len(last) * n_vals // 8) // -(-n_vals // 8) \
         if whole else 1
     memo: dict[Formula, np.ndarray] = {}
@@ -948,56 +921,58 @@ def _first_failures(formulas: Sequence[Formula], bounds: SearchBounds,
             out = memo[g] = _EXT[type(g)](run_block, g,
                                           *map(memo.__getitem__, g.children))
             out.setflags(write=False)
-        return out[:, :, span.lo:span.hi] if out.shape[2] > 1 else out
+        return out[:, :, lo:hi] if out.shape[2] > 1 else out
 
     first: dict[Formula, _Failure] = {}
     share = steps = cut = None
-    for span in _frame_spans(bounds.frame, n, bounds.n_agents, len(last),
-                             step, run_spans):
+    for run in _prefix_runs(bounds.frame, n, bounds.n_agents,
+                            per_span * run_spans):
+        memo = {g: ext for g, ext in memo.items()
+                if agent_names(g).isdisjoint(prefix_agents)}
+        rows = {agent: rel_rows[run[:, j]].T[:, :, None]
+                for j, agent in enumerate(prefix_agents)}
         if share is None:
             # a sweep of one span has nothing to share, and a memo would
             # keep each extension past its last reader
-            share = whole and len(span.run) > span.hi
-        if steps is None:
-            steps = schedule([f for f in formulas if f not in first])
-            if share:
-                # per span only what reads a prefix agent and the last agent
-                steps = tuple(
-                    (g, ext_of if last_agent in agent_names(g)
-                     and len(agent_names(g)) > 1 else shared, root, drops)
-                    for g, ext_of, root, drops in steps)
-        if (span.start, span.stop) != cut:
-            # once per call when every span holds the whole pool
-            cut = span.start, span.stop
-            cols = np.ascontiguousarray(last_rows[span.start:span.stop].T
-                                        )[:, None]
-            missed = {Group([last_agent]): np.invert(cols)}
-            cols.setflags(write=False)
-            missed[Group([last_agent])].setflags(write=False)
-        if span.lo == span.start == 0:
-            # a run's first span
-            memo = {g: ext for g, ext in memo.items()
-                    if agent_names(g).isdisjoint(prefix_agents)}
-            rows = {agent: rel_rows[span.run[:, j]].T[:, :, None]
-                    for j, agent in enumerate(prefix_agents)}
-            run_block = Block({**rows, last_agent: cols}, atom_ext,
-                              (len(span.run), cols.shape[2], n_vals),
-                              missed) if share else None
-        here = Block({**{agent: r[:, span.lo:span.hi]
-                         for agent, r in rows.items()}, last_agent: cols},
-                     atom_ext, (span.hi - span.lo, cols.shape[2], n_vals),
-                     missed)
-        for f, ext in here.extensions(steps):
-            hit = here.first_failure(ext)
-            if hit is not None:
-                prefix, local, val, mask = hit
-                first[f] = ((*span.run[span.lo + prefix].tolist(),
-                             int(last[span.start + local])), val, mask)
-                steps = None
-        # not held while the next span is cut
-        here = ext = None
-        if len(first) == len(formulas):
-            break
+            share = whole and len(run) > per_span
+        for lo, hi, start, stop in _spans(len(run), len(last), step):
+            if steps is None:
+                steps = schedule([f for f in formulas if f not in first])
+                if share:
+                    # per span only what reads a prefix agent and the last
+                    # agent
+                    steps = tuple(
+                        (g, ext_of if last_agent in agent_names(g)
+                         and len(agent_names(g)) > 1 else shared, root,
+                         drops)
+                        for g, ext_of, root, drops in steps)
+            if (start, stop) != cut:
+                # once per call when every span holds the whole pool
+                cut = start, stop
+                cols = np.ascontiguousarray(last_rows[start:stop].T
+                                            )[:, None]
+                missed = {Group([last_agent]): np.invert(cols)}
+                cols.setflags(write=False)
+                missed[Group([last_agent])].setflags(write=False)
+            if share and lo == 0:
+                # sharing sweeps the whole pool, so this is the run's
+                # first span
+                run_block = Block({**rows, last_agent: cols}, atom_ext,
+                                  (len(run), cols.shape[2], n_vals), missed)
+            here = Block({**{agent: r[:, lo:hi] for agent, r in rows.items()},
+                          last_agent: cols},
+                         atom_ext, (hi - lo, cols.shape[2], n_vals), missed)
+            for f, ext in here.extensions(steps):
+                hit = here.first_failure(ext)
+                if hit is not None:
+                    prefix, local, val, mask = hit
+                    first[f] = ((*run[lo + prefix].tolist(),
+                                 int(last[start + local])), val, mask)
+                    steps = None
+            # not held while the next span is cut
+            here = ext = None
+            if len(first) == len(formulas):
+                return first
     return first
 
 

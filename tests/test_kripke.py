@@ -22,7 +22,7 @@ from epicmp.kripke import (FrameClass, KripkeModel, ModelError,
                            load_model, load_model_witness, save_model)
 from epicmp.search import Block
 from epicmp.semantics import extension
-from epicmp.syntax import Group, Supergroup, parse
+from epicmp.syntax import Group, Supergroup, parse, singletons
 
 
 def rel(n, pairs):
@@ -182,7 +182,7 @@ def joint_relation(m, group):
 
 
 def common_relation(m, group):
-    return _relation(_block(m).common(group))
+    return _relation(_block(m).cdk(singletons(group)))
 
 
 def cdk_relation(m, groups):

@@ -20,6 +20,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -260,26 +261,50 @@ def _swept_frames(frame, n, n_agents, step, run_spans=1):
     to a span.  Each run holds run_spans spans' prefixes, the last run
     what is left."""
     last = search._last_indices(frame, n, n_agents).tolist()
-    spans = list(search._frame_spans(frame, n, n_agents, len(last), step,
-                                     run_spans))
-    runs = list({id(s.run): s.run for s in spans}.values())
     size = max(1, step // len(last)) * run_spans
+    runs = list(search._prefix_runs(frame, n, n_agents, size))
+    spans = [(list(map(tuple, run[lo:hi].tolist())), start, stop)
+             for run in runs
+             for lo, hi, start, stop in search._spans(len(run), len(last),
+                                                      step)]
     assert [len(run) for run in runs[:-1]] == [size] * (len(runs) - 1)
     assert sum(map(len, runs)) \
         == sum(map(len, search._prefixes(frame, n, n_agents)))
     if len(last) <= step:
-        assert all((s.start, s.stop) == (0, len(last)) for s in spans)
-        assert [len(s.prefixes) for s in spans[:-1]] \
+        assert all(s[1:] == (0, len(last)) for s in spans)
+        assert [len(s[0]) for s in spans[:-1]] \
             == [step // len(last)] * (len(spans) - 1)
-        assert 1 <= len(spans[-1].prefixes) <= step // len(last)
+        assert 1 <= len(spans[-1][0]) <= step // len(last)
     else:
         ranges = [(start, min(start + step, len(last)))
                   for start in range(0, len(last), step)]
-        assert [(s.start, s.stop) for s in spans] \
+        assert [s[1:] for s in spans] \
             == ranges * (len(spans) // len(ranges))
-        assert all(len(s.prefixes) == 1 for s in spans)
-    return [prefix + (last[i],) for s in spans for prefix in s.prefixes
-            for i in range(s.start, s.stop)]
+        assert all(len(s[0]) == 1 for s in spans)
+    return [prefix + (last[i],) for prefixes, start, stop in spans
+            for prefix in prefixes for i in range(start, stop)]
+
+
+@pytest.mark.parametrize("n_prefixes,n_last,step", [
+    (5, 3, 7), (2, 10, 4), (4, 5, 5), (1, 6, 4), (1, 3, 7)],
+    ids=["whole rows", "ranges", "step of a row", "one prefix in ranges",
+         "one whole prefix"])
+def test_spans_cover_each_frame_once_in_frame_order(n_prefixes, n_last,
+                                                    step):
+    spans = list(search._spans(n_prefixes, n_last, step))
+    assert [(p, i) for lo, hi, start, stop in spans
+            for p in range(lo, hi) for i in range(start, stop)] \
+        == list(itertools.product(range(n_prefixes), range(n_last)))
+    assert all((hi - lo) * (stop - start) <= step
+               for lo, hi, start, stop in spans)
+    if n_last <= step:
+        assert all((start, stop) == (0, n_last)
+                   for _, _, start, stop in spans)
+        assert [hi - lo for lo, hi, _, _ in spans[:-1]] \
+            == [step // n_last] * (len(spans) - 1)
+        assert 1 <= spans[-1][1] - spans[-1][0] <= step // n_last
+    else:
+        assert all(hi - lo == 1 for lo, hi, _, _ in spans)
 
 
 @pytest.mark.parametrize("frame,n_agents,n", [
@@ -607,13 +632,12 @@ def test_a_second_walk_yields_the_same_spans(monkeypatch, frame, n_agents,
                                              n):
     monkeypatch.setattr(search, "_KEPT", {})
     n_last = len(search._last_indices(frame, n, n_agents))
-    cold = list(search._frame_spans(frame, n, n_agents, n_last, 7, 2))
+    size = max(1, 7 // n_last) * 2
+    cold = list(search._prefix_runs(frame, n, n_agents, size))
     assert search._KEPT
-    warm = list(search._frame_spans(frame, n, n_agents, n_last, 7, 2))
-    assert [(s.prefixes, *s[1:]) for s in warm] \
-        == [(s.prefixes, *s[1:]) for s in cold]
-    assert all(len(prefix) == n_agents - 1
-               for span in cold for prefix in span.prefixes)
+    warm = list(search._prefix_runs(frame, n, n_agents, size))
+    assert [run.tolist() for run in warm] == [run.tolist() for run in cold]
+    assert all(run.shape[1] == n_agents - 1 for run in cold)
 
 
 def test_the_walk_memo_is_read_only(monkeypatch):
@@ -1027,18 +1051,30 @@ def test_known_superiority_valid_on_s5_refuted_on_s4():
 
 # --- the span walk -------------------------------------------------------
 
+# a span the sweep cut: its prefixes as tuples of pool indices, and its
+# bounds as `search._spans` yields them
+_CutSpan = namedtuple("_CutSpan", "prefixes lo hi start stop")
+
+
 def _count_spans_and_blocks(monkeypatch):
     """The spans the walk cuts and the blocks the scans build, as lists
     that fill as they are made."""
-    cut = []
-    frame_spans = search._frame_spans
+    cut, runs = [], []
+    prefix_runs, spans = search._prefix_runs, search._spans
+
+    def counting_runs(*args):
+        for run in prefix_runs(*args):
+            runs.append(run)
+            yield run
 
     def counting_spans(*args):
-        for span in frame_spans(*args):
-            cut.append(span)
-            yield span
+        for lo, hi, start, stop in spans(*args):
+            cut.append(_CutSpan(list(map(tuple, runs[-1][lo:hi].tolist())),
+                                lo, hi, start, stop))
+            yield lo, hi, start, stop
 
-    monkeypatch.setattr(search, "_frame_spans", counting_spans)
+    monkeypatch.setattr(search, "_prefix_runs", counting_runs)
+    monkeypatch.setattr(search, "_spans", counting_spans)
     built, _ = _keep_blocks(monkeypatch)
     return cut, built
 
@@ -1132,7 +1168,8 @@ def test_an_empty_batch_sweeps_nothing(monkeypatch):
         raise AssertionError("an empty batch started a sweep")
 
     for name in ("frame_relations", "_pool_codes", "_prefixes",
-                 "_frame_spans", "_first_failures", "count_models"):
+                 "_prefix_runs", "_spans", "_first_failures",
+                 "count_models"):
         monkeypatch.setattr(search, name, refuse)
     for mod_iso in (False, True):
         bounds = SearchBounds(FrameClass.KT, 2, 5, mod_iso=mod_iso)

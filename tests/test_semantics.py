@@ -28,7 +28,7 @@ from epicmp.semantics import (UnknownAtomError, extension, satisfies,
                               valid_in_model)
 from epicmp.syntax import (And, Atom, CDK, CK, Cmp, CmpOp, DK, Group, Iff,
                            Imp, IndK, Not, Or, Supergroup, atom_names,
-                           expand_sugar, parse, post_order)
+                           expand_sugar, parse, post_order, singletons)
 
 
 @pytest.fixture(scope="module")
@@ -293,10 +293,11 @@ def test_group_relations_keep_the_dtype_of_their_rows(dtype):
             "b": np.array([0b001, 0b010, 0b101], dtype=dtype)[:, None, None]}
     block = search.Block(rows, {}, (1, 1, 1))
     ab = Group(["a", "b"])
-    for out in (block.joint(ab), block.common(ab),
+    for out in (block.joint(ab), block.cdk(singletons(ab)),
                 block.cdk(Supergroup([ab, Group(["a"])]))):
         assert out.dtype == dtype
-    assert block.common(ab)[:, 0, 0].tolist() == [0b111, 0b111, 0b111]
+    assert block.cdk(singletons(ab))[:, 0, 0].tolist() \
+        == [0b111, 0b111, 0b111]
 
 
 def test_boxes_over_one_relation_share_one_complement_table():
